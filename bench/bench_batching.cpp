@@ -30,7 +30,7 @@ struct Result {
 Result run_one(lwg::MappingMode mode, std::size_t n, Duration linger_us) {
   transport::TransportConfig tc;
   tc.max_linger_us = linger_us;
-  Fig2World f = build_fig2_world(mode, n, 64, tc);
+  Fig2World f = build_fig2_world(mode, n, tc);
   constexpr int kWindow = 8;
   constexpr std::size_t kBytes = 64;
   constexpr Duration kMeasure = 5'000'000;

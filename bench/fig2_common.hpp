@@ -61,14 +61,9 @@ struct Fig2World {
   std::vector<LwgId> set_b;  // groups over {4,5,6,7}
 };
 
-/// Builds the Fig. 2 world for `mode` with n groups per set, joins all
-/// groups (sequentially per group for a deterministic mapping), and waits
-/// until every group converged.
-inline Fig2World build_fig2_world(lwg::MappingMode mode, std::size_t n,
-                                  std::size_t payload_bytes = 64,
-                                  transport::TransportConfig transport = {}) {
-  (void)payload_bytes;
-  Fig2World f;
+/// The Fig. 2 world's configuration for `mode`, oracle off.
+inline harness::WorldConfig fig2_config(
+    lwg::MappingMode mode, transport::TransportConfig transport = {}) {
   harness::WorldConfig cfg;
   cfg.oracle = false;  // measuring the protocol, not checking it
   cfg.transport = transport;
@@ -93,6 +88,15 @@ inline Fig2World build_fig2_world(lwg::MappingMode mode, std::size_t n,
     }
     cfg.lwg.static_contacts = contacts;
   }
+  return cfg;
+}
+
+/// Builds the Fig. 2 world from `cfg` with n groups per set, joins all
+/// groups (sequentially per group for a deterministic mapping), and waits
+/// until every group converged.
+inline Fig2World build_fig2_world(const harness::WorldConfig& cfg,
+                                  std::size_t n) {
+  Fig2World f;
   f.world = std::make_unique<harness::SimWorld>(cfg);
   f.users.reserve(kProcesses);
   for (std::size_t i = 0; i < kProcesses; ++i) {
@@ -130,6 +134,11 @@ inline Fig2World build_fig2_world(lwg::MappingMode mode, std::size_t n,
   // Settle naming-service traffic and heartbeats.
   f.world->run_for(3'000'000);
   return f;
+}
+
+inline Fig2World build_fig2_world(lwg::MappingMode mode, std::size_t n,
+                                  transport::TransportConfig transport = {}) {
+  return build_fig2_world(fig2_config(mode, transport), n);
 }
 
 /// Encodes a latency-probe payload of at least `bytes` total.
