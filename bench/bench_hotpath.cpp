@@ -1,5 +1,6 @@
-// Hot-path microbenchmarks: simulator event loop, codec encode/decode, and
-// an end-to-end Fig. 2-style throughput run.
+// Hot-path microbenchmarks: simulator event loop, codec encode/decode, the
+// member-set / policy / RNG building blocks, and an end-to-end Fig. 2-style
+// throughput run.
 //
 // These are the two layers every experiment funnels through (millions of
 // events, one codec pass per message), so this file is the regression gate
@@ -13,8 +14,11 @@
 
 #include "fig2_common.hpp"
 #include "lwg/messages.hpp"
+#include "lwg/policy.hpp"
 #include "sim/simulator.hpp"
 #include "util/codec.hpp"
+#include "util/member_set.hpp"
+#include "util/rng.hpp"
 #include "vsync/messages.hpp"
 
 namespace plwg {
@@ -186,6 +190,55 @@ void BM_CodecDecodeFlushAck(benchmark::State& state) {
                           static_cast<std::int64_t>(enc.size()));
 }
 BENCHMARK(BM_CodecDecodeFlushAck);
+
+// --- building blocks ---------------------------------------------------------
+
+MemberSet make_members(std::size_t n, std::uint32_t offset) {
+  MemberSet set;
+  for (std::uint32_t i = 0; i < n; ++i) set.insert(ProcessId{offset + i});
+  return set;
+}
+
+void BM_MemberSetIntersection(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const MemberSet a = make_members(n, 0);
+  const MemberSet b = make_members(n, static_cast<std::uint32_t>(n / 2));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(a.intersection_size(b));
+  }
+}
+BENCHMARK(BM_MemberSetIntersection)->Arg(8)->Arg(64)->Arg(512);
+
+void BM_MemberSetUnion(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const MemberSet a = make_members(n, 0);
+  const MemberSet b = make_members(n, static_cast<std::uint32_t>(n / 2));
+  for (auto _ : state) {
+    MemberSet u = a.set_union(b);
+    benchmark::DoNotOptimize(u.members().data());
+  }
+}
+BENCHMARK(BM_MemberSetUnion)->Arg(8)->Arg(64)->Arg(512);
+
+// The Fig. 1 share rule, evaluated per HWG pair by the policy pass.
+void BM_PolicyShareRule(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const MemberSet a = make_members(n, 0);
+  const MemberSet b = make_members(n, static_cast<std::uint32_t>(n / 4));
+  const lwg::policy::PolicyParams params{4.0, 4.0};
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(lwg::policy::should_collapse(a, b, params));
+  }
+}
+BENCHMARK(BM_PolicyShareRule)->Arg(8)->Arg(64)->Arg(512);
+
+void BM_RngNextBelow(benchmark::State& state) {
+  Rng rng(42);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(rng.next_below(1000));
+  }
+}
+BENCHMARK(BM_RngNextBelow);
 
 // --- end-to-end --------------------------------------------------------------
 

@@ -85,22 +85,16 @@ SimWorld::SimWorld(WorldConfig config)
     net_->set_segments(node_segments, config_.wan);
   }
 
-#ifndef PLWG_ORACLE_DISABLED
   if (config_.oracle) {
-    // The oracle's clock: the mux pins it to each replayed event's original
-    // timestamp; without a mux the running site's clock is already exact.
+    // Site threads must not call into the single-threaded oracle: every
+    // observer hook goes through per-site rings, merged in deterministic
+    // order when each run_until returns. The mux pins the oracle's clock to
+    // each replayed event's original timestamp.
     oracle_ = std::make_unique<oracle::ProtocolOracle>(
-        [this] { return mux_ ? mux_->now() : engine_.log_now(); });
-    if (engine_.num_sites() > 1) {
-      // Worker threads must not call into the single-threaded oracle:
-      // route every observer hook through per-site rings, merged in
-      // deterministic order when each run_until returns.
-      mux_ = std::make_unique<oracle::ShardedObserverMux>(
-          engine_, oracle_.get(), oracle_.get(), oracle_.get());
-      engine_.add_barrier_hook([m = mux_.get()] { m->drain(); });
-    }
+        [this] { return mux_->now(); });
+    mux_ = std::make_unique<oracle::ShardedObserverMux>(engine_, *oracle_);
+    engine_.add_barrier_hook([m = mux_.get()] { m->drain(); });
   }
-#endif
 
   for (std::size_t j = 0; j < servers_.size(); ++j) build_server(j);
   for (std::size_t i = 0; i < processes_.size(); ++i) build_process(i);
@@ -134,16 +128,11 @@ void SimWorld::build_process(std::size_t i, names::Database server_disk) {
   }
   p.lwg = std::make_unique<lwg::LwgService>(*p.vsync, *p.naming, config_.lwg,
                                             &stores_[i]);
-#ifndef PLWG_ORACLE_DISABLED
-  if (oracle_) {
-    p.vsync->set_observer(mux_ ? static_cast<vsync::VsyncObserver*>(mux_.get())
-                               : oracle_.get());
-    p.lwg->set_observer(mux_ ? static_cast<lwg::LwgObserver*>(mux_.get())
-                             : oracle_.get());
-    p.naming->set_observer(mux_ ? static_cast<names::NamingObserver*>(mux_.get())
-                                : oracle_.get());
+  if (mux_) {
+    p.vsync->set_observer(mux_.get());
+    p.lwg->set_observer(mux_.get());
+    p.naming->set_observer(mux_.get());
   }
-#endif
 }
 
 void SimWorld::build_server(std::size_t j, names::Database disk) {
@@ -155,12 +144,7 @@ void SimWorld::build_server(std::size_t j, names::Database disk) {
     if (k != j) peers.push_back(server_nodes_[k]);
   }
   s.naming->enable_server(std::move(peers), std::move(disk));
-#ifndef PLWG_ORACLE_DISABLED
-  if (oracle_) {
-    s.naming->set_observer(mux_ ? static_cast<names::NamingObserver*>(mux_.get())
-                                : oracle_.get());
-  }
-#endif
+  if (mux_) s.naming->set_observer(mux_.get());
 }
 
 SimWorld::~SimWorld() {
@@ -352,20 +336,18 @@ void SimWorld::restart(std::size_t i) {
   PLWG_ASSERT_MSG(crashed_[i], "restart of a process that is not crashed");
   ProcessNode& p = processes_[i];
   const ProcessId self = p.runtime->process_id();
-#ifndef PLWG_ORACLE_DISABLED
   // The dead incarnation's delivery epochs end here. A graceful teardown
   // reports them through become_defunct()/note_lwg_reset(); plain
   // destruction does not, so fire the resets by hand — otherwise the
   // successor's first views would be paired with the corpse's.
-  if (oracle_) {
+  if (mux_) {
     for (const auto& [gid, ep] : p.vsync->endpoints()) {
-      oracle_->on_hwg_endpoint_reset(self, gid);
+      mux_->on_hwg_endpoint_reset(self, gid);
     }
     for (LwgId lwg : p.lwg->local_groups()) {
-      oracle_->on_lwg_epoch_reset(self, lwg);
+      mux_->on_lwg_epoch_reset(self, lwg);
     }
   }
-#endif
   names::Database disk;
   if (p.naming->is_server()) disk = p.naming->database();
   const NodeId nid = p.runtime->id();

@@ -57,8 +57,7 @@ struct WorldConfig {
   /// produces the same trace with it on or off (docs/TUNING.md knobs).
   sim::PlannerConfig planner;
   /// Wire the cross-node ProtocolOracle into every node (default). Benches
-  /// that measure the protocol itself turn it off; builds with
-  /// -DPLWG_ORACLE=OFF compile the hook sites out regardless.
+  /// that measure the protocol itself turn it off.
   bool oracle = true;
 };
 
@@ -128,7 +127,7 @@ class SimWorld {
 
   // --- protocol oracle ----------------------------------------------------
   /// True when the always-on invariant checker is wired into this world
-  /// (config.oracle and not compiled out).
+  /// (config.oracle).
   [[nodiscard]] bool oracle_enabled() const { return oracle_ != nullptr; }
   [[nodiscard]] oracle::ProtocolOracle& oracle();
   [[nodiscard]] bool crashed(std::size_t i) const { return crashed_[i]; }
@@ -167,8 +166,8 @@ class SimWorld {
   };
 
   WorldConfig config_;
-  /// One site per LAN segment; a single-LAN world degenerates to the
-  /// classic single-threaded loop.
+  /// One site per LAN segment; a single-LAN world has one site and runs
+  /// on the driver thread.
   sim::Engine engine_;
   std::unique_ptr<sim::Network> net_;
   /// Per-process / per-server stable storage; declared before the nodes
@@ -179,9 +178,9 @@ class SimWorld {
   /// Declared before the nodes so it is destroyed after them: hooks may
   /// still fire while nodes tear down.
   std::unique_ptr<oracle::ProtocolOracle> oracle_;
-  /// Multi-site worlds route observer hooks through the mux (per-site
-  /// rings, drained when run_until returns); single-site worlds wire the
-  /// oracle directly. Destroyed after the nodes, like the oracle.
+  /// Every observer hook reaches the oracle through the mux (per-site
+  /// rings, drained when run_until returns). Destroyed after the nodes,
+  /// like the oracle.
   std::unique_ptr<oracle::ShardedObserverMux> mux_;
   std::vector<ProcessNode> processes_;
   std::vector<ServerNode> servers_;

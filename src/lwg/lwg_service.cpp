@@ -6,7 +6,6 @@
 
 #include "util/assert.hpp"
 #include "util/log.hpp"
-#include "util/observer_hook.hpp"
 
 namespace plwg::lwg {
 
@@ -73,7 +72,7 @@ void LwgService::shutdown() {
 void LwgService::send(LwgId lwg, std::vector<std::uint8_t> data) {
   LocalGroup* lg = find_group(lwg);
   PLWG_ASSERT_MSG(lg != nullptr, "send on an LWG we did not join");
-  if (!lg->has_view || lg->phase != Phase::kActive || lg->switching) {
+  if (!can_send(*lg)) {
     lg->queued_sends.push_back(std::move(data));
     return;
   }
@@ -136,8 +135,8 @@ void LwgService::send_lwg_msg(HwgId hwg, LwgMsgType type,
 
 ViewId LwgService::mint_view_id() { return ViewId{self(), ++view_counter()}; }
 
-void LwgService::note_lwg_reset([[maybe_unused]] LwgId lwg) {
-  PLWG_OBSERVE(observer_, on_lwg_epoch_reset(self(), lwg));
+void LwgService::note_lwg_reset(LwgId lwg) {
+  if (observer_ != nullptr) observer_->on_lwg_epoch_reset(self(), lwg);
 }
 
 names::MappingEntry LwgService::make_entry(const LocalGroup& lg,
@@ -206,8 +205,9 @@ void LwgService::install_lwg_view(LocalGroup& lg, const LwgView& view,
   stats_.lwg_views_installed++;
   PLWG_DEBUG("lwg", "p", self(), " lwg ", lg.lwg, " view ", view.id,
              view.members, " on hwg ", view.hwg);
-  PLWG_OBSERVE(observer_,
-               on_lwg_view_installed(self(), lg.lwg, view, predecessors));
+  if (observer_ != nullptr) {
+    observer_->on_lwg_view_installed(self(), lg.lwg, view, predecessors);
+  }
   // Uniform registration rule: the coordinator of the newly installed view
   // owns the naming-service record for it.
   if (view.coordinator() == self()) {
@@ -220,9 +220,13 @@ void LwgService::install_lwg_view(LocalGroup& lg, const LwgView& view,
   maybe_install_next_view(lg);
 }
 
+bool LwgService::can_send(const LocalGroup& lg) const {
+  return lg.has_view && lg.phase == Phase::kActive && !lg.switching &&
+         vsync_.is_member(lg.hwg);
+}
+
 void LwgService::drain_queued_sends(LocalGroup& lg) {
-  while (!lg.queued_sends.empty() && lg.phase == Phase::kActive &&
-         lg.has_view && !lg.switching) {
+  while (!lg.queued_sends.empty() && can_send(lg)) {
     std::vector<std::uint8_t> data = std::move(lg.queued_sends.front());
     lg.queued_sends.pop_front();
     stats_.data_sent++;

@@ -210,6 +210,11 @@ class LwgService : public GroupService,
   void install_lwg_view(LocalGroup& lg, const LwgView& view,
                         const std::vector<ViewId>& predecessors);
   void finalize_leave(LwgId lwg);
+  /// True when a send on `lg` may go out now; otherwise it waits in
+  /// queued_sends. An HWG eject (GroupEndpoint::become_defunct) drops the
+  /// endpoint without an upcall, so an active LWG can outlive its HWG
+  /// membership.
+  [[nodiscard]] bool can_send(const LocalGroup& lg) const;
   void drain_queued_sends(LocalGroup& lg);
   [[nodiscard]] std::vector<LwgViewInfo> local_views_on(HwgId gid) const;
   [[nodiscard]] names::MappingEntry make_entry(const LocalGroup& lg,

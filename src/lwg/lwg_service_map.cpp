@@ -7,7 +7,6 @@
 #include "lwg/lwg_service.hpp"
 #include "util/assert.hpp"
 #include "util/log.hpp"
-#include "util/observer_hook.hpp"
 
 namespace plwg::lwg {
 
@@ -493,9 +492,10 @@ void LwgService::handle_data(HwgId gid, ProcessId src, const DataMsgView& msg) {
   }
   if (msg.lwg_view == lg->view.id) {
     stats_.data_delivered++;
-    PLWG_OBSERVE(observer_,
-                 on_lwg_delivered(self(), msg.lwg, msg.lwg_view, src,
-                                  msg.payload));
+    if (observer_ != nullptr) {
+      observer_->on_lwg_delivered(self(), msg.lwg, msg.lwg_view, src,
+                                  msg.payload);
+    }
     lg->user->on_lwg_data(msg.lwg, src, msg.payload);
     return;
   }

@@ -37,9 +37,8 @@ void ShardedObserverMux::drain() {
 
 void ShardedObserverMux::on_hwg_view_installed(ProcessId p, HwgId gid,
                                                const vsync::View& view) {
-  if (vsync_ == nullptr) return;
-  dispatch([obs = vsync_, p, gid, view] {
-    obs->on_hwg_view_installed(p, gid, view);
+  dispatch([&oracle = oracle_, p, gid, view] {
+    oracle.on_hwg_view_installed(p, gid, view);
   });
 }
 
@@ -47,36 +46,34 @@ void ShardedObserverMux::on_hwg_delivered(
     ProcessId p, HwgId gid, const vsync::ViewId& view, std::uint64_t seq,
     ProcessId origin, std::uint64_t sender_msg_id,
     std::span<const std::uint8_t> payload) {
-  if (vsync_ == nullptr) return;
-  dispatch([obs = vsync_, p, gid, view, seq, origin, sender_msg_id,
+  dispatch([&oracle = oracle_, p, gid, view, seq, origin, sender_msg_id,
             bytes = std::vector<std::uint8_t>(payload.begin(),
                                               payload.end())] {
-    obs->on_hwg_delivered(p, gid, view, seq, origin, sender_msg_id, bytes);
+    oracle.on_hwg_delivered(p, gid, view, seq, origin, sender_msg_id, bytes);
   });
 }
 
 void ShardedObserverMux::on_hwg_flush_completed(ProcessId p, HwgId gid,
                                                 const vsync::ViewId& old_view,
                                                 bool initiator) {
-  if (vsync_ == nullptr) return;
-  dispatch([obs = vsync_, p, gid, old_view, initiator] {
-    obs->on_hwg_flush_completed(p, gid, old_view, initiator);
+  dispatch([&oracle = oracle_, p, gid, old_view, initiator] {
+    oracle.on_hwg_flush_completed(p, gid, old_view, initiator);
   });
 }
 
 void ShardedObserverMux::on_hwg_endpoint_reset(ProcessId p, HwgId gid) {
-  if (vsync_ == nullptr) return;
-  dispatch([obs = vsync_, p, gid] { obs->on_hwg_endpoint_reset(p, gid); });
+  dispatch([&oracle = oracle_, p, gid] {
+    oracle.on_hwg_endpoint_reset(p, gid);
+  });
 }
 
 void ShardedObserverMux::on_lwg_view_installed(
     ProcessId p, LwgId lwg, const lwg::LwgView& view,
     std::span<const vsync::ViewId> predecessors) {
-  if (lwg_ == nullptr) return;
-  dispatch([obs = lwg_, p, lwg, view,
+  dispatch([&oracle = oracle_, p, lwg, view,
             preds = std::vector<vsync::ViewId>(predecessors.begin(),
                                         predecessors.end())] {
-    obs->on_lwg_view_installed(p, lwg, view, preds);
+    oracle.on_lwg_view_installed(p, lwg, view, preds);
   });
 }
 
@@ -84,32 +81,30 @@ void ShardedObserverMux::on_lwg_delivered(ProcessId p, LwgId lwg,
                                           const vsync::ViewId& view, ProcessId src,
                                           std::span<const std::uint8_t>
                                               payload) {
-  if (lwg_ == nullptr) return;
-  dispatch([obs = lwg_, p, lwg, view, src,
+  dispatch([&oracle = oracle_, p, lwg, view, src,
             bytes = std::vector<std::uint8_t>(payload.begin(),
                                               payload.end())] {
-    obs->on_lwg_delivered(p, lwg, view, src, bytes);
+    oracle.on_lwg_delivered(p, lwg, view, src, bytes);
   });
 }
 
 void ShardedObserverMux::on_lwg_epoch_reset(ProcessId p, LwgId lwg) {
-  if (lwg_ == nullptr) return;
-  dispatch([obs = lwg_, p, lwg] { obs->on_lwg_epoch_reset(p, lwg); });
+  dispatch([&oracle = oracle_, p, lwg] {
+    oracle.on_lwg_epoch_reset(p, lwg);
+  });
 }
 
 void ShardedObserverMux::on_mapping_written(NodeId server, LwgId lwg,
                                             const names::MappingEntry& entry) {
-  if (naming_ == nullptr) return;
-  dispatch([obs = naming_, server, lwg, entry] {
-    obs->on_mapping_written(server, lwg, entry);
+  dispatch([&oracle = oracle_, server, lwg, entry] {
+    oracle.on_mapping_written(server, lwg, entry);
   });
 }
 
 void ShardedObserverMux::on_mapping_gced(NodeId server, LwgId lwg,
                                          const vsync::ViewId& lwg_view) {
-  if (naming_ == nullptr) return;
-  dispatch([obs = naming_, server, lwg, lwg_view] {
-    obs->on_mapping_gced(server, lwg, lwg_view);
+  dispatch([&oracle = oracle_, server, lwg, lwg_view] {
+    oracle.on_mapping_gced(server, lwg, lwg_view);
   });
 }
 

@@ -11,15 +11,15 @@
 // workers, never events between rings. The drain merges all rings by
 // (event time, site index, ring position) — a total order that depends only
 // on the simulation, not on the thread schedule or the shard plan — and
-// replays each event into the downstream observers with the oracle's clock
-// pinned to the event's original timestamp, so violation reports keep
-// precise times. Island sites may run far ahead of the lockstep horizon
+// replays each event into the oracle with the oracle's clock pinned to the
+// event's original timestamp, so violation reports keep precise times. Island sites may run far ahead of the lockstep horizon
 // mid-call; their events simply wait in the ring until the end-of-run
 // drain, where the global time sort restores chronology.
 //
 // Hooks fired outside any site's events (driver-thread test code, engine
 // idle) apply immediately; rings are always empty then because every
-// Engine::run_until ends with a drain.
+// Engine::run_until ends with a drain. SimWorld wires every oracle-on world
+// through the mux, single-LAN worlds included: one path for any site count.
 #pragma once
 
 #include <cstdint>
@@ -27,6 +27,7 @@
 
 #include "lwg/observer.hpp"
 #include "names/observer.hpp"
+#include "oracle/oracle.hpp"
 #include "sim/engine.hpp"
 #include "util/function.hpp"
 #include "util/types.hpp"
@@ -38,20 +39,19 @@ class ShardedObserverMux final : public vsync::VsyncObserver,
                                  public lwg::LwgObserver,
                                  public names::NamingObserver {
  public:
-  ShardedObserverMux(sim::Engine& engine, vsync::VsyncObserver* vsync,
-                     lwg::LwgObserver* lwg, names::NamingObserver* naming)
-      : engine_(engine), vsync_(vsync), lwg_(lwg), naming_(naming) {
+  ShardedObserverMux(sim::Engine& engine, ProtocolOracle& oracle)
+      : engine_(engine), oracle_(oracle) {
     rings_.resize(engine.num_sites());
   }
 
-  /// Replay every ringed event into the downstream observers in the global
-  /// deterministic order. Registered as an engine barrier hook; also safe
-  /// to call while idle.
+  /// Replay every ringed event into the oracle in the global deterministic
+  /// order. Registered as an engine barrier hook; also safe to call while
+  /// idle.
   void drain();
 
-  /// Clock for the downstream oracle: the replayed event's original
-  /// timestamp during drain, the running site's clock inside its events,
-  /// the engine horizon otherwise.
+  /// Clock for the oracle: the replayed event's original timestamp during
+  /// drain, the running site's clock inside its events, the engine horizon
+  /// otherwise.
   [[nodiscard]] Time now() const {
     return replaying_ ? replay_time_ : engine_.log_now();
   }
@@ -88,7 +88,7 @@ class ShardedObserverMux final : public vsync::VsyncObserver,
   };
 
   /// True when the calling thread is inside a site's events: capture into
-  /// that site's ring. False (driver thread): apply downstream now.
+  /// that site's ring. False (driver thread): apply to the oracle now.
   template <class F>
   void dispatch(F&& apply) {
     const int site = sim::Engine::current_site();
@@ -101,9 +101,7 @@ class ShardedObserverMux final : public vsync::VsyncObserver,
   }
 
   sim::Engine& engine_;
-  vsync::VsyncObserver* vsync_;
-  lwg::LwgObserver* lwg_;
-  names::NamingObserver* naming_;
+  ProtocolOracle& oracle_;
   std::vector<std::vector<Entry>> rings_;  // one per site, single-writer
   bool replaying_ = false;
   Time replay_time_ = 0;

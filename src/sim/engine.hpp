@@ -47,8 +47,8 @@
 // TraceDigest). Replans trigger on simulated time and feed on per-site
 // event counts — never wall clock or thread timing.
 //
-// A single-site engine degenerates to exactly the classic single-threaded
-// event loop: one job per run, no outboxes, no worker threads.
+// A single-site engine degenerates to a plain single-threaded event loop:
+// one job per run, no outboxes, no worker threads.
 #pragma once
 
 #include <atomic>

@@ -50,21 +50,12 @@ std::string NetworkStats::debug_dump() const {
   return out;
 }
 
-Network::Network(Simulator& simulator, NetworkConfig config)
-    : config_(config) {
-  PLWG_ASSERT(config_.bandwidth_bps > 0);
-  sites_.resize(1);
-  sites_[0].sim = &simulator;
-  sites_[0].rng = Rng(config_.seed);
-}
-
 Network::Network(Engine& engine, NetworkConfig config)
-    : engine_(&engine), config_(config) {
+    : engine_(engine), config_(config) {
   PLWG_ASSERT(config_.bandwidth_bps > 0);
   sites_.resize(engine.num_sites());
-  // Per-site PRNG streams: site 0 keeps the classic stream (so a 1-site
-  // engine reproduces the classic form bit for bit); site i>0 gets an
-  // independent splitmix64-derived stream. Streams depend only on the seed
+  // Per-site PRNG streams: site 0 draws from the seed itself; site i>0 gets
+  // an independent splitmix64-derived stream. Streams depend only on the seed
   // and the site count — never on the thread count or the shard plan.
   std::uint64_t stream = config_.seed;
   for (std::size_t s = 0; s < sites_.size(); ++s) {
@@ -75,7 +66,7 @@ Network::Network(Engine& engine, NetworkConfig config)
 
 void Network::assert_idle(const char* what) const {
   (void)what;
-  PLWG_ASSERT_MSG(engine_ == nullptr || !engine_->running(),
+  PLWG_ASSERT_MSG(!engine_.running(),
                   "topology mutation while the engine is running");
 }
 
@@ -250,8 +241,8 @@ void Network::multicast(NodeId from, std::span<const NodeId> dests,
                   nodes = std::move(nodes)] {
         segment_arrival(from, partition, segment, lan_tx, shared, nodes);
       };
-      if (engine_ != nullptr && dst_site != nodes_[from.value()].site) {
-        engine_->post(dst_site, backbone_out, std::move(hop));
+      if (dst_site != nodes_[from.value()].site) {
+        engine_.post(dst_site, backbone_out, std::move(hop));
       } else {
         sites_[dst_site].sim->schedule_at(backbone_out, std::move(hop));
       }
@@ -320,21 +311,19 @@ void Network::set_segments(const std::vector<std::vector<NodeId>>& segments,
   wan_ = wan;
   multi_segment_ = segments.size() > 1;
   clear_queues();
-  if (engine_ != nullptr && sites_.size() > 1) {
+  if (sites_.size() > 1) {
     // Minimum cross-site latency: every inter-segment packet pays at least
     // 1us of uplink transmission plus the backbone propagation delay before
     // it can reach another site.
-    engine_->set_lookahead(wan_.propagation_delay_us + 1);
+    engine_.set_lookahead(wan_.propagation_delay_us + 1);
   }
-  if (engine_ != nullptr) {
-    // Seed the planner: per-site node counts are the static load estimate
-    // (event rates scale with population until measurements exist), and the
-    // current reachability classes bound what may share a shard.
-    std::vector<std::uint64_t> weights(sites_.size(), 0);
-    for (const NodeState& node : nodes_) weights[node.site]++;
-    engine_->set_site_weights(weights);
-    push_site_classes();
-  }
+  // Seed the planner: per-site node counts are the static load estimate
+  // (event rates scale with population until measurements exist), and the
+  // current reachability classes bound what may share a shard.
+  std::vector<std::uint64_t> weights(sites_.size(), 0);
+  for (const NodeState& node : nodes_) weights[node.site]++;
+  engine_.set_site_weights(weights);
+  push_site_classes();
   PLWG_INFO("net", "topology: ", segments.size(), " LAN segments on ",
             sites_.size(), " sites");
 }
@@ -365,8 +354,8 @@ std::vector<int> Network::site_classes() const {
 }
 
 void Network::push_site_classes() {
-  if (engine_ == nullptr || sites_.size() < 2) return;
-  engine_->set_site_classes(site_classes());
+  if (sites_.size() < 2) return;
+  engine_.set_site_classes(site_classes());
 }
 
 int Network::segment_of(NodeId n) const {

@@ -15,7 +15,7 @@
 // the sender's class at send time. Healing restores one class. A "virtual
 // partition" (paper Sect. 4) is simulated the same way, only shorter-lived.
 //
-// Sharding: when the network is built over a sim::Engine, each LAN segment
+// Sharding: the network is built over a sim::Engine; each LAN segment
 // maps to an engine *site* (segment i -> site i mod N) and all of the
 // segment's mutable simulation state — bus queue, WAN uplink queue, fault
 // RNG, stats, trace digest — lives in that site's SiteCtx, touched only by
@@ -145,11 +145,9 @@ struct NetworkStats {
 
 class Network {
  public:
-  /// Classic single-threaded form: one site wrapping an external simulator.
-  Network(Simulator& simulator, NetworkConfig config);
-  /// Sharded form: per-engine-site state, segments mapped onto sites by
-  /// set_segments. With a 1-site engine this behaves exactly like the
-  /// classic form.
+  /// Per-engine-site state; segments are mapped onto sites by
+  /// set_segments. A 1-site engine runs everything on site 0, which
+  /// callers may drive directly as a plain Simulator.
   Network(Engine& engine, NetworkConfig config);
 
   /// Register a host. The handler must outlive the network.
@@ -174,9 +172,9 @@ class Network {
   /// segment's bus. Every node must appear in exactly one segment.
   /// Orthogonal to partitions (cutting the WAN is expressed as a partition
   /// along segment lines). The default is a single segment (no backbone
-  /// hops). Over an engine, also assigns segments to sites, sets the engine
-  /// lookahead to the minimum cross-site latency, and pushes per-site load
-  /// estimates + reachability classes to the engine's planner.
+  /// hops). Also assigns segments to sites, sets the engine lookahead to
+  /// the minimum cross-site latency, and pushes per-site load estimates +
+  /// reachability classes to the engine's planner.
   void set_segments(const std::vector<std::vector<NodeId>>& segments,
                     WanConfig wan);
   [[nodiscard]] int segment_of(NodeId n) const;
@@ -285,9 +283,6 @@ class Network {
   void note_frame(NodeId from, std::size_t messages, std::size_t piggybacked);
 
   [[nodiscard]] const NetworkConfig& config() const { return config_; }
-  /// Site-0 simulator — the full clock in the classic single-site form,
-  /// and a valid idle-time clock (== engine horizon) over an engine.
-  [[nodiscard]] Simulator& simulator() { return *sites_[0].sim; }
   /// The event loop that runs this node's events; node-local timers must be
   /// scheduled here so they execute in the node's site.
   [[nodiscard]] Simulator& simulator_for(NodeId n) {
@@ -315,11 +310,11 @@ class Network {
   };
 
   /// Everything a site mutates while running its events. One per engine
-  /// site; exactly one in the classic form. No atomics: each instance is
-  /// touched by at most one thread per window, and only aggregated (stats,
-  /// digest) from the driver thread while idle. This — not the shard — is
-  /// the determinism unit: the engine may regroup sites into shards at any
-  /// barrier without touching anything in here.
+  /// site. No atomics: each instance is touched by at most one thread per
+  /// window, and only aggregated (stats, digest) from the driver thread
+  /// while idle. This — not the shard — is the determinism unit: the engine
+  /// may regroup sites into shards at any barrier without touching anything
+  /// in here.
   struct SiteCtx {
     Simulator* sim = nullptr;
     Rng rng{0};
@@ -376,7 +371,7 @@ class Network {
     return (static_cast<std::uint64_t>(from.value()) << 32) | to.value();
   }
 
-  Engine* engine_ = nullptr;  // null in the classic single-site form
+  Engine& engine_;
   NetworkConfig config_;
   WanConfig wan_;
   bool multi_segment_ = false;

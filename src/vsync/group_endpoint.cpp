@@ -7,7 +7,6 @@
 #include "util/assert.hpp"
 #include "util/backoff.hpp"
 #include "util/log.hpp"
-#include "util/observer_hook.hpp"
 #include "vsync/failure_detector.hpp"
 #include "vsync/vsync_host.hpp"
 
@@ -126,7 +125,9 @@ void GroupEndpoint::install_view(const View& view) {
   set_state(State::kActive);
   stats_.views_installed++;
   PLWG_DEBUG("vsync", "p", self(), " g", gid_, " installed ", view_);
-  PLWG_OBSERVE(host_.observer(), on_hwg_view_installed(self(), gid_, view_));
+  if (auto* obs = host_.observer()) {
+    obs->on_hwg_view_installed(self(), gid_, view_);
+  }
   user_.on_view(gid_, view_);
   if (defunct()) return;  // user may have left during the upcall
   flush_pending_sends();
@@ -178,7 +179,7 @@ void GroupEndpoint::reset_view_state() {
 }
 
 void GroupEndpoint::become_defunct() {
-  PLWG_OBSERVE(host_.observer(), on_hwg_endpoint_reset(self(), gid_));
+  if (auto* obs = host_.observer()) obs->on_hwg_endpoint_reset(self(), gid_);
   set_state(State::kLeft);
   has_view_ = false;
   flush_op_.reset();

@@ -14,7 +14,6 @@
 #include "util/assert.hpp"
 #include "util/backoff.hpp"
 #include "util/log.hpp"
-#include "util/observer_hook.hpp"
 #include "vsync/vsync_host.hpp"
 
 namespace plwg::vsync {
@@ -172,9 +171,10 @@ void GroupEndpoint::deliver_one(const OrderedMsg& msg) {
   stats_.msgs_delivered++;
   // During a cut delivery view_.id is still the closing view — exactly the
   // view this delivery belongs to under virtual synchrony.
-  PLWG_OBSERVE(host_.observer(),
-               on_hwg_delivered(self(), gid_, view_.id, msg.seq, msg.origin,
-                                msg.sender_msg_id, msg.payload));
+  if (auto* obs = host_.observer()) {
+    obs->on_hwg_delivered(self(), gid_, view_.id, msg.seq, msg.origin,
+                          msg.sender_msg_id, msg.payload);
+  }
   user_.on_data(gid_, msg.origin, msg.payload);
 }
 

@@ -10,7 +10,6 @@
 
 #include "util/assert.hpp"
 #include "util/log.hpp"
-#include "util/observer_hook.hpp"
 #include "vsync/group_endpoint.hpp"
 #include "vsync/vsync_host.hpp"
 
@@ -298,9 +297,10 @@ void GroupEndpoint::on_flush_cut(const FlushCutMsg& msg) {
   deliver_cut(msg);
   if (defunct()) return;
   part_flush_->done_sent = true;
-  PLWG_OBSERVE(host_.observer(), on_hwg_flush_completed(self(), gid_,
-                                                        msg.old_view,
-                                                        /*initiator=*/false));
+  if (auto* obs = host_.observer()) {
+    obs->on_hwg_flush_completed(self(), gid_, msg.old_view,
+                                /*initiator=*/false);
+  }
   set_state(State::kStopped);
   Encoder& body = scratch_body();
   FlushDoneMsg{msg.old_view, msg.epoch, self()}.encode(body);
@@ -337,9 +337,10 @@ void GroupEndpoint::finish_flush_as_initiator() {
   PLWG_ASSERT(flush_op_.has_value());
   const FlushOp op = std::move(*flush_op_);
   flush_op_.reset();
-  PLWG_OBSERVE(host_.observer(), on_hwg_flush_completed(self(), gid_,
-                                                        op.old_view,
-                                                        /*initiator=*/true));
+  if (auto* obs = host_.observer()) {
+    obs->on_hwg_flush_completed(self(), gid_, op.old_view,
+                                /*initiator=*/true);
+  }
   if (op.for_merge) {
     merge_self_flush_complete(op.proposal);
     return;

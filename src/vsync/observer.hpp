@@ -2,8 +2,7 @@
 // events reported to the cross-node ProtocolOracle (src/oracle/).
 //
 // The hooks are deliberately minimal — raw facts, no interpretation — so
-// the layer stays ignorant of what is being checked. Call sites compile
-// out entirely under PLWG_ORACLE_DISABLED (see util/observer_hook.hpp).
+// the layer stays ignorant of what is being checked.
 #pragma once
 
 #include <cstdint>

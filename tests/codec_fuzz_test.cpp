@@ -131,8 +131,8 @@ TEST(CodecFuzz, NamesMessagesSurviveGarbage) {
 // The frame demux sits below every parser: arbitrary bytes handed to
 // on_packet must be counted and dropped, never asserted on or thrown past.
 TEST(CodecFuzz, TransportFrameDemuxSurvivesGarbage) {
-  sim::Simulator sim;
-  sim::Network net(sim, sim::NetworkConfig{});
+  sim::Engine engine;
+  sim::Network net(engine, sim::NetworkConfig{});
   transport::NodeRuntime a(net), b(net);
   struct Greedy : transport::PortHandler {
     void on_message(NodeId, Decoder& dec) override {
@@ -166,10 +166,11 @@ TEST(CodecFuzz, TransportFrameDemuxSurvivesGarbage) {
 // must decode to an untampered payload (checksum collisions aside, which
 // random bit flips cannot find).
 TEST(CodecFuzz, MutatedValidFramesSurviveTheDemux) {
-  sim::Simulator sim;
+  sim::Engine engine;
+  sim::Simulator& sim = engine.site(0);
   sim::NetworkConfig cfg;
   cfg.corrupt_probability = 1.0;
-  sim::Network net(sim, cfg);
+  sim::Network net(engine, cfg);
   transport::NodeRuntime a(net), b(net);
   struct Collect : transport::PortHandler {
     void on_message(NodeId, Decoder& dec) override {

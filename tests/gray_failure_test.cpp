@@ -28,8 +28,9 @@ struct Recorder : sim::NetHandler {
 // --- network-level semantics ----------------------------------------------
 
 TEST(GrayNetworkTest, StallParksOutboundSendsUntilTheStallLifts) {
-  sim::Simulator sim;
-  sim::Network net(sim, sim::NetworkConfig{});
+  sim::Engine engine;
+  sim::Simulator& sim = engine.site(0);
+  sim::Network net(engine, sim::NetworkConfig{});
   Recorder ra(sim), rb(sim);
   const NodeId a = net.add_node(ra);
   const NodeId b = net.add_node(rb);
@@ -47,10 +48,11 @@ TEST(GrayNetworkTest, StallParksOutboundSendsUntilTheStallLifts) {
 }
 
 TEST(GrayNetworkTest, StallDefersInboundProcessingLikeAFrozenProcess) {
-  sim::Simulator sim;
+  sim::Engine engine;
+  sim::Simulator& sim = engine.site(0);
   sim::NetworkConfig cfg;
   cfg.node_process_cost_us = 10;
-  sim::Network net(sim, cfg);
+  sim::Network net(engine, cfg);
   Recorder ra(sim), rb(sim);
   const NodeId a = net.add_node(ra);
   const NodeId b = net.add_node(rb);
@@ -64,10 +66,11 @@ TEST(GrayNetworkTest, StallDefersInboundProcessingLikeAFrozenProcess) {
 
 TEST(GrayNetworkTest, CpuFactorMultipliesPerPacketCost) {
   const auto arrival_with_factor = [](double factor) {
-    sim::Simulator sim;
+    sim::Engine engine;
+    sim::Simulator& sim = engine.site(0);
     sim::NetworkConfig cfg;
     cfg.node_process_cost_us = 100;
-    sim::Network net(sim, cfg);
+    sim::Network net(engine, cfg);
     Recorder ra(sim), rb(sim);
     const NodeId a = net.add_node(ra);
     const NodeId b = net.add_node(rb);
@@ -85,8 +88,9 @@ TEST(GrayNetworkTest, CpuFactorMultipliesPerPacketCost) {
 }
 
 TEST(GrayNetworkTest, ClockRateSkewsHostTimers) {
-  sim::Simulator sim;
-  sim::Network net(sim, sim::NetworkConfig{});
+  sim::Engine engine;
+  sim::Simulator& sim = engine.site(0);
+  sim::Network net(engine, sim::NetworkConfig{});
   transport::NodeRuntime slow(net), fast(net), normal(net);
   net.set_clock_rate(slow.id(), 0.5);   // local clock runs at half speed
   net.set_clock_rate(fast.id(), 2.0);   // double speed
@@ -101,8 +105,9 @@ TEST(GrayNetworkTest, ClockRateSkewsHostTimers) {
 }
 
 TEST(GrayNetworkTest, ClearNodeFaultsLiftsEverything) {
-  sim::Simulator sim;
-  sim::Network net(sim, sim::NetworkConfig{});
+  sim::Engine engine;
+  sim::Simulator& sim = engine.site(0);
+  sim::Network net(engine, sim::NetworkConfig{});
   Recorder ra(sim), rb(sim);
   const NodeId a = net.add_node(ra);
   const NodeId b = net.add_node(rb);

@@ -286,5 +286,67 @@ TEST_F(LwgPartitionTest, DataTaggedWithOldViewIsNotDeliveredAcross) {
   EXPECT_EQ(user(3).total_delivered(id), delivered_before);
 }
 
+// An HWG eject removes the endpoint without an upcall, so the LWG above it
+// stays active on an HWG its process no longer belongs to. Reached here by
+// hand: p2 is caught in Stopped by the flush that drops crashed p3 (it
+// never hears the NEW_VIEW), p0 and p1 then exclude it in a further view,
+// and after the heal p2's re-offered FLUSH_DONE gets an eject reply. A send
+// on the stranded LWG before its next tick used to abort the process in
+// VsyncHost::send; it is queued instead (docs/FAULTS.md).
+TEST_F(LwgPartitionTest, SendAfterHwgEjectIsQueuedNotFatal) {
+  harness::WorldConfig cfg;
+  cfg.num_processes = 4;
+  cfg.num_name_servers = 1;
+  build(cfg);
+  const LwgId id{1};
+  form_lwg(id, {0, 1, 2, 3});
+  const HwgId gid = *lwg(0).hwg_of(id);
+  const auto hwg_view_size = [&](std::size_t i) -> std::size_t {
+    const vsync::GroupEndpoint* ep = world().vsync(i).endpoint(gid);
+    if (ep == nullptr || ep->state() != vsync::GroupEndpoint::State::kActive) {
+      return 0;
+    }
+    return ep->view().members.size();
+  };
+
+  world().crash(3);
+  // The Stopped window is a few network round trips: poll finely.
+  bool stopped = false;
+  for (int i = 0; i < 200'000 && !stopped; ++i) {
+    run_for(50);
+    const vsync::GroupEndpoint* ep = world().vsync(2).endpoint(gid);
+    stopped = ep != nullptr &&
+              ep->state() == vsync::GroupEndpoint::State::kStopped;
+  }
+  ASSERT_TRUE(stopped) << "never observed p2 in Stopped during the flush";
+
+  sim::Network& net = world().network();
+  const sim::LinkFault down{.blocked = true};
+  // p2 misses the NEW_VIEW of {0, 1, 2} ...
+  net.set_link_fault(world().node(0), world().node(2), down);
+  net.set_link_fault(world().node(1), world().node(2), down);
+  ASSERT_TRUE(run_until([&] { return hwg_view_size(0) == 3; }, 10'000'000));
+  // ... and, still hearing p0 and p1, stays Stopped while they drop it.
+  net.clear_link_faults();
+  net.set_link_fault(world().node(2), world().node(0), down);
+  net.set_link_fault(world().node(2), world().node(1), down);
+  ASSERT_TRUE(run_until([&] { return hwg_view_size(0) == 2; }, 20'000'000));
+  net.clear_link_faults();
+  ASSERT_TRUE(run_until([&] { return !world().vsync(2).is_member(gid); },
+                        20'000'000));
+  ASSERT_NE(lwg(2).view_of(id), nullptr);
+  ASSERT_EQ(lwg(2).hwg_of(id), gid);
+
+  const std::uint64_t sent_before = lwg(2).stats().data_sent;
+  const std::size_t delivered_before = user(0).total_delivered(id);
+  lwg(2).send(id, payload(1));
+  EXPECT_EQ(lwg(2).stats().data_sent, sent_before);  // queued, not sent
+  // The next LWG tick notices the lost endpoint and re-resolves; the
+  // queued send goes out in the view p2 rejoins.
+  EXPECT_TRUE(run_until(
+      [&] { return user(0).total_delivered(id) > delivered_before; },
+      20'000'000));
+}
+
 }  // namespace
 }  // namespace plwg::lwg::testing

@@ -30,7 +30,7 @@ MappingEntry entry(std::uint32_t coord, std::uint32_t seq, std::uint64_t hwg,
 class ThreeServerTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    net_ = std::make_unique<sim::Network>(sim_, sim::NetworkConfig{});
+    net_ = std::make_unique<sim::Network>(engine_, sim::NetworkConfig{});
     for (int i = 0; i < 2; ++i) {
       clients_.push_back(std::make_unique<transport::NodeRuntime>(*net_));
     }
@@ -60,7 +60,8 @@ class ThreeServerTest : public ::testing::Test {
 
   void run_for(Duration us) { sim_.run_until(sim_.now() + us); }
 
-  sim::Simulator sim_;
+  sim::Engine engine_;
+  sim::Simulator& sim_ = engine_.site(0);
   std::unique_ptr<sim::Network> net_;
   std::vector<std::unique_ptr<transport::NodeRuntime>> clients_;
   std::vector<std::unique_ptr<transport::NodeRuntime>> server_nodes_;

@@ -39,7 +39,7 @@ class NamesServiceTest : public ::testing::Test {
  protected:
   /// `clients` client nodes and `servers` server nodes.
   void build(std::size_t clients, std::size_t servers) {
-    net_ = std::make_unique<sim::Network>(sim_, sim::NetworkConfig{});
+    net_ = std::make_unique<sim::Network>(engine_, sim::NetworkConfig{});
     for (std::size_t i = 0; i < clients; ++i) {
       client_nodes_.push_back(std::make_unique<transport::NodeRuntime>(*net_));
     }
@@ -72,7 +72,8 @@ class NamesServiceTest : public ::testing::Test {
   NamingAgent& client(std::size_t i) { return *client_agents_[i]; }
   NamingAgent& server(std::size_t j) { return *server_agents_[j]; }
 
-  sim::Simulator sim_;
+  sim::Engine engine_;
+  sim::Simulator& sim_ = engine_.site(0);
   std::unique_ptr<sim::Network> net_;
   std::vector<std::unique_ptr<transport::NodeRuntime>> client_nodes_;
   std::vector<std::unique_ptr<transport::NodeRuntime>> server_nodes_;
@@ -221,7 +222,7 @@ TEST_F(NamesServiceTest, SetIsRetriedUntilAcked) {
   sim::NetworkConfig cfg;
   cfg.drop_probability = 0.4;
   cfg.seed = 7;
-  net_ = std::make_unique<sim::Network>(sim_, cfg);
+  net_ = std::make_unique<sim::Network>(engine_, cfg);
   client_nodes_.push_back(std::make_unique<transport::NodeRuntime>(*net_));
   server_nodes_.push_back(std::make_unique<transport::NodeRuntime>(*net_));
   const std::vector<NodeId> servers{server_nodes_[0]->id()};

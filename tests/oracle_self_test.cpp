@@ -228,8 +228,6 @@ TEST_F(OracleSelfTest, ReportJsonCarriesViolationAndTrace) {
   EXPECT_EQ(oracle_.total_violations(), 0u);
 }
 
-#ifndef PLWG_ORACLE_DISABLED
-
 /// End-to-end deliberate violation: a live 3-process world where the oracle
 /// is made to *miss* one delivery report from process 1. When the next view
 /// change closes the epoch, the same-view-pair comparison must flag
@@ -291,8 +289,6 @@ TEST(OracleEndToEndTest, DroppedDeliveryReportFlagsInvariant1) {
   // Acknowledge, or the SimWorld destructor aborts on the planted violation.
   world.oracle().clear();
 }
-
-#endif  // PLWG_ORACLE_DISABLED
 
 }  // namespace
 }  // namespace plwg::oracle

@@ -17,11 +17,12 @@ struct Recorder : NetHandler {
 };
 
 TEST(CpuCharge, DelaysSubsequentDeliveries) {
-  Simulator sim;
+  Engine engine;
+  Simulator& sim = engine.site(0);
   NetworkConfig cfg;
   cfg.node_process_cost_us = 100;
   cfg.propagation_delay_us = 50;
-  Network net(sim, cfg);
+  Network net(engine, cfg);
   Recorder sender(sim), receiver(sim);
   const NodeId a = net.add_node(sender);
   const NodeId b = net.add_node(receiver);
@@ -39,10 +40,11 @@ TEST(CpuCharge, DelaysSubsequentDeliveries) {
 }
 
 TEST(CpuCharge, ChargesAccumulate) {
-  Simulator sim;
+  Engine engine;
+  Simulator& sim = engine.site(0);
   NetworkConfig cfg;
   cfg.node_process_cost_us = 10;
-  Network net(sim, cfg);
+  Network net(engine, cfg);
   Recorder sender(sim), receiver(sim);
   const NodeId a = net.add_node(sender);
   const NodeId b = net.add_node(receiver);
@@ -55,8 +57,9 @@ TEST(CpuCharge, ChargesAccumulate) {
 }
 
 TEST(CpuCharge, DoesNotAffectOtherNodes) {
-  Simulator sim;
-  Network net(sim, NetworkConfig{});
+  Engine engine;
+  Simulator& sim = engine.site(0);
+  Network net(engine, NetworkConfig{});
   Recorder sender(sim), r1(sim), r2(sim);
   const NodeId a = net.add_node(sender);
   const NodeId b = net.add_node(r1);
@@ -71,8 +74,9 @@ TEST(CpuCharge, DoesNotAffectOtherNodes) {
 }
 
 TEST(CpuCharge, ZeroChargeIsNoop) {
-  Simulator sim;
-  Network net(sim, NetworkConfig{});
+  Engine engine;
+  Simulator& sim = engine.site(0);
+  Network net(engine, NetworkConfig{});
   Recorder sender(sim), receiver(sim);
   const NodeId a = net.add_node(sender);
   const NodeId b = net.add_node(receiver);

@@ -32,13 +32,14 @@ struct NetFixture : ::testing::Test {
     config = cfg;
   }
   void build(std::size_t n) {
-    net = std::make_unique<Network>(sim, config);
+    net = std::make_unique<Network>(engine, config);
     for (std::size_t i = 0; i < n; ++i) {
       handlers.push_back(std::make_unique<Recorder>(sim));
       nodes.push_back(net->add_node(*handlers.back()));
     }
   }
-  Simulator sim;
+  Engine engine;
+  Simulator& sim = engine.site(0);
   NetworkConfig config;
   std::unique_ptr<Network> net;
   std::vector<std::unique_ptr<Recorder>> handlers;

@@ -23,13 +23,14 @@ struct Recorder : sim::NetHandler {
 class TopologyTest : public ::testing::Test {
  protected:
   void build(std::size_t n) {
-    net_ = std::make_unique<sim::Network>(sim_, sim::NetworkConfig{});
+    net_ = std::make_unique<sim::Network>(engine_, sim::NetworkConfig{});
     for (std::size_t i = 0; i < n; ++i) {
       handlers_.push_back(std::make_unique<Recorder>(sim_));
       nodes_.push_back(net_->add_node(*handlers_.back()));
     }
   }
-  sim::Simulator sim_;
+  sim::Engine engine_;
+  sim::Simulator& sim_ = engine_.site(0);
   std::unique_ptr<sim::Network> net_;
   std::vector<std::unique_ptr<Recorder>> handlers_;
   std::vector<NodeId> nodes_;

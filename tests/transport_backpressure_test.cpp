@@ -27,7 +27,7 @@ struct Recorder : PortHandler {
 
 class BackpressureTest : public ::testing::Test {
  protected:
-  BackpressureTest() : net_(sim_, sim::NetworkConfig{}) {}
+  BackpressureTest() : net_(engine_, sim::NetworkConfig{}) {}
 
   static Encoder make_payload(std::uint32_t v, std::size_t pad_words = 0) {
     Encoder e;
@@ -36,7 +36,8 @@ class BackpressureTest : public ::testing::Test {
     return e;
   }
 
-  sim::Simulator sim_;
+  sim::Engine engine_;
+  sim::Simulator& sim_ = engine_.site(0);
   sim::Network net_;
 };
 

@@ -25,7 +25,7 @@ struct Recorder : PortHandler {
 class TransportBatchingTest : public ::testing::Test {
  protected:
   explicit TransportBatchingTest(sim::NetworkConfig cfg = {})
-      : net_(sim_, cfg) {}
+      : net_(engine_, cfg) {}
 
   static Encoder make_payload(std::uint32_t v) {
     Encoder e;
@@ -33,7 +33,8 @@ class TransportBatchingTest : public ::testing::Test {
     return e;
   }
 
-  sim::Simulator sim_;
+  sim::Engine engine_;
+  sim::Simulator& sim_ = engine_.site(0);
   sim::Network net_;
 };
 

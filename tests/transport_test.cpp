@@ -27,8 +27,9 @@ struct Thrower : PortHandler {
 
 class TransportTest : public ::testing::Test {
  protected:
-  TransportTest() : net_(sim_, sim::NetworkConfig{}) {}
-  sim::Simulator sim_;
+  TransportTest() : net_(engine_, sim::NetworkConfig{}) {}
+  sim::Engine engine_;
+  sim::Simulator& sim_ = engine_.site(0);
   sim::Network net_;
 };
 
@@ -290,7 +291,7 @@ TEST_F(TransportTest, StaleTimersDieWithTheIncarnation) {
 TEST_F(TransportTest, CorruptionInTransitIsContained) {
   sim::NetworkConfig cfg;
   cfg.corrupt_probability = 1.0;  // every delivery mangled
-  sim::Network lossy(sim_, cfg);
+  sim::Network lossy(engine_, cfg);
   NodeRuntime a(lossy), b(lossy);
   Recorder h;
   b.register_port(Port::kApp, h);

@@ -74,11 +74,9 @@ class VsyncFixture : public ::testing::Test {
  protected:
   void build(std::size_t n, sim::NetworkConfig net_cfg = {},
              VsyncConfig vs_cfg = {}) {
-    net_ = std::make_unique<sim::Network>(sim_, net_cfg);
-#ifndef PLWG_ORACLE_DISABLED
+    net_ = std::make_unique<sim::Network>(engine_, net_cfg);
     oracle_ = std::make_unique<oracle::ProtocolOracle>(
         [this] { return sim_.now(); });
-#endif
     for (std::size_t i = 0; i < n; ++i) {
       nodes_.push_back(std::make_unique<transport::NodeRuntime>(*net_));
       hosts_.push_back(std::make_unique<VsyncHost>(*nodes_[i], vs_cfg));
@@ -138,7 +136,8 @@ class VsyncFixture : public ::testing::Test {
     return data;
   }
 
-  sim::Simulator sim_;
+  sim::Engine engine_;
+  sim::Simulator& sim_ = engine_.site(0);
   std::unique_ptr<sim::Network> net_;
   std::unique_ptr<oracle::ProtocolOracle> oracle_;
   std::vector<std::unique_ptr<transport::NodeRuntime>> nodes_;
