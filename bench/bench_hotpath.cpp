@@ -106,9 +106,7 @@ void BM_CodecEncodeOrderedWire(benchmark::State& state) {
   std::size_t encoded = 0;
   for (auto _ : state) {
     Encoder enc;
-#ifdef PLWG_CODEC_FAST
     enc.reserve(wire.encoded_size_hint());
-#endif
     wire.encode(enc);
     encoded = enc.size();
     benchmark::DoNotOptimize(enc.bytes().data());
@@ -133,10 +131,7 @@ void BM_CodecDecodeOrderedWire(benchmark::State& state) {
 BENCHMARK(BM_CodecDecodeOrderedWire)->Arg(64)->Arg(1024);
 
 // LWG data-path decode as the receive path performs it before the user
-// upcall. Post-overhaul this goes through DataMsgView (the payload is a
-// view of the packet buffer); before, it copied the payload into an
-// owning vector — the benchmark measures whichever path the built codec
-// provides, so baseline vs current captures the zero-copy win.
+// upcall: DataMsgView leaves the payload a view of the packet buffer.
 void BM_CodecDecodeDataMsg(benchmark::State& state) {
   lwg::DataMsg msg;
   msg.lwg = LwgId{7};
@@ -146,11 +141,7 @@ void BM_CodecDecodeDataMsg(benchmark::State& state) {
   msg.encode(enc);
   for (auto _ : state) {
     Decoder dec(enc.bytes());
-#ifdef PLWG_CODEC_FAST
     const auto decoded = lwg::DataMsgView::decode(dec);
-#else
-    const auto decoded = lwg::DataMsg::decode(dec);
-#endif
     benchmark::DoNotOptimize(decoded.payload.data());
   }
   state.SetBytesProcessed(state.iterations() *
@@ -165,9 +156,7 @@ void BM_CodecEncodeFlushAck(benchmark::State& state) {
   std::size_t encoded = 0;
   for (auto _ : state) {
     Encoder enc;
-#ifdef PLWG_CODEC_FAST
     enc.reserve(msg.encoded_size_hint());
-#endif
     msg.encode(enc);
     encoded = enc.size();
     benchmark::DoNotOptimize(enc.bytes().data());

@@ -116,9 +116,8 @@ void SimWorld::build_process(std::size_t i, names::Database server_disk) {
                 order.end());
   }
   p.vsync = std::make_unique<vsync::VsyncHost>(*p.runtime, config_.vsync,
-                                               &stores_[i]);
-  p.naming = std::make_unique<names::NamingAgent>(*p.runtime, config_.naming,
-                                                  std::move(order));
+                                               stores_[i]);
+  p.naming = std::make_unique<names::NamingAgent>(*p.runtime, std::move(order));
   if (replicated) {
     std::vector<NodeId> peers;
     for (std::size_t k = 0; k < server_nodes_.size(); ++k) {
@@ -127,7 +126,7 @@ void SimWorld::build_process(std::size_t i, names::Database server_disk) {
     p.naming->enable_server(std::move(peers), std::move(server_disk));
   }
   p.lwg = std::make_unique<lwg::LwgService>(*p.vsync, *p.naming, config_.lwg,
-                                            &stores_[i]);
+                                            stores_[i]);
   if (mux_) {
     p.vsync->set_observer(mux_.get());
     p.lwg->set_observer(mux_.get());
@@ -137,8 +136,7 @@ void SimWorld::build_process(std::size_t i, names::Database server_disk) {
 
 void SimWorld::build_server(std::size_t j, names::Database disk) {
   auto& s = servers_[j];
-  s.naming = std::make_unique<names::NamingAgent>(*s.runtime, config_.naming,
-                                                  server_nodes_);
+  s.naming = std::make_unique<names::NamingAgent>(*s.runtime, server_nodes_);
   std::vector<NodeId> peers;
   for (std::size_t k = 0; k < server_nodes_.size(); ++k) {
     if (k != j) peers.push_back(server_nodes_[k]);

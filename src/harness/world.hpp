@@ -40,7 +40,6 @@ struct WorldConfig {
   sim::NetworkConfig net;
   transport::TransportConfig transport;
   vsync::VsyncConfig vsync;
-  names::NamingConfig naming;
   lwg::LwgConfig lwg;
   /// Multi-LAN topology: segments[k] lists the *process indexes* on LAN k
   /// (empty = single LAN). Dedicated name server j is placed on LAN

@@ -33,28 +33,9 @@ struct LwgConfig {
   /// Shrink rule delay: leave an HWG only after it has carried no local LWG
   /// for this long (avoids thrash while switches are in flight).
   Duration shrink_delay_us = 30'000'000;
-  /// Give up joining an HWG learned from a (possibly stale) naming-service
-  /// entry after this long, and fall back to creating a fresh HWG.
-  Duration hwg_join_give_up_us = 5'000'000;
-  /// Period of the service-internal retry/housekeeping tick.
-  Duration tick_us = 200'000;
-  /// Gather window between the first MERGE-VIEWS and the HWG flush it
-  /// forces: long enough for every member's ALL-VIEWS to be sequenced into
-  /// the flushing view, so one round (one flush) merges everything — the
-  /// resource-sharing point of paper Sect. 6.4. Stragglers only cost an
-  /// extra round, so this is a performance knob, not a correctness one.
-  Duration merge_gather_us = 50'000;
   /// Act on MULTIPLE-MAPPINGS callbacks (paper Sect. 6.2). Disabled only in
   /// ablation experiments.
   bool reconcile_on_conflict = true;
-  /// How long a naming-service row may keep listing this process as member
-  /// of an LWG view it does not hold before the process disavows the row
-  /// (writes its supersession). Such a row is normally a concurrent view the
-  /// merge protocol folds, or our own registration whose install is still in
-  /// flight — the grace period lets both resolve. A row that outlives it is
-  /// a ghost: every process that held its view died without superseding it,
-  /// and the listed survivors are the only ones left who may retire it.
-  Duration ghost_disavow_grace_us = 10'000'000;
   /// Run the Fig. 1 mapping heuristics (disabled for both baselines and in
   /// ablations).
   bool policies_enabled = true;

@@ -10,18 +10,18 @@
 namespace plwg::lwg {
 
 LwgService::LwgService(vsync::VsyncHost& vsync, names::NamingAgent& names,
-                       LwgConfig config, durable::ProcessStore* store)
+                       LwgConfig config, durable::ProcessStore& store)
     : vsync_(vsync), names_(names), config_(config), store_(store) {
   names_.set_conflict_listener(this);
   last_policy_run_ = vsync_.node().now();
-  vsync_.node().after(config_.tick_us, [this] { tick(); });
+  vsync_.node().after(kTickUs, [this] { tick(); });
 }
 
 LwgService::~LwgService() { names_.set_conflict_listener(nullptr); }
 
 void LwgService::join(LwgId lwg, LwgUser& user) {
   PLWG_ASSERT_MSG(!groups_.contains(lwg), "already joined this LWG");
-  if (store_ != nullptr) store_->lwg_registrations[lwg] = &user;
+  store_.lwg_registrations[lwg] = &user;
   LocalGroup lg;
   lg.lwg = lwg;
   lg.user = &user;
@@ -29,11 +29,9 @@ void LwgService::join(LwgId lwg, LwgUser& user) {
   // Rows a previous incarnation registered and never superseded are ghosts
   // only we can retire: queue them so the first registration after this
   // (re)join writes their supersession (see durable::ProcessStore).
-  if (store_ != nullptr) {
-    auto it = store_->lwg_registered_views.find(lwg);
-    if (it != store_->lwg_registered_views.end()) {
-      lg.stale_views.assign(it->second.begin(), it->second.end());
-    }
+  auto it = store_.lwg_registered_views.find(lwg);
+  if (it != store_.lwg_registered_views.end()) {
+    lg.stale_views.assign(it->second.begin(), it->second.end());
   }
   groups_.emplace(lwg, std::move(lg));
   resolve_mapping(lwg);
@@ -44,7 +42,7 @@ void LwgService::leave(LwgId lwg) {
   if (lg == nullptr) return;
   // A deliberate leave is struck from the restart script immediately: if we
   // crash mid-departure, recovery must not rejoin on our behalf.
-  if (store_ != nullptr) store_->lwg_registrations.erase(lwg);
+  store_.lwg_registrations.erase(lwg);
   if (!lg->has_view) {
     // Not yet a visible member anywhere: just abandon the join attempt.
     groups_.erase(lwg);
@@ -133,7 +131,9 @@ void LwgService::send_lwg_msg(HwgId hwg, LwgMsgType type,
   vsync_.send(hwg, packet.take());
 }
 
-ViewId LwgService::mint_view_id() { return ViewId{self(), ++view_counter()}; }
+ViewId LwgService::mint_view_id() {
+  return ViewId{self(), ++store_.lwg_view_counter};
+}
 
 void LwgService::note_lwg_reset(LwgId lwg) {
   if (observer_ != nullptr) observer_->on_lwg_epoch_reset(self(), lwg);
@@ -161,11 +161,9 @@ void LwgService::ns_register(LocalGroup& lg,
   // predecessors (their rows are retired once it lands) and creates a row
   // only we, its coordinator, know to supersede later. If we crash before
   // registering a successor, the rejoin replays this set as stale views.
-  if (store_ != nullptr) {
-    auto& registered = store_->lwg_registered_views[lg.lwg];
-    for (const ViewId& p : predecessors) registered.erase(p);
-    registered.insert(lg.view.id);
-  }
+  auto& registered = store_.lwg_registered_views[lg.lwg];
+  for (const ViewId& p : predecessors) registered.erase(p);
+  registered.insert(lg.view.id);
 }
 
 void LwgService::install_lwg_view(LocalGroup& lg, const LwgView& view,
@@ -180,11 +178,9 @@ void LwgService::install_lwg_view(LocalGroup& lg, const LwgView& view,
   // supersession is always legitimate. The predecessors leave the set here
   // because the new view's registration (in flight from its coordinator)
   // supersedes their rows.
-  if (store_ != nullptr) {
-    auto& registered = store_->lwg_registered_views[lg.lwg];
-    for (const ViewId& p : predecessors) registered.erase(p);
-    registered.insert(view.id);
-  }
+  auto& registered = store_.lwg_registered_views[lg.lwg];
+  for (const ViewId& p : predecessors) registered.erase(p);
+  registered.insert(view.id);
   lg.view = view;
   lg.has_view = true;
   lg.hwg = view.hwg;
@@ -196,7 +192,7 @@ void LwgService::install_lwg_view(LocalGroup& lg, const LwgView& view,
   // Keep locally-minted ids unique even after adopting a deterministically
   // computed merged view id that used our pid.
   if (view.id.coordinator == self()) {
-    view_counter() = std::max(view_counter(), view.id.seq);
+    store_.lwg_view_counter = std::max(store_.lwg_view_counter, view.id.seq);
   }
   // A pending leave survives intermediate views (others may be removed
   // first); we stay kLeaving until a view excludes us.
@@ -239,7 +235,7 @@ void LwgService::drain_queued_sends(LocalGroup& lg) {
 
 void LwgService::finalize_leave(LwgId lwg) {
   note_lwg_reset(lwg);
-  if (store_ != nullptr) store_->lwg_registered_views.erase(lwg);
+  store_.lwg_registered_views.erase(lwg);
   groups_.erase(lwg);
   // The shrink rule will notice HWGs left without local LWGs.
 }
@@ -349,13 +345,13 @@ void LwgService::tick() {
     if (lg == nullptr) continue;
     switch (lg->phase) {
       case Phase::kResolving:
-        if (now - lg->phase_since > 4 * config_.hwg_join_give_up_us) {
+        if (now - lg->phase_since > 4 * kHwgJoinGiveUpUs) {
           lg->phase_since = now;
           resolve_mapping(id);  // naming service was unreachable; retry
         }
         break;
       case Phase::kJoiningHwg:
-        if (now - lg->phase_since > config_.hwg_join_give_up_us) {
+        if (now - lg->phase_since > kHwgJoinGiveUpUs) {
           // The mapped HWG is unreachable (stale mapping / dissolved group):
           // fall back to a fresh mapping.
           PLWG_INFO("lwg", "p", self(), " lwg ", id,
@@ -365,7 +361,7 @@ void LwgService::tick() {
         }
         break;
       case Phase::kAnnounced:
-        if (now - lg->phase_since > config_.hwg_join_give_up_us) {
+        if (now - lg->phase_since > kHwgJoinGiveUpUs) {
           if (lg->announce_attempts < 3 && vsync_.is_member(lg->hwg)) {
             announce_join(*lg);
           } else {
@@ -376,11 +372,11 @@ void LwgService::tick() {
         break;
       case Phase::kActive:
         if (lg->switching &&
-            now - lg->switching_since > config_.hwg_join_give_up_us) {
+            now - lg->switching_since > kHwgJoinGiveUpUs) {
           abort_switch(*lg);
         }
         if (lg->inflight_view &&
-            now - lg->inflight_since > 2 * config_.hwg_join_give_up_us) {
+            now - lg->inflight_since > 2 * kHwgJoinGiveUpUs) {
           // The in-flight view never installed (lost to an HWG reshuffle):
           // unblock membership processing.
           lg->inflight_view.reset();
@@ -398,7 +394,7 @@ void LwgService::tick() {
         }
         break;
       case Phase::kLeaving:
-        if (now - lg->phase_since > config_.hwg_join_give_up_us) {
+        if (now - lg->phase_since > kHwgJoinGiveUpUs) {
           finalize_leave(id);  // give up waiting for the excluding view
         }
         break;
@@ -411,8 +407,7 @@ void LwgService::tick() {
   // forever; re-issue the request after a grace period.
   for (auto& [gid, hs] : hwgs_) {
     if (hs.merge_requested && vsync_.is_member(gid) &&
-        now - hs.merge_requested_since >
-            config_.merge_gather_us + 3'000'000) {
+        now - hs.merge_requested_since > kMergeGatherUs + 3'000'000) {
       hs.merge_requested_since = now;
       Encoder& body = scratch_body();
       MergeViewsMsg{}.encode(body);
@@ -428,7 +423,7 @@ void LwgService::tick() {
   // not leak HWGs; it is cheap and purely local.
   run_shrink_rule();
 
-  vsync_.node().after(config_.tick_us, [this] { tick(); });
+  vsync_.node().after(kTickUs, [this] { tick(); });
 }
 
 namespace {

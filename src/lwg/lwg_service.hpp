@@ -67,11 +67,10 @@ class LwgService : public GroupService,
     std::uint64_t hwgs_left = 0;        // shrink rule departures
   };
 
-  /// `store`, when given, persists the view-id counter and the set of
-  /// joined LWGs across a crash–restart of this process (see
-  /// durable/store.hpp). May be null for tests that never restart.
+  /// `store` persists the view-id counter and the set of joined LWGs
+  /// across a crash–restart of this process (see durable/store.hpp).
   LwgService(vsync::VsyncHost& vsync, names::NamingAgent& names,
-             LwgConfig config, durable::ProcessStore* store = nullptr);
+             LwgConfig config, durable::ProcessStore& store);
   ~LwgService() override;
   LwgService(const LwgService&) = delete;
   LwgService& operator=(const LwgService&) = delete;
@@ -119,6 +118,29 @@ class LwgService : public GroupService,
       LwgId lwg, const std::vector<names::MappingEntry>& entries) override;
 
  private:
+  // -- fixed protocol timings (docs/TUNING.md "Fixed protocol constants") --
+  /// Give up joining an HWG learned from a (possibly stale) naming-service
+  /// entry after this long, and fall back to creating a fresh HWG. Also the
+  /// patience of the other phase timeouts (announce, switch, leave).
+  static constexpr Duration kHwgJoinGiveUpUs = 5'000'000;
+  /// Period of the service-internal retry/housekeeping tick.
+  static constexpr Duration kTickUs = 200'000;
+  /// Gather window between the first MERGE-VIEWS and the HWG flush it
+  /// forces: long enough for every member's ALL-VIEWS to be sequenced into
+  /// the flushing view, so one round (one flush) merges everything — the
+  /// resource-sharing point of paper Sect. 6.4. Stragglers only cost an
+  /// extra round, so this is a performance constant, not a correctness one.
+  static constexpr Duration kMergeGatherUs = 50'000;
+  /// How long a naming-service row may keep listing this process as member
+  /// of an LWG view it does not hold before the process disavows the row
+  /// (writes its supersession). Such a row is normally a concurrent view
+  /// the merge protocol folds, or our own registration whose install is
+  /// still in flight — the grace period lets both resolve. A row that
+  /// outlives it is a ghost: every process that held its view died without
+  /// superseding it, and the listed survivors are the only ones left who
+  /// may retire it.
+  static constexpr Duration kGhostDisavowGraceUs = 10'000'000;
+
   enum class Phase {
     kResolving,   // naming-service lookup in flight
     kJoiningHwg,  // joining the mapped HWG
@@ -149,7 +171,7 @@ class LwgService : public GroupService,
     std::vector<ViewId> stale_views;  // superseded if we re-map from scratch
     /// Alive naming rows listing us as member of a view we don't hold, and
     /// when each was first reported; disavowed once older than
-    /// ghost_disavow_grace_us (see on_multiple_mappings).
+    /// kGhostDisavowGraceUs (see on_multiple_mappings).
     std::map<ViewId, Time> ghost_candidates;
     // Member side of an in-progress switch: sends freeze until the view on
     // the target HWG installs.
@@ -196,12 +218,9 @@ class LwgService : public GroupService,
     body_scratch_.clear();
     return body_scratch_;
   }
+  /// Next LWG view id minted here. Its counter lives in the durable store:
+  /// it must survive restart (see durable/store.hpp).
   [[nodiscard]] ViewId mint_view_id();
-  /// The view-id counter: the durable store's copy when one is attached
-  /// (it must survive restart — see durable/store.hpp), else the member.
-  [[nodiscard]] std::uint32_t& view_counter() {
-    return store_ != nullptr ? store_->lwg_view_counter : lwg_view_counter_;
-  }
   /// Tell the oracle this process's delivery epoch for `lwg` ended (view
   /// dropped without a successor: leave, re-resolve, lost endpoint, or
   /// knowingly skipped history). A later view must not pair with the old.
@@ -230,7 +249,7 @@ class LwgService : public GroupService,
   void establish_new_mapping(LocalGroup& lg, bool force = false);
   void adopt_mapping(LocalGroup& lg, const names::MappingEntry& entry);
   /// Supersede alive rows that list us as member of a view we have not held
-  /// for longer than ghost_disavow_grace_us (ghost-row retirement; called
+  /// for longer than kGhostDisavowGraceUs (ghost-row retirement; called
   /// from on_multiple_mappings).
   void disavow_ghost_rows(LocalGroup& lg,
                           const std::vector<names::MappingEntry>& entries);
@@ -271,7 +290,7 @@ class LwgService : public GroupService,
   Encoder body_scratch_;
   names::NamingAgent& names_;
   LwgConfig config_;
-  durable::ProcessStore* store_ = nullptr;  // not owned; may be null
+  durable::ProcessStore& store_;  // not owned
   std::map<LwgId, LocalGroup> groups_;
   std::map<HwgId, HwgState> hwgs_;
   /// A freshly allocated HWG id whose creation is deferred until a testset
@@ -279,7 +298,6 @@ class LwgService : public GroupService,
   /// at one process land on one HWG instead of one each.
   std::optional<HwgId> provisional_hwg_;
   LwgObserver* observer_ = nullptr;  // not owned
-  std::uint32_t lwg_view_counter_ = 0;
   Time last_policy_run_ = 0;
   Stats stats_;
 };

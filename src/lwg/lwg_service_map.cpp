@@ -347,11 +347,9 @@ void LwgService::handle_view(HwgId gid, const ViewMsg& msg) {
         names_.set(lg->lwg, make_entry(*lg, ++lg->ns_stamp), stale);
         // We just wrote their supersession ourselves; drop them from the
         // durable replay set so a later restart does not re-queue them.
-        if (store_ != nullptr) {
-          auto it = store_->lwg_registered_views.find(lg->lwg);
-          if (it != store_->lwg_registered_views.end()) {
-            for (const ViewId& v : stale) it->second.erase(v);
-          }
+        auto it = store_.lwg_registered_views.find(lg->lwg);
+        if (it != store_.lwg_registered_views.end()) {
+          for (const ViewId& v : stale) it->second.erase(v);
         }
       }
     }
@@ -571,7 +569,7 @@ void LwgService::disavow_ghost_rows(
     if (!e.lwg_members.contains(self())) continue;
     if (e.lwg_view == lg.view.id) continue;
     const auto [it, fresh] = lg.ghost_candidates.try_emplace(e.lwg_view, now);
-    if (!fresh && now - it->second >= config_.ghost_disavow_grace_us) {
+    if (!fresh && now - it->second >= kGhostDisavowGraceUs) {
       ghosts.push_back(e.lwg_view);
     }
   }

@@ -71,7 +71,7 @@ void LwgService::handle_merge_views(HwgId gid) {
   // sequencer, so one flush collects them all.
   const vsync::View* hv = vsync_.view_of(gid);
   if (hv != nullptr && hv->coordinator() == self()) {
-    vsync_.node().after(config_.merge_gather_us,
+    vsync_.node().after(kMergeGatherUs,
                         [this, gid] { vsync_.force_flush(gid); });
   }
 }

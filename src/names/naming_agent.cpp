@@ -6,11 +6,32 @@
 
 namespace plwg::names {
 
-NamingAgent::NamingAgent(transport::NodeRuntime& node, NamingConfig config,
+namespace {
+/// Client request timeout before retrying on the next server (the base
+/// period of the retry backoff).
+constexpr Duration kRequestTimeoutUs = 400'000;
+/// Retry-timeout ceiling: the per-request timeout doubles on every
+/// unanswered retry (with jitter) up to this cap, so clients stop hammering
+/// a degraded server quorum at a fixed period.
+constexpr Duration kRequestBackoffCapUs = 3'200'000;
+/// Server anti-entropy period (also the heal-reconciliation latency).
+constexpr Duration kSyncIntervalUs = 1'000'000;
+/// While a conflict persists, the callback is re-sent at this period.
+constexpr Duration kCallbackRepeatUs = 2'000'000;
+/// Client/server internal timer period.
+constexpr Duration kTickUs = 100'000;
+/// Every Nth anti-entropy round ships the full database; the rounds in
+/// between send only the records dirtied since the last sync (and are
+/// skipped entirely when nothing changed). The periodic full exchange heals
+/// divergence that delta loss or a partition left behind.
+constexpr std::uint32_t kFullSyncEvery = 4;
+}  // namespace
+
+NamingAgent::NamingAgent(transport::NodeRuntime& node,
                          std::vector<NodeId> servers)
-    : node_(node), config_(config), servers_(std::move(servers)) {
+    : node_(node), servers_(std::move(servers)) {
   node_.register_port(transport::Port::kNaming, *this);
-  node_.after(config_.tick_us, [this] { tick(); });
+  node_.after(kTickUs, [this] { tick(); });
 }
 
 NamingAgent::~NamingAgent() = default;
@@ -215,8 +236,7 @@ void NamingAgent::server_on_sync(const SyncMsg& msg) {
 void NamingAgent::server_broadcast_sync() {
   PLWG_ASSERT(server_);
   if (server_->peers.empty()) return;
-  const bool full = config_.full_sync_every != 0 &&
-                    server_->sync_round % config_.full_sync_every == 0;
+  const bool full = server_->sync_round % kFullSyncEvery == 0;
   server_->sync_round++;
   Encoder body;
   if (full) {
@@ -272,8 +292,7 @@ void NamingAgent::server_check_conflicts() {
                           : -1;
     const bool changed =
         it == server_->notified.end() || it->second != signature;
-    const bool due =
-        last < 0 || node_.now() - last >= config_.callback_repeat_us;
+    const bool due = last < 0 || node_.now() - last >= kCallbackRepeatUs;
     if (changed || due) {
       server_->notified[lwg] = std::move(signature);
       server_->last_callback[lwg] = node_.now();
@@ -330,8 +349,8 @@ void NamingAgent::tick() {
   // load generator against servers that are already struggling.
   for (auto& [id, req] : pending_) {
     const Duration timeout = backoff_delay(
-        config_.request_timeout_us, req.attempts > 0 ? req.attempts - 1 : 0,
-        config_.request_backoff_cap_us,
+        kRequestTimeoutUs, req.attempts > 0 ? req.attempts - 1 : 0,
+        kRequestBackoffCapUs,
         (static_cast<std::uint64_t>(node_.id().value()) << 32) ^ id);
     if (now - req.sent_at >= timeout) {
       req.server_index++;
@@ -339,12 +358,12 @@ void NamingAgent::tick() {
     }
   }
   // Server: anti-entropy.
-  if (server_ && now - last_sync_ >= config_.sync_interval_us) {
+  if (server_ && now - last_sync_ >= kSyncIntervalUs) {
     last_sync_ = now;
     server_broadcast_sync();
     server_check_conflicts();  // periodic re-notify while conflicts persist
   }
-  node_.after(config_.tick_us, [this] { tick(); });
+  node_.after(kTickUs, [this] { tick(); });
 }
 
 void NamingAgent::on_message(NodeId from, Decoder& dec) {

@@ -29,26 +29,6 @@
 
 namespace plwg::names {
 
-struct NamingConfig {
-  /// Client request timeout before retrying on the next server.
-  Duration request_timeout_us = 400'000;
-  /// Retry-timeout ceiling: the per-request timeout doubles on every
-  /// unanswered retry (with jitter) up to this cap, so clients stop
-  /// hammering a degraded server quorum at a fixed period.
-  Duration request_backoff_cap_us = 3'200'000;
-  /// Server anti-entropy period (also the heal-reconciliation latency).
-  Duration sync_interval_us = 1'000'000;
-  /// While a conflict persists, the callback is re-sent at this period.
-  Duration callback_repeat_us = 2'000'000;
-  /// Client/server internal timer period.
-  Duration tick_us = 100'000;
-  /// Every Nth anti-entropy round ships the full database; the rounds in
-  /// between send only the records dirtied since the last sync (and are
-  /// skipped entirely when nothing changed). The periodic full exchange
-  /// heals divergence that delta loss or a partition left behind.
-  std::uint32_t full_sync_every = 4;
-};
-
 /// Receives MULTIPLE-MAPPINGS callbacks (implemented by the LWG service).
 class ConflictListener {
  public:
@@ -64,8 +44,7 @@ class NamingAgent : public transport::PortHandler {
 
   /// `servers` is the fail-over-ordered list of name-server nodes this
   /// client uses (rotate it per node to spread load / prefer the local LAN).
-  NamingAgent(transport::NodeRuntime& node, NamingConfig config,
-              std::vector<NodeId> servers);
+  NamingAgent(transport::NodeRuntime& node, std::vector<NodeId> servers);
   ~NamingAgent() override;
 
   /// Turn this node into a name server replicating with `peers`. `db` seeds
@@ -131,7 +110,7 @@ class NamingAgent : public transport::PortHandler {
     /// Records changed since the last anti-entropy round; the next delta
     /// sync carries exactly these.
     std::set<LwgId> dirty;
-    /// Anti-entropy round counter (every full_sync_every'th round is full).
+    /// Anti-entropy round counter (every kFullSyncEvery'th round is full).
     std::uint32_t sync_round = 0;
     /// Last conflict signature notified per LWG, to de-duplicate callbacks.
     std::map<LwgId, std::vector<std::pair<ViewId, HwgId>>> notified;
@@ -161,7 +140,6 @@ class NamingAgent : public transport::PortHandler {
                      const Encoder& body, transport::MsgClass cls);
 
   transport::NodeRuntime& node_;
-  NamingConfig config_;
   std::vector<NodeId> servers_;
   std::optional<ServerState> server_;
   ConflictListener* conflict_listener_ = nullptr;

@@ -54,7 +54,7 @@ Engine::Engine(std::size_t num_sites, Config config)
   if (threads_ < 1) threads_ = 1;
   plan_ = planner_.enabled
               ? ShardPlanner::pack(std::vector<std::uint64_t>(num_sites, 1),
-                                   site_class_, shard_budget())
+                                   site_class_, threads_)
               : ShardPlan::identity(num_sites);
   if (threads_ > 1) {
     workers_.reserve(threads_);
@@ -127,7 +127,7 @@ void Engine::set_site_weights(const std::vector<std::uint64_t>& weights) {
   if (!planner_.enabled) return;
   // Topology (re)definition: pack fresh from the static estimate. Not
   // counted as a replan — this is setup, not a load-driven move.
-  plan_ = ShardPlanner::pack(weights, site_class_, shard_budget());
+  plan_ = ShardPlanner::pack(weights, site_class_, threads_);
 }
 
 void Engine::set_site_classes(const std::vector<int>& classes) {
@@ -140,8 +140,7 @@ void Engine::set_site_classes(const std::vector<int>& classes) {
     weights[i] = sites_[i]->total_events_run() - replan_base_[i];
   }
   bool changed = false;
-  plan_ = ShardPlanner::retag(plan_, weights, site_class_, shard_budget(),
-                              &changed);
+  plan_ = ShardPlanner::retag(plan_, weights, site_class_, threads_, &changed);
   if (changed) {
     ++replan_count_;
     PLWG_DEBUG("engine", "reachability change split a shard: repacked into ",
@@ -162,7 +161,7 @@ void Engine::maybe_replan() {
   }
   last_replan_at_ = t;
   bool changed = false;
-  plan_ = ShardPlanner::replan(plan_, weights, site_class_, shard_budget(),
+  plan_ = ShardPlanner::replan(plan_, weights, site_class_, threads_,
                                planner_.imbalance_threshold, &changed);
   if (changed) {
     ++replan_count_;

@@ -194,9 +194,6 @@ class Engine {
     bool island;
   };
 
-  [[nodiscard]] std::size_t shard_budget() const {
-    return planner_.max_shards == 0 ? threads_ : planner_.max_shards;
-  }
   void maybe_replan();
   std::size_t run_job(const Job& job);
   std::size_t run_jobs_sequential();

@@ -10,6 +10,14 @@
 
 namespace plwg::sim {
 
+namespace {
+/// Bus propagation delay within one LAN segment, microseconds (the WAN
+/// backbone's is WanConfig::propagation_delay_us).
+constexpr Duration kLanPropagationUs = 50;
+/// Per-packet framing overhead added to the payload (UDP/IP + Ethernet).
+constexpr std::size_t kHeaderBytes = 46;
+}  // namespace
+
 void NetworkStats::accumulate(const NetworkStats& other) {
   frames_sent += other.frames_sent;
   messages_sent += other.messages_sent;
@@ -81,8 +89,7 @@ NodeId Network::add_node(NetHandler& handler) {
 
 Duration Network::transmission_time(std::size_t payload_bytes,
                                     double bandwidth_bps) const {
-  const double bits =
-      static_cast<double>(payload_bytes + config_.header_bytes) * 8.0;
+  const double bits = static_cast<double>(payload_bytes + kHeaderBytes) * 8.0;
   const double seconds = bits / bandwidth_bps;
   return static_cast<Duration>(seconds * 1e6) + 1;  // at least 1us
 }
@@ -127,7 +134,7 @@ void Network::multicast(NodeId from, std::span<const NodeId> dests,
 
   ctx.stats.frames_sent++;
   ctx.stats.bytes_sent += data.size();
-  ctx.stats.bytes_on_wire += data.size() + config_.header_bytes;
+  ctx.stats.bytes_on_wire += data.size() + kHeaderBytes;
   // Frame identity is minted per site (high bits = site) — a global
   // counter would be the one cross-site write on every send path.
   const std::uint64_t packet_id =
@@ -176,23 +183,8 @@ void Network::multicast(NodeId from, std::span<const NodeId> dests,
       ctx.stats.drops++;
       continue;
     }
-    if (receiver.segment == sender.segment || !multi_segment_) {
-      Time arrival = tx_end + config_.propagation_delay_us;
-      const Duration jitter = (lf != nullptr && lf->jitter_us >= 0)
-                                  ? lf->jitter_us
-                                  : config_.jitter_us;
-      if (jitter > 0) {
-        arrival += static_cast<Duration>(ctx.rng.next_below(
-            static_cast<std::uint64_t>(jitter) + 1));
-      }
-      auto payload = shared;
-      if (config_.corrupt_probability > 0 &&
-          ctx.rng.next_bool(config_.corrupt_probability)) {
-        ctx.stats.corruptions++;
-        payload = std::make_shared<const std::vector<std::uint8_t>>(
-            corrupt_copy(ctx.rng, *shared));
-      }
-      deliver(from, to, std::move(payload), arrival);
+    if (receiver.segment == sender.segment) {
+      deliver_from_bus(ctx, from, to, lf, shared, tx_end);
     } else {
       remote_dests[receiver.segment].push_back(to);
     }
@@ -268,24 +260,29 @@ void Network::segment_arrival(
     if (nodes_[to.value()].partition != nodes_[from.value()].partition) {
       continue;
     }
-    Time arrival = seg_done + config_.propagation_delay_us;
-    const LinkFault* lf = link_fault(from, to);
-    const Duration jitter = (lf != nullptr && lf->jitter_us >= 0)
-                                ? lf->jitter_us
-                                : config_.jitter_us;
-    if (jitter > 0) {
-      arrival += static_cast<Duration>(ctx.rng.next_below(
-          static_cast<std::uint64_t>(jitter) + 1));
-    }
-    auto payload = shared;
-    if (config_.corrupt_probability > 0 &&
-        ctx.rng.next_bool(config_.corrupt_probability)) {
-      ctx.stats.corruptions++;
-      payload = std::make_shared<const std::vector<std::uint8_t>>(
-          corrupt_copy(ctx.rng, *shared));
-    }
-    deliver(from, to, std::move(payload), arrival);
+    deliver_from_bus(ctx, from, to, link_fault(from, to), shared, seg_done);
   }
+}
+
+void Network::deliver_from_bus(
+    SiteCtx& ctx, NodeId from, NodeId to, const LinkFault* lf,
+    const std::shared_ptr<const std::vector<std::uint8_t>>& shared,
+    Time bus_done) {
+  Time arrival = bus_done + kLanPropagationUs;
+  const Duration jitter =
+      (lf != nullptr && lf->jitter_us >= 0) ? lf->jitter_us : config_.jitter_us;
+  if (jitter > 0) {
+    arrival += static_cast<Duration>(
+        ctx.rng.next_below(static_cast<std::uint64_t>(jitter) + 1));
+  }
+  auto payload = shared;
+  if (config_.corrupt_probability > 0 &&
+      ctx.rng.next_bool(config_.corrupt_probability)) {
+    ctx.stats.corruptions++;
+    payload = std::make_shared<const std::vector<std::uint8_t>>(
+        corrupt_copy(ctx.rng, *shared));
+  }
+  deliver(from, to, std::move(payload), arrival);
 }
 
 void Network::set_segments(const std::vector<std::vector<NodeId>>& segments,
@@ -309,7 +306,6 @@ void Network::set_segments(const std::vector<std::vector<NodeId>>& segments,
     nodes_[i].site = site_of_segment(assignment[i]);
   }
   wan_ = wan;
-  multi_segment_ = segments.size() > 1;
   clear_queues();
   if (sites_.size() > 1) {
     // Minimum cross-site latency: every inter-segment packet pays at least

@@ -55,14 +55,10 @@
 namespace plwg::sim {
 
 struct NetworkConfig {
-  /// Bus propagation delay, microseconds.
-  Duration propagation_delay_us = 50;
   /// CPU cost to receive + process one packet at a node, microseconds.
   Duration node_process_cost_us = 100;
   /// Shared bus bandwidth, bits per second (paper: 10 Mbps Ethernet).
   double bandwidth_bps = 10e6;
-  /// Per-packet framing overhead added to the payload (UDP/IP + Ethernet).
-  std::size_t header_bytes = 46;
   /// Probability a given delivery is dropped (per destination).
   double drop_probability = 0.0;
   /// Probability a given delivery is corrupted in transit (per destination):
@@ -341,6 +337,15 @@ class Network {
   void deliver(NodeId from, NodeId to,
                std::shared_ptr<const std::vector<std::uint8_t>> data,
                Time arrival);
+  /// Last hop of every delivery that survived the reachability and drop
+  /// checks: the frame leaves `to`'s LAN bus at `bus_done`, pays LAN
+  /// propagation plus link jitter, may be corrupted, and is delivered.
+  /// Draws jitter, then corruption, from `ctx`'s fault RNG.
+  void deliver_from_bus(SiteCtx& ctx, NodeId from, NodeId to,
+                        const LinkFault* lf,
+                        const std::shared_ptr<const std::vector<std::uint8_t>>&
+                            shared,
+                        Time bus_done);
   /// Deliveries coming off the backbone onto `segment`'s bus — runs in the
   /// segment's site.
   void segment_arrival(NodeId from, int partition, int segment,
@@ -374,7 +379,6 @@ class Network {
   Engine& engine_;
   NetworkConfig config_;
   WanConfig wan_;
-  bool multi_segment_ = false;
   int next_partition_token_ = 1;
   /// Directed-link fault overrides. Mutated only from the driver thread
   /// while the engine is idle; read (const) from shard threads mid-window,

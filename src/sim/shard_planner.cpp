@@ -43,10 +43,10 @@ ShardPlan ShardPlan::identity(std::size_t num_sites) {
 
 ShardPlan ShardPlanner::pack(const std::vector<std::uint64_t>& weights,
                              const std::vector<int>& site_class,
-                             std::size_t max_shards) {
+                             std::size_t budget) {
   const std::size_t n = weights.size();
   PLWG_ASSERT(site_class.size() == n);
-  if (max_shards < 1) max_shards = 1;
+  if (budget < 1) budget = 1;
 
   // Group sites by class. std::map keeps class iteration deterministic.
   std::map<int, std::vector<std::size_t>> classes;
@@ -69,14 +69,14 @@ ShardPlan ShardPlanner::pack(const std::vector<std::uint64_t>& weights,
     const double share = static_cast<double>(class_weight[cls]) /
                          static_cast<double>(total_weight);
     std::size_t want = static_cast<std::size_t>(
-        share * static_cast<double>(max_shards));
+        share * static_cast<double>(budget));
     want = std::clamp<std::size_t>(want, 1, sites.size());
     class_shards[cls] = want;
     assigned += want;
   }
   // Spend any leftover budget on the classes with the worst shard-to-weight
   // ratio (heaviest load per shard first; ties to the lower class id).
-  while (assigned < max_shards) {
+  while (assigned < budget) {
     int best_cls = 0;
     double best_load = -1.0;
     for (const auto& [cls, sites] : classes) {
@@ -147,11 +147,11 @@ std::uint64_t ShardPlanner::max_shard_load(
 ShardPlan ShardPlanner::replan(const ShardPlan& current,
                                const std::vector<std::uint64_t>& weights,
                                const std::vector<int>& site_class,
-                               std::size_t max_shards,
+                               std::size_t budget,
                                double imbalance_threshold, bool* changed) {
   if (changed != nullptr) *changed = false;
   if (imbalance(current, weights) <= imbalance_threshold) return current;
-  ShardPlan fresh = pack(weights, site_class, max_shards);
+  ShardPlan fresh = pack(weights, site_class, budget);
   // Hysteresis: migrating sites costs every worker its cache residency, so
   // only accept a plan that strictly lowers the bottleneck.
   if (max_shard_load(fresh, weights) >= max_shard_load(current, weights)) {
@@ -164,7 +164,7 @@ ShardPlan ShardPlanner::replan(const ShardPlan& current,
 ShardPlan ShardPlanner::retag(const ShardPlan& current,
                               const std::vector<std::uint64_t>& weights,
                               const std::vector<int>& site_class,
-                              std::size_t max_shards, bool* changed) {
+                              std::size_t budget, bool* changed) {
   if (changed != nullptr) *changed = false;
   // Class-purity check under the new classes. Heals only merge classes, so
   // the grouping survives and only the tags refresh; a cut that splits a
@@ -176,7 +176,7 @@ ShardPlan ShardPlanner::retag(const ShardPlan& current,
     for (std::size_t site : current.shard_sites[s]) {
       if (site_class[site] != cls) {
         if (changed != nullptr) *changed = true;
-        return pack(weights, site_class, max_shards);
+        return pack(weights, site_class, budget);
       }
     }
     retagged.shard_class[s] = cls;

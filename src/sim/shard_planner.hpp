@@ -10,7 +10,7 @@
 //
 // Three responsibilities:
 //   * pack(): greedy LPT (longest-processing-time-first) packing of sites
-//     into at most `max_shards` shards, weighted by load (static topology
+//     into at most `budget` shards, weighted by load (static topology
 //     estimate at first, measured per-window event counts thereafter).
 //     Shards never span reachability classes, and the shard budget is split
 //     across classes proportionally to class weight (>= 1 each), so a
@@ -46,8 +46,6 @@ struct PlannerConfig {
   Duration replan_interval_us = 250'000;
   /// Replan only when max-shard-load / mean-shard-load exceeds this.
   double imbalance_threshold = 1.25;
-  /// Shard budget for pack(); 0 uses the engine's worker-thread count.
-  std::size_t max_shards = 0;
 };
 
 /// A site -> shard assignment plus the reachability class of every shard.
@@ -68,14 +66,14 @@ struct ShardPlan {
 
 class ShardPlanner {
  public:
-  /// Greedy LPT packing of sites into at most `max_shards` shards (>= 1 per
+  /// Greedy LPT packing of sites into at most `budget` shards (>= 1 per
   /// reachability class, never more than a class has sites). `weights[i]` is
   /// site i's load estimate (0 is treated as 1 so empty sites still get a
   /// home); `site_class[i]` its reachability class. Deterministic: ties
   /// break toward the lower site / shard index.
   [[nodiscard]] static ShardPlan pack(
       const std::vector<std::uint64_t>& weights,
-      const std::vector<int>& site_class, std::size_t max_shards);
+      const std::vector<int>& site_class, std::size_t budget);
 
   /// max(shard load) / mean(shard load) under `weights`; 1.0 = perfectly
   /// balanced or fewer than two shards.
@@ -94,7 +92,7 @@ class ShardPlanner {
   [[nodiscard]] static ShardPlan replan(const ShardPlan& current,
                                         const std::vector<std::uint64_t>& weights,
                                         const std::vector<int>& site_class,
-                                        std::size_t max_shards,
+                                        std::size_t budget,
                                         double imbalance_threshold,
                                         bool* changed = nullptr);
 
@@ -104,7 +102,7 @@ class ShardPlanner {
   [[nodiscard]] static ShardPlan retag(const ShardPlan& current,
                                        const std::vector<std::uint64_t>& weights,
                                        const std::vector<int>& site_class,
-                                       std::size_t max_shards,
+                                       std::size_t budget,
                                        bool* changed = nullptr);
 };
 

@@ -21,6 +21,7 @@ std::span<const std::uint8_t> Decoder::get_bytes_view() {
 }
 
 void Decoder::get_u64_span(std::span<std::uint64_t> out) {
+  if (out.empty()) return;  // data() may be null: memcpy would be UB
   require(out.size_bytes());
   if constexpr (std::endian::native == std::endian::little) {
     std::memcpy(out.data(), data_.data() + pos_, out.size_bytes());

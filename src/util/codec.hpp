@@ -23,10 +23,6 @@
 
 #include "util/types.hpp"
 
-// Feature-test macro for the memcpy fast paths + size-hint API; benches use
-// it so one source file measures both the pre- and post-overhaul codec.
-#define PLWG_CODEC_FAST 1
-
 namespace plwg {
 
 /// Thrown by Decoder when the input is truncated or malformed.
@@ -68,6 +64,9 @@ class Encoder {
   /// seq-list messages (ACK have-lists, NACK missing-lists) whose bodies
   /// are mostly such arrays.
   void put_u64_span(std::span<const std::uint64_t> vs) {
+    // An empty span may carry a null data(); memcpy from null is undefined
+    // even at length 0.
+    if (vs.empty()) return;
     if constexpr (std::endian::native == std::endian::little) {
       const std::size_t off = buf_.size();
       buf_.resize(off + vs.size_bytes());

@@ -15,48 +15,20 @@ enum class DetectorKind : std::uint8_t {
   kFixedTimeout = 0,
   /// Phi-accrual style: learn each peer's inter-arrival distribution and
   /// suspect when the current silence is statistically implausible
-  /// (phi >= phi_threshold), clamped to [suspect_min_us, suspect_max_us].
+  /// (phi >= a fixed threshold), clamped to a fixed [min, max] silence.
   /// Adapts to jittery or stall-prone peers instead of flapping on them.
   kPhiAccrual = 1,
 };
 
 struct VsyncConfig {
-  /// Heartbeat period per member per group.
-  Duration heartbeat_interval_us = 200'000;
-  /// A peer silent for this long is suspected (must be a few heartbeats).
+  /// A peer silent for this long is suspected (must be a few heartbeats;
+  /// the heartbeat period is GroupEndpoint::kHeartbeatIntervalUs).
   Duration suspect_timeout_us = 1'000'000;
-  /// Failure-detector selection and phi-accrual tuning (docs/TUNING.md).
+  /// Failure-detector selection (docs/TUNING.md). The phi detector's
+  /// threshold and bounds are constants of PhiAccrualDetector.
   DetectorKind detector = DetectorKind::kFixedTimeout;
-  /// Suspect when -log10(P(silence this long | history)) crosses this.
-  double phi_threshold = 8.0;
-  /// Phi detector never suspects before this much silence (floor), making
-  /// its best-case detection latency equal to the fixed detector's...
-  Duration suspect_min_us = 1'000'000;
-  /// ...and always suspects after this much (ceiling), bounding the latency
-  /// cost of a history widened by past stalls.
-  Duration suspect_max_us = 8'000'000;
   /// Inter-arrival samples remembered per peer.
   std::size_t detector_window = 32;
-  /// Ceiling for the exponential backoff on every vsync retry path
-  /// (JOIN_REQ, flush retry, merge probes, unacked-send repair).
-  Duration retry_backoff_cap_us = 5'000'000;
-  /// Coordinator retries a stalled flush phase after this long; members that
-  /// still have not answered become suspected.
-  Duration flush_retry_us = 600'000;
-  /// Joiner re-sends its JOIN_REQ at this period until a view arrives.
-  Duration join_retry_us = 500'000;
-  /// Coordinator batches join/leave requests for this long before starting
-  /// a view change (avoids one flush per joiner on group start-up).
-  Duration membership_batch_us = 20'000;
-  /// Period of coordinator merge probes to known peers outside the view.
-  Duration merge_probe_interval_us = 1'000'000;
-  /// Merge leader / follower abandon a merge attempt after this long.
-  Duration merge_timeout_us = 3'000'000;
-  /// Gap-detection period for NACK-based retransmission.
-  Duration nack_check_us = 150'000;
-  /// If an endpoint sits in a non-active state this long, the legitimate
-  /// coordinator restarts the view change (self-healing watchdog).
-  Duration stuck_watchdog_us = 2'000'000;
   /// When true the endpoint answers Stop upcalls itself, immediately.
   /// (The LWG layer manages StopOk explicitly; simple users set this.)
   bool auto_stop_ok = false;

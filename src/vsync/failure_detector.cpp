@@ -6,10 +6,7 @@
 namespace plwg::vsync {
 
 PhiAccrualDetector::PhiAccrualDetector(const VsyncConfig& cfg)
-    : phi_threshold_(cfg.phi_threshold),
-      fallback_timeout_us_(cfg.suspect_timeout_us),
-      min_us_(cfg.suspect_min_us),
-      max_us_(cfg.suspect_max_us),
+    : fallback_timeout_us_(cfg.suspect_timeout_us),
       window_size_(std::max<std::size_t>(cfg.detector_window, kMinSamples)) {}
 
 void PhiAccrualDetector::heard(ProcessId p, Time t) {
@@ -64,15 +61,15 @@ std::size_t PhiAccrualDetector::samples(ProcessId p) const {
 bool PhiAccrualDetector::suspect(ProcessId p, Time now,
                                  Time last_heard) const {
   const Duration elapsed = now - last_heard;
-  if (elapsed <= min_us_) return false;
-  if (elapsed > max_us_) return true;
+  if (elapsed <= kSuspectMinUs) return false;
+  if (elapsed > kSuspectMaxUs) return true;
   const auto it = peers_.find(p.value());
   if (it == peers_.end() || it->second.count < kMinSamples) {
     // Not enough history to fit a distribution: behave like the fixed
     // detector rather than guessing.
     return elapsed > fallback_timeout_us_;
   }
-  return phi(p, elapsed) >= phi_threshold_;
+  return phi(p, elapsed) >= kPhiThreshold;
 }
 
 void PhiAccrualDetector::forget(ProcessId p) { peers_.erase(p.value()); }

@@ -59,8 +59,8 @@ class FixedTimeoutDetector final : public FailureDetector {
 
 /// Phi-accrual: phi(now) = -log10(P(silence >= now - last_heard)) under a
 /// normal fit of the peer's recent inter-arrival intervals. Suspect when
-/// phi >= phi_threshold, never before suspect_min_us of silence, always
-/// after suspect_max_us. Falls back to the fixed threshold until a peer
+/// phi >= kPhiThreshold, never before kSuspectMinUs of silence, always
+/// after kSuspectMaxUs. Falls back to the fixed threshold until a peer
 /// has enough history to fit (kMinSamples intervals).
 class PhiAccrualDetector final : public FailureDetector {
  public:
@@ -78,6 +78,14 @@ class PhiAccrualDetector final : public FailureDetector {
 
  private:
   static constexpr std::size_t kMinSamples = 4;
+  /// Suspect when -log10(P(silence this long | history)) crosses this.
+  static constexpr double kPhiThreshold = 8.0;
+  /// Never suspect before this much silence (floor), making the best-case
+  /// detection latency equal to the default fixed detector's...
+  static constexpr Duration kSuspectMinUs = 1'000'000;
+  /// ...and always suspect after this much (ceiling), bounding the latency
+  /// cost of a history widened by past stalls.
+  static constexpr Duration kSuspectMaxUs = 8'000'000;
 
   struct History {
     Time last_arrival = -1;          // -1: no arrival recorded yet
@@ -88,10 +96,7 @@ class PhiAccrualDetector final : public FailureDetector {
     double sum_sq = 0;
   };
 
-  double phi_threshold_;
   Duration fallback_timeout_us_;
-  Duration min_us_;
-  Duration max_us_;
   std::size_t window_size_;
   std::unordered_map<std::uint64_t, History> peers_;
 };

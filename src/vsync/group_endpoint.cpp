@@ -240,15 +240,13 @@ void GroupEndpoint::multicast(const MemberSet& to, MsgType type,
 void GroupEndpoint::on_tick() {
   if (defunct()) return;
   const Time t = now();
-  const VsyncConfig& cfg = config();
 
   if (state_ == State::kJoining) {
     // Re-sending JOIN_REQ on a fixed period hammers a contact that is slow
     // rather than gone; back the retries off (capped, jittered).
     const Duration retry_in =
-        backoff_delay(cfg.join_retry_us,
-                      join_attempts_ > 0 ? join_attempts_ - 1 : 0,
-                      cfg.retry_backoff_cap_us, backoff_salt() ^ 0x4a);
+        backoff_delay(kJoinRetryUs, join_attempts_ > 0 ? join_attempts_ - 1 : 0,
+                      kRetryBackoffCapUs, backoff_salt() ^ 0x4a);
     if (last_join_req_ < 0 || t - last_join_req_ >= retry_in) {
       send_join_req();
     }
@@ -262,7 +260,7 @@ void GroupEndpoint::on_tick() {
   // floor back out, so log GC costs no dedicated messages at all.
   if (view_.members.size() > 1 &&
       (last_heartbeat_sent_ < 0 ||
-       t - last_heartbeat_sent_ >= cfg.heartbeat_interval_us)) {
+       t - last_heartbeat_sent_ >= kHeartbeatIntervalUs)) {
     last_heartbeat_sent_ = t;
     const bool sequencer = view_.coordinator() == self();
     if (sequencer) update_stability_floor();
@@ -280,14 +278,14 @@ void GroupEndpoint::on_tick() {
 
   // Re-send a pending leave request in case it was lost.
   if (leave_requested_ && !is_acting_coordinator() &&
-      (last_leave_req_ < 0 || t - last_leave_req_ >= cfg.join_retry_us)) {
+      (last_leave_req_ < 0 || t - last_leave_req_ >= kJoinRetryUs)) {
     last_leave_req_ = t;
     Encoder& body = scratch_body();
     LeaveReqMsg{self()}.encode(body);
     unicast(acting_coordinator(), MsgType::kLeaveReq, body);
   }
 
-  if (t - last_nack_check_ >= cfg.nack_check_us) {
+  if (t - last_nack_check_ >= kNackCheckUs) {
     last_nack_check_ = t;
     check_nacks();
     resend_unacked(/*force=*/false);
@@ -308,17 +306,17 @@ void GroupEndpoint::on_tick() {
   // degraded member does not re-multicast its phase message at full rate.
   if (flush_op_ &&
       t - flush_op_->started_at >=
-          backoff_delay(cfg.flush_retry_us,
+          backoff_delay(kFlushRetryUs,
                         static_cast<std::uint32_t>(flush_op_->retries),
-                        cfg.retry_backoff_cap_us, backoff_salt() ^ 0xf1)) {
+                        kRetryBackoffCapUs, backoff_salt() ^ 0xf1)) {
     flush_phase_timeout();
   }
 
   // Merge probe + timeouts.
-  if (merge_leader_ && t - merge_leader_->started_at >= cfg.merge_timeout_us) {
+  if (merge_leader_ && t - merge_leader_->started_at >= kMergeTimeoutUs) {
     merge_timeout();
   }
-  if (merge_follow_ && t - merge_follow_->started_at >= cfg.merge_timeout_us) {
+  if (merge_follow_ && t - merge_follow_->started_at >= kMergeTimeoutUs) {
     merge_follow_.reset();
     if (flush_op_ && flush_op_->for_merge) flush_op_->for_merge = false;
   }
@@ -331,8 +329,8 @@ void GroupEndpoint::on_tick() {
   if (state_ == State::kActive && has_view_ && !flush_op_ &&
       !merge_leader_ && !merge_follow_ &&
       t - last_probe_sent_ >=
-          backoff_delay(cfg.merge_probe_interval_us, probe_attempts_,
-                        cfg.retry_backoff_cap_us, backoff_salt() ^ 0x6d)) {
+          backoff_delay(kMergeProbeIntervalUs, probe_attempts_,
+                        kRetryBackoffCapUs, backoff_salt() ^ 0x6d)) {
     last_probe_sent_ = t;
     if (probe_attempts_ < 32) probe_attempts_++;
     send_merge_probe();
@@ -340,15 +338,14 @@ void GroupEndpoint::on_tick() {
 
   // Watchdog: a member wedged mid-view-change re-forms the view if it is the
   // legitimate coordinator (covers crashed initiators and lost merges).
-  // A merge follower must outwait the leader's whole merge_timeout_us budget
+  // A merge follower must outwait the leader's whole kMergeTimeoutUs budget
   // (the leader's constituent flush may legitimately take that long when its
   // view carries a member only the failure detector can remove): re-forming
   // sooner abandons the view the leader is merging, the merged NEW_VIEW
   // arrives just too late to match, and the retry loop phase-locks into a
   // livelock of re-forms and rejected installs.
   const Duration wedge_patience =
-      merge_follow_ ? cfg.merge_timeout_us + cfg.stuck_watchdog_us
-                    : cfg.stuck_watchdog_us;
+      merge_follow_ ? kMergeTimeoutUs + kStuckWatchdogUs : kStuckWatchdogUs;
   if ((state_ == State::kStopping || state_ == State::kFlushing ||
        state_ == State::kStopped) &&
       t - state_since_ >= wedge_patience && is_acting_coordinator() &&
@@ -366,9 +363,9 @@ void GroupEndpoint::on_tick() {
   // initiator answers a stale one with the superseding view (or an eject if
   // history moved past it).
   if (state_ == State::kStopped && part_flush_ && part_flush_->done_sent &&
-      t - state_since_ >= cfg.stuck_watchdog_us &&
+      t - state_since_ >= kStuckWatchdogUs &&
       (last_flush_done_resent_ < 0 ||
-       t - last_flush_done_resent_ >= cfg.flush_retry_us)) {
+       t - last_flush_done_resent_ >= kFlushRetryUs)) {
     last_flush_done_resent_ = t;
     Encoder& body = scratch_body();
     FlushDoneMsg{part_flush_->old_view, part_flush_->epoch, self()}

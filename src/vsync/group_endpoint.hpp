@@ -119,6 +119,31 @@ class GroupEndpoint {
   void on_tick();
 
  private:
+  // -- fixed protocol timings (docs/TUNING.md "Fixed protocol constants") --
+  /// Heartbeat period per member per group.
+  static constexpr Duration kHeartbeatIntervalUs = 200'000;
+  /// Ceiling for the exponential backoff on every retry path (JOIN_REQ,
+  /// flush retry, merge probes, unacked-send repair).
+  static constexpr Duration kRetryBackoffCapUs = 5'000'000;
+  /// Coordinator retries a stalled flush phase after this long; members
+  /// that still have not answered become suspected.
+  static constexpr Duration kFlushRetryUs = 600'000;
+  /// Joiner re-sends its JOIN_REQ (and a leaver its LEAVE_REQ) at this
+  /// period until a view arrives.
+  static constexpr Duration kJoinRetryUs = 500'000;
+  /// Coordinator batches join/leave requests for this long before starting
+  /// a view change (avoids one flush per joiner on group start-up).
+  static constexpr Duration kMembershipBatchUs = 20'000;
+  /// Period of merge probes to known peers outside the view.
+  static constexpr Duration kMergeProbeIntervalUs = 1'000'000;
+  /// Merge leader / follower abandon a merge attempt after this long.
+  static constexpr Duration kMergeTimeoutUs = 3'000'000;
+  /// Gap-detection period for NACK-based retransmission.
+  static constexpr Duration kNackCheckUs = 150'000;
+  /// If an endpoint sits in a non-active state this long, the legitimate
+  /// coordinator restarts the view change (self-healing watchdog).
+  static constexpr Duration kStuckWatchdogUs = 2'000'000;
+
   // -- shared helpers (group_endpoint.cpp) --
   void install_view(const View& view);
   void become_defunct();
@@ -183,7 +208,7 @@ class GroupEndpoint {
   void on_new_view(const NewViewMsg& msg);
   void send_join_req();
   /// Schedule a membership batch; the view change starts after
-  /// membership_batch_us unless one is already running.
+  /// kMembershipBatchUs unless one is already running.
   void schedule_view_change();
   /// Start a flush as initiator. `for_merge` reports completion to the
   /// merge machinery instead of installing a view.

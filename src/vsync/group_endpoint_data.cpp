@@ -43,15 +43,15 @@ void GroupEndpoint::resend_unacked(bool force) {
     return;
   }
   const Time t = now();
-  const Duration base = 3 * config().nack_check_us;
+  const Duration base = 3 * kNackCheckUs;
   for (auto& [smid, send] : unacked_sends_) {
     // Per-send capped backoff: a message the sequencer keeps not acking is
     // evidence the sequencer (or the path to it) is degraded — repair
     // retries slow down instead of piling on. A view change re-submits
     // with a fresh cadence (force resets the attempt count).
-    const Duration interval =
-        backoff_delay(base, send.attempts, config().retry_backoff_cap_us,
-                      backoff_salt() ^ smid);
+    const Duration interval = backoff_delay(base, send.attempts,
+                                            kRetryBackoffCapUs,
+                                            backoff_salt() ^ smid);
     if (!force && t - send.last_sent < interval) continue;
     send.last_sent = t;
     send.attempts = force ? 1 : std::min<std::uint32_t>(send.attempts + 1, 32);

@@ -65,7 +65,7 @@ void GroupEndpoint::schedule_view_change() {
   if (batch_deadline_ >= 0 || flush_op_ || merge_leader_ || merge_follow_) {
     return;  // a batch or change is already pending; the tick re-checks
   }
-  batch_deadline_ = now() + config().membership_batch_us;
+  batch_deadline_ = now() + kMembershipBatchUs;
 }
 
 void GroupEndpoint::initiate_view_change(bool for_merge) {

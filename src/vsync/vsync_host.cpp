@@ -27,7 +27,7 @@ transport::MsgClass class_of(MsgType type) {
 }  // namespace
 
 VsyncHost::VsyncHost(transport::NodeRuntime& node, VsyncConfig config,
-                     durable::ProcessStore* store)
+                     durable::ProcessStore& store)
     : node_(node), config_(config), store_(store) {
   node_.register_port(transport::Port::kVsync, *this);
   node_.after(kTickUs, [this] { tick(); });
@@ -60,9 +60,7 @@ void VsyncHost::sweep_defunct() {
 }
 
 HwgId VsyncHost::allocate_group_id() {
-  std::uint32_t& counter =
-      store_ != nullptr ? store_->hwg_group_counter : next_group_counter_;
-  return make_hwg_id(self(), counter++);
+  return make_hwg_id(self(), store_.hwg_group_counter++);
 }
 
 void VsyncHost::create_group(HwgId gid, GroupUser& user) {

@@ -27,12 +27,11 @@ namespace plwg::vsync {
 
 class VsyncHost : public transport::PortHandler {
  public:
-  /// `store`, when given, backs the view-seq and group-id counters so they
-  /// survive a crash–restart of this process (see durable/store.hpp for why
-  /// letting them die with the host is unsafe). May be null: tests that
-  /// never restart a host can run purely in-memory.
+  /// `store` backs the view-seq and group-id counters so they survive a
+  /// crash–restart of this process (see durable/store.hpp for why letting
+  /// them die with the host is unsafe).
   VsyncHost(transport::NodeRuntime& node, VsyncConfig config,
-            durable::ProcessStore* store = nullptr);
+            durable::ProcessStore& store);
   ~VsyncHost() override;
   VsyncHost(const VsyncHost&) = delete;
   VsyncHost& operator=(const VsyncHost&) = delete;
@@ -77,7 +76,7 @@ class VsyncHost : public transport::PortHandler {
   /// later rejoins it never reuses a (coordinator, seq) view id it already
   /// minted; stale packets tagged with a recycled id must stay stale.
   [[nodiscard]] std::uint32_t mint_view_seq(HwgId gid) {
-    return ++(store_ != nullptr ? store_->hwg_view_seqs : view_seqs_)[gid];
+    return ++store_.hwg_view_seqs[gid];
   }
 
   /// Protocol observer (the cross-node oracle) epoch hooks fire through the
@@ -96,15 +95,9 @@ class VsyncHost : public transport::PortHandler {
 
   transport::NodeRuntime& node_;
   VsyncConfig config_;
-  durable::ProcessStore* store_ = nullptr;  // not owned; may be null
-  VsyncObserver* observer_ = nullptr;       // not owned
+  durable::ProcessStore& store_;       // not owned
+  VsyncObserver* observer_ = nullptr;  // not owned
   std::unordered_map<HwgId, std::unique_ptr<GroupEndpoint>> endpoints_;
-  /// Per-group view-sequence counters (see mint_view_seq); survives
-  /// endpoint teardown and recreation. In-memory fallback — when a durable
-  /// store is attached the counters live there instead, so they also
-  /// survive a restart of the whole host.
-  std::unordered_map<HwgId, std::uint32_t> view_seqs_;
-  std::uint32_t next_group_counter_ = 1;
   bool dispatching_ = false;
   // Reused for every outbound frame; safe because the transport copies the
   // frame into the packet before returning and nothing sends re-entrantly

@@ -20,9 +20,6 @@ VsyncConfig phi_config() {
   VsyncConfig cfg;
   cfg.detector = DetectorKind::kPhiAccrual;
   cfg.suspect_timeout_us = 1'000'000;
-  cfg.suspect_min_us = 1'000'000;
-  cfg.suspect_max_us = 8'000'000;
-  cfg.phi_threshold = 8.0;
   return cfg;
 }
 

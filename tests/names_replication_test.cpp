@@ -41,7 +41,7 @@ class ThreeServerTest : public ::testing::Test {
     for (const auto& s : server_nodes_) ids.push_back(s->id());
     for (int j = 0; j < 3; ++j) {
       servers_.push_back(std::make_unique<NamingAgent>(
-          *server_nodes_[static_cast<std::size_t>(j)], NamingConfig{}, ids));
+          *server_nodes_[static_cast<std::size_t>(j)], ids));
       std::vector<NodeId> peers;
       for (int k = 0; k < 3; ++k) {
         if (k != j) peers.push_back(ids[static_cast<std::size_t>(k)]);
@@ -53,8 +53,8 @@ class ThreeServerTest : public ::testing::Test {
       std::rotate(order.begin(),
                   order.begin() + static_cast<std::ptrdiff_t>(i % 3),
                   order.end());
-      client_agents_.push_back(std::make_unique<NamingAgent>(
-          *clients_[i], NamingConfig{}, order));
+      client_agents_.push_back(
+          std::make_unique<NamingAgent>(*clients_[i], order));
     }
   }
 

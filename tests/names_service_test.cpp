@@ -50,7 +50,7 @@ class NamesServiceTest : public ::testing::Test {
     for (const auto& s : server_nodes_) server_ids.push_back(s->id());
     for (std::size_t j = 0; j < servers; ++j) {
       server_agents_.push_back(std::make_unique<NamingAgent>(
-          *server_nodes_[j], NamingConfig{}, server_ids));
+          *server_nodes_[j], server_ids));
       std::vector<NodeId> peers;
       for (std::size_t k = 0; k < servers; ++k) {
         if (k != j) peers.push_back(server_ids[k]);
@@ -62,8 +62,8 @@ class NamesServiceTest : public ::testing::Test {
       std::rotate(order.begin(),
                   order.begin() + static_cast<std::ptrdiff_t>(i % servers),
                   order.end());
-      client_agents_.push_back(std::make_unique<NamingAgent>(
-          *client_nodes_[i], NamingConfig{}, order));
+      client_agents_.push_back(
+          std::make_unique<NamingAgent>(*client_nodes_[i], order));
     }
   }
 
@@ -226,11 +226,11 @@ TEST_F(NamesServiceTest, SetIsRetriedUntilAcked) {
   client_nodes_.push_back(std::make_unique<transport::NodeRuntime>(*net_));
   server_nodes_.push_back(std::make_unique<transport::NodeRuntime>(*net_));
   const std::vector<NodeId> servers{server_nodes_[0]->id()};
-  server_agents_.push_back(std::make_unique<NamingAgent>(
-      *server_nodes_[0], NamingConfig{}, servers));
+  server_agents_.push_back(
+      std::make_unique<NamingAgent>(*server_nodes_[0], servers));
   server_agents_[0]->enable_server({});
-  client_agents_.push_back(std::make_unique<NamingAgent>(
-      *client_nodes_[0], NamingConfig{}, servers));
+  client_agents_.push_back(
+      std::make_unique<NamingAgent>(*client_nodes_[0], servers));
   client(0).set(LwgId{7}, entry(1, 1, 100), {});
   run_for(20'000'000);
   EXPECT_TRUE(server(0).database().records.contains(LwgId{7}));

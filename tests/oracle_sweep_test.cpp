@@ -131,7 +131,7 @@ TEST_F(OracleChaosSweepTest, PinnedRegressionSeeds) {
 //    component its previous incarnation knew about (fixed by members
 //    reporting foreign peers to the coordinator via same-view merge probes).
 //  - 84/156/690: merge-follower impatience livelock — the follower's stuck
-//    watchdog gave up before the leader's merge_timeout_us budget elapsed,
+//    watchdog gave up before the leader's kMergeTimeoutUs budget elapsed,
 //    phase-locking re-forms against always-stale merged views (fixed by
 //    wedge_patience in GroupEndpoint::on_tick).
 //  - 285: a row registered by a permanently-dead process for a view no

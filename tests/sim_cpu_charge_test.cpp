@@ -21,7 +21,6 @@ TEST(CpuCharge, DelaysSubsequentDeliveries) {
   Simulator& sim = engine.site(0);
   NetworkConfig cfg;
   cfg.node_process_cost_us = 100;
-  cfg.propagation_delay_us = 50;
   Network net(engine, cfg);
   Recorder sender(sim), receiver(sim);
   const NodeId a = net.add_node(sender);

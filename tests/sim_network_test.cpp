@@ -25,10 +25,8 @@ struct Recorder : NetHandler {
 struct NetFixture : ::testing::Test {
   NetFixture() {
     NetworkConfig cfg;
-    cfg.propagation_delay_us = 50;
     cfg.node_process_cost_us = 100;
     cfg.bandwidth_bps = 10e6;
-    cfg.header_bytes = 46;
     config = cfg;
   }
   void build(std::size_t n) {

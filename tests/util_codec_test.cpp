@@ -211,6 +211,20 @@ TEST(Codec, U64SpanMatchesPerElementEncoding) {
   EXPECT_EQ(bulk.bytes(), loop.bytes());
 }
 
+TEST(Codec, EmptyU64SpanRoundTripsThroughFreshEncoder) {
+  // A fresh encoder's buffer and an empty vector both have a null data();
+  // the empty-span case must not hand those to memcpy.
+  const std::vector<std::uint64_t> none;
+  Encoder enc;
+  enc.put_u64_span(none);
+  EXPECT_EQ(enc.size(), 0u);
+  Decoder dec(enc.bytes());
+  std::vector<std::uint64_t> out;
+  dec.get_u64_span(out);
+  EXPECT_TRUE(out.empty());
+  dec.expect_done();
+}
+
 TEST(Codec, U64SpanTruncatedThrows) {
   Encoder enc;
   enc.put_u64(7);

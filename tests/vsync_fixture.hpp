@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "durable/store.hpp"
 #include "oracle/oracle.hpp"
 #include "sim/network.hpp"
 #include "sim/simulator.hpp"
@@ -79,7 +80,9 @@ class VsyncFixture : public ::testing::Test {
         [this] { return sim_.now(); });
     for (std::size_t i = 0; i < n; ++i) {
       nodes_.push_back(std::make_unique<transport::NodeRuntime>(*net_));
-      hosts_.push_back(std::make_unique<VsyncHost>(*nodes_[i], vs_cfg));
+      stores_.push_back(std::make_unique<durable::ProcessStore>());
+      hosts_.push_back(
+          std::make_unique<VsyncHost>(*nodes_[i], vs_cfg, *stores_[i]));
       hosts_[i]->set_observer(oracle_.get());
       users_.push_back(std::make_unique<RecordingUser>(hosts_[i].get()));
     }
@@ -140,6 +143,7 @@ class VsyncFixture : public ::testing::Test {
   sim::Simulator& sim_ = engine_.site(0);
   std::unique_ptr<sim::Network> net_;
   std::unique_ptr<oracle::ProtocolOracle> oracle_;
+  std::vector<std::unique_ptr<durable::ProcessStore>> stores_;
   std::vector<std::unique_ptr<transport::NodeRuntime>> nodes_;
   std::vector<std::unique_ptr<VsyncHost>> hosts_;
   std::vector<std::unique_ptr<RecordingUser>> users_;
