@@ -13,9 +13,9 @@
 #   BUILD_DIR            build tree holding tests/test_oracle (default: build)
 #   JOBS                 worker count (default: nproc)
 #   PLWG_SWEEP_RESTARTS  passed through (0 = crashes stay permanent)
-#   PLWG_SIM_THREADS     passed through; > 1 runs every episode on the
-#                        sharded multi-threaded engine (worlds get 2-3 LAN
-#                        segments so shards actually exist). Each test
+#   PLWG_SIM_THREADS     passed through; > 1 runs every episode with the
+#                        engine's worker pool (worlds get 2-3 LAN segments,
+#                        so partitions split them into class jobs). Each test
 #                        process then uses up to that many engine workers,
 #                        so scale JOBS down accordingly.
 set -euo pipefail

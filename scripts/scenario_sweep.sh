@@ -15,9 +15,9 @@
 # Env:
 #   BUILD_DIR          build tree holding tests/test_scenarios (default: build)
 #   JOBS               worker count (default: nproc)
-#   PLWG_SIM_THREADS   passed through; > 1 replays every episode on the
-#                      sharded multi-threaded engine (multi-segment corpus
-#                      files actually get shards). Scale JOBS down to match.
+#   PLWG_SIM_THREADS   passed through; > 1 replays every episode with the
+#                      engine's worker pool (multi-segment corpus files get
+#                      class jobs whenever a partition splits them). Scale JOBS down to match.
 #   PLWG_SCENARIO_DIR  corpus directory override (default: scenarios/ in the
 #                      source tree, compiled into the binary)
 set -euo pipefail

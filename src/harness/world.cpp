@@ -34,7 +34,7 @@ void apply_env_log_level() {
 SimWorld::SimWorld(WorldConfig config)
     : config_(std::move(config)),
       engine_(std::max<std::size_t>(1, config_.segments.size()),
-              sim::Engine::Config{config_.sim_threads, config_.planner}) {
+              config_.sim_threads) {
   apply_env_log_level();
   Logger::instance().set_time_source([this] { return engine_.log_now(); });
   net_ = std::make_unique<sim::Network>(engine_, config_.net);

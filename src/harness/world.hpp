@@ -47,14 +47,11 @@ struct WorldConfig {
   /// (paper Sect. 5.2).
   std::vector<std::vector<std::size_t>> segments;
   sim::WanConfig wan;
-  /// Worker threads for the sharded engine (one site per LAN segment).
-  /// 0 reads PLWG_SIM_THREADS from the environment (default 1). Same seed
-  /// produces the same trace at any value — threads only change wall-clock.
+  /// Worker threads for the engine (one site per LAN segment, one job per
+  /// reachability class). 0 reads PLWG_SIM_THREADS from the environment
+  /// (default 1). Same seed produces the same trace at any value — threads
+  /// only change wall-clock, and only while a partition splits the sites.
   std::size_t sim_threads = 0;
-  /// Dynamic shard placement: sites packed into ≈sim_threads shards by
-  /// measured load, partitioned islands scheduled barrier-free. Same seed
-  /// produces the same trace with it on or off (docs/TUNING.md knobs).
-  sim::PlannerConfig planner;
   /// Wire the cross-node ProtocolOracle into every node (default). Benches
   /// that measure the protocol itself turn it off.
   bool oracle = true;

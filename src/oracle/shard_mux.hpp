@@ -1,4 +1,4 @@
-// Shard-aware observer multiplexer: funnels per-site protocol events into
+// Multi-site observer multiplexer: funnels per-site protocol events into
 // the (single-threaded) protocol oracle in a deterministic global order.
 //
 // Worker threads must never call into the oracle directly — its state is one
@@ -6,15 +6,15 @@
 // events is captured by value (timestamp + arguments) into that site's
 // ring; rings are single-writer (only the thread currently running the
 // site appends) and are drained on the driver thread when Engine::run_until
-// returns. Rings are per *site*, not per shard, so the capture order is
-// untouched by dynamic shard placement — a replan moves sites between
-// workers, never events between rings. The drain merges all rings by
+// returns. Rings are per *site*, so the capture order does not depend on
+// which thread ran the site's class job. The drain merges all rings by
 // (event time, site index, ring position) — a total order that depends only
-// on the simulation, not on the thread schedule or the shard plan — and
-// replays each event into the oracle with the oracle's clock pinned to the
-// event's original timestamp, so violation reports keep precise times. Island sites may run far ahead of the lockstep horizon
-// mid-call; their events simply wait in the ring until the end-of-run
-// drain, where the global time sort restores chronology.
+// on the simulation, not on the thread schedule — and replays each event
+// into the oracle with the oracle's clock pinned to the event's original
+// timestamp, so violation reports keep precise times. Each class job runs
+// its sites to the run_until target on its own, so one class's events may
+// be far ahead of another's mid-call; they simply wait in the ring until
+// the end-of-run drain, where the global time sort restores chronology.
 //
 // Hooks fired outside any site's events (driver-thread test code, engine
 // idle) apply immediately; rings are always empty then because every

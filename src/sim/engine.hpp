@@ -1,51 +1,44 @@
-// Sharded discrete-event engine: deterministic multi-core simulation with
-// topology-aware shard placement.
+// Multi-site discrete-event engine: deterministic simulation whose unit of
+// parallel execution is the reachability class.
 //
-// Two layers of decomposition, deliberately distinct:
+// Two notions, deliberately distinct:
 //
 //   * A *site* is the unit of determinism — one per LAN segment (see
 //     sim::Network::set_segments). Each site owns a private Simulator (its
 //     own timer arena, event heap, clock), and sim::Network gives it its own
 //     RNG stream, packet-id space, stats, and trace digest. A site is only
 //     ever advanced by one thread at a time, and its event sequence depends
-//     only on its own events plus cross-site injections at fixed barrier
-//     times — never on which thread ran it.
+//     only on its own events plus cross-site injections at fixed window
+//     boundaries — never on which thread ran it.
 //
-//   * A *shard* is the unit of execution — the set of sites one worker
-//     advances together. The site→shard assignment lives in a ShardPlan and
-//     is chosen by the ShardPlanner from measured per-site load (greedy LPT
-//     packing into ≈`threads` shards, periodic hysteresis replans at
-//     barriers). Because a site's mutable state never depends on its shard,
-//     re-planning moves no protocol state and cannot change a trace digest.
+//   * A *reachability class* is the unit of execution. sim::Network reports
+//     which sites can exchange packets at all (partition classes unioned
+//     over segments); sites in different classes cannot affect each other
+//     until the next topology change, which only happens while the engine
+//     is idle. Each run_until therefore runs one *job* per class, and the
+//     jobs are independent: with `threads > 1` and more than one class they
+//     run on the worker pool, otherwise one after another on the caller.
 //
-// Shards synchronize with a conservative time-window scheme:
+// Inside a class job the sites synchronize with a conservative time-window
+// scheme:
 //
-//   * All shards advance in lockstep windows of `lookahead` simulated
-//     microseconds. Within a window every site runs its local events with no
-//     locks and no cross-site visibility.
+//   * The job advances its sites to the run_until target in sub-windows of
+//     `lookahead` simulated microseconds, starting at the engine horizon.
+//     Within a sub-window every site runs its local events with no
+//     cross-site visibility.
 //   * The only causal coupling between sites is a cross-site packet, and
 //     every such packet pays at least the backbone propagation delay — so a
 //     lookahead equal to that minimum latency guarantees no site can receive
-//     an event timestamped inside the window it is running.
+//     an event timestamped inside the sub-window it is running.
 //   * Cross-site events are appended to the *source site's* outbox during
-//     the window and injected into the destination site at the window
-//     barrier, in fixed (source site, post order) order.
+//     the sub-window and injected into the destination site at its end, by
+//     the job itself, in fixed (source site, post order) order.
+//   * A single-site class has no cross-site traffic: one plain run.
 //
-// Reachability-class scheduling removes barriers partitions make redundant:
-// sim::Network reports which sites can exchange packets at all (partition
-// classes unioned over segments). The planner never lets a shard span two
-// classes, and a class whose sites all fit in ONE shard is an *island*: its
-// worker runs it to the run_until target in a single job — sub-windowing
-// thread-locally when the island has several sites, with zero barriers when
-// it has one — instead of lock-stepping with the rest of the world. Islands
-// use the same window grid and drain order a lock-stepped run would, so the
-// schedule, and hence every digest, is byte-identical either way.
-//
-// Determinism is the design invariant, not an accident: same seed ⇒
-// byte-identical trace at 1, 2, or N threads, planner on or off, across
-// replans (enforced by tests/determinism_test.cpp over sim::Network's
-// TraceDigest). Replans trigger on simulated time and feed on per-site
-// event counts — never wall clock or thread timing.
+// Determinism is the design invariant, not an accident: the window grid and
+// injection order depend only on the horizon, the lookahead and the classes,
+// so the same seed gives a byte-identical trace at 1, 2, or N threads
+// (enforced by tests/determinism_test.cpp over sim::Network's TraceDigest).
 //
 // A single-site engine degenerates to a plain single-threaded event loop:
 // one job per run, no outboxes, no worker threads.
@@ -60,7 +53,6 @@
 #include <thread>
 #include <vector>
 
-#include "sim/shard_planner.hpp"
 #include "sim/simulator.hpp"
 #include "util/function.hpp"
 #include "util/types.hpp"
@@ -69,19 +61,10 @@ namespace plwg::sim {
 
 class Engine {
  public:
-  struct Config {
-    /// Worker threads executing shard jobs. 0 reads PLWG_SIM_THREADS from
-    /// the environment (default 1). Clamped to the site count — more
-    /// threads than sites cannot help.
-    std::size_t threads = 0;
-    /// Dynamic shard placement (docs/TUNING.md). Disabled = identity
-    /// placement, one shard per site in global lockstep — the pre-planner
-    /// engine, kept as the A/B baseline.
-    PlannerConfig planner;
-  };
-
-  explicit Engine(std::size_t num_sites = 1);
-  Engine(std::size_t num_sites, Config config);
+  /// `threads`: worker threads running class jobs. 0 reads PLWG_SIM_THREADS
+  /// from the environment (default 1). Clamped to the site count — more
+  /// threads than sites cannot help.
+  explicit Engine(std::size_t num_sites = 1, std::size_t threads = 0);
   ~Engine();
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
@@ -95,23 +78,23 @@ class Engine {
   }
 
   /// Completed simulation horizon: every site's clock equals this whenever
-  /// the engine is idle (between run_until calls). Mid-run, island sites may
-  /// be ahead of it — nothing observable crosses the gap.
+  /// the engine is idle (between run_until calls). Mid-run, a class job's
+  /// sites may be ahead of it — nothing observable crosses the gap.
   [[nodiscard]] Time now() const {
     return horizon_.load(std::memory_order_relaxed);
   }
 
   /// Minimum cross-site event latency, microseconds. Every cross-site post
-  /// made while a window is running must be timestamped at least this far
-  /// after the window's start; the poster (sim::Network) guarantees it by
-  /// construction and the barrier asserts it. Must be > 0 before a
+  /// made while a sub-window is running must be timestamped at least this
+  /// far after the sub-window's start; the poster (sim::Network) guarantees
+  /// it by construction and the drain asserts it. Must be > 0 before a
   /// multi-site engine runs.
   void set_lookahead(Duration us);
   [[nodiscard]] Duration lookahead() const { return lookahead_; }
 
   /// Schedule `fn` at absolute time `t` on site `dst`. Callable from inside
   /// a running site (appends to the posting site's outbox, injected at the
-  /// next window boundary) or from the driver thread while idle (scheduled
+  /// end of the sub-window) or from the driver thread while idle (scheduled
   /// directly).
   void post(std::size_t dst, Time t, UniqueFunction fn);
 
@@ -125,7 +108,7 @@ class Engine {
   std::size_t run_for(Duration d) { return run_until(now() + d); }
 
   /// True from run_until entry to exit (any thread). Global topology
-  /// mutations (crash, partition, replan inputs) are only legal while idle.
+  /// mutations (crash, partition, class changes) are only legal while idle.
   [[nodiscard]] bool running() const {
     return running_.load(std::memory_order_relaxed);
   }
@@ -137,45 +120,15 @@ class Engine {
   /// the completed horizon — safe from any thread, for log timestamps.
   [[nodiscard]] Time log_now() const;
 
-  // --- load accounting ----------------------------------------------------
   /// Events executed by site `i` since construction (monotonic).
   [[nodiscard]] std::uint64_t site_events_run(std::size_t i) const {
     return sites_[i]->total_events_run();
   }
-  /// Events executed by plan shard `s` (sum of its sites' counters), for
-  /// load-balance accounting: speedup is bounded by sum/max of shard loads.
-  [[nodiscard]] std::uint64_t shard_events_run(std::size_t s) const;
 
-  /// Start a measurement window: snapshot every site's event counter so the
-  /// *_in_window accessors report activity since this call, not lifetime
-  /// totals. Driver thread, idle only.
-  void begin_event_window();
-  [[nodiscard]] std::uint64_t site_events_in_window(std::size_t i) const;
-  [[nodiscard]] std::uint64_t shard_events_in_window(std::size_t s) const;
-
-  // --- planner surface ----------------------------------------------------
-  /// Current site→shard assignment. Stable while the engine runs; may
-  /// change across run_until calls when the planner is enabled.
-  [[nodiscard]] const ShardPlan& plan() const { return plan_; }
-  [[nodiscard]] std::size_t num_shards() const { return plan_.num_shards(); }
-  [[nodiscard]] const PlannerConfig& planner_config() const {
-    return planner_;
-  }
-  /// Accepted plan changes since construction (load replans + class-change
-  /// repacks; the initial packing is not counted).
-  [[nodiscard]] std::size_t replan_count() const { return replan_count_; }
-
-  /// Static per-site load estimates (sim::Network pushes node counts at
-  /// set_segments). Triggers a fresh packing when the planner is enabled.
-  /// Driver thread, idle only.
-  void set_site_weights(const std::vector<std::uint64_t>& weights);
-  /// Reachability classes (sim::Network pushes them at set_segments /
-  /// set_partitions / heal). Keeps the current grouping when every shard
-  /// stays class-pure, repacks otherwise. Driver thread, idle only.
+  /// Reachability class label of every site (sim::Network pushes them at
+  /// set_segments / set_partitions / heal). Sites sharing a label form one
+  /// class job. Driver thread, idle only.
   void set_site_classes(const std::vector<int>& classes);
-  [[nodiscard]] const std::vector<int>& site_classes() const {
-    return site_class_;
-  }
 
  private:
   struct Posted {
@@ -183,49 +136,30 @@ class Engine {
     Time t;
     UniqueFunction fn;
   };
-  /// One unit of worker execution: advance shard `shard`'s sites to `end`.
-  /// Island jobs sub-window from `start` at lookahead granularity and drain
-  /// their own outboxes thread-locally; window jobs run one lockstep window
-  /// and leave draining to the driver's barrier.
-  struct Job {
-    std::size_t shard;
-    Time start;
-    Time end;
-    bool island;
-  };
 
-  void maybe_replan();
-  std::size_t run_job(const Job& job);
-  std::size_t run_jobs_sequential();
-  std::size_t run_jobs_parallel();
-  void drain_outboxes();
-  void drain_island_outboxes(std::size_t shard, Time window_end);
+  /// Advance class `c`'s sites from the horizon to the run target.
+  std::size_t run_class(std::size_t c);
+  void drain_class_outboxes(std::size_t c, Time window_end);
+  std::size_t run_classes_parallel();
   void worker_main(std::size_t w);
 
   std::vector<std::unique_ptr<Simulator>> sites_;
   /// outbox_[src]: written only by the thread running site `src` during a
-  /// window, drained at the next window boundary — by the driver thread at
-  /// lockstep barriers, or by the owning worker inside an island job (all
-  /// destinations are then island-local) — never concurrently.
+  /// sub-window and drained by the same class job at its end — never
+  /// concurrently.
   std::vector<std::vector<Posted>> outbox_;
   std::vector<std::function<void()>> barrier_hooks_;
   Duration lookahead_ = 0;
   std::atomic<Time> horizon_{0};
   std::atomic<bool> running_{false};
+  /// Target of the current run_until; written by the driver before any job.
+  Time target_ = 0;
 
-  // Placement state. Mutated only on the driver thread while idle (or at
-  // run_until entry before any job is dispatched).
-  PlannerConfig planner_;
-  ShardPlan plan_;
+  // Class state. Mutated only on the driver thread while idle.
   std::vector<int> site_class_;
-  std::vector<std::uint64_t> replan_base_;  // site counters at last replan
-  Time last_replan_at_ = 0;
-  std::size_t replan_count_ = 0;
-  std::vector<std::uint64_t> window_base_;  // begin_event_window snapshot
-
-  /// Jobs of the current dispatch; written by the driver while the pool is
-  /// quiescent, read by workers (worker w runs jobs w, w+T, w+2T, …).
-  std::vector<Job> jobs_;
+  /// Sites of each class (ascending site index), classes in ascending label
+  /// order.
+  std::vector<std::vector<std::size_t>> class_sites_;
 
   // Worker pool (spawned in the constructor iff threads_ > 1).
   std::size_t threads_ = 1;

@@ -64,7 +64,7 @@ Network::Network(Engine& engine, NetworkConfig config)
   sites_.resize(engine.num_sites());
   // Per-site PRNG streams: site 0 draws from the seed itself; site i>0 gets
   // an independent splitmix64-derived stream. Streams depend only on the seed
-  // and the site count — never on the thread count or the shard plan.
+  // and the site count — never on the thread count or the class grouping.
   std::uint64_t stream = config_.seed;
   for (std::size_t s = 0; s < sites_.size(); ++s) {
     sites_[s].sim = &engine.site(s);
@@ -196,11 +196,11 @@ void Network::multicast(NodeId from, std::span<const NodeId> dests,
   // off the backbone. The uplink is sender-site state; the destination-bus
   // hop crosses sites and is the one place Engine::post is needed. Its
   // timestamp is >= now + uplink tx (>=1us) + backbone propagation — never
-  // inside the engine's lookahead window. Every cross-site hop goes through
-  // the outbox, even when the destination site currently shares the
-  // sender's shard: the plan is allowed to change at any barrier, and a
-  // direct schedule into a sibling site the worker already ran this window
-  // would land in its past.
+  // inside the engine's lookahead sub-window. Every cross-site hop goes
+  // through the outbox: the destination is a sibling site of the sender's
+  // class job, which may already have run it through this sub-window, so a
+  // direct schedule could land in its past; the outbox injects it at the
+  // sub-window's end, in fixed (source site, post order) order.
   const std::size_t bytes = shared->size();
   const int partition = sender.partition;
   const int src_segment = sender.segment;
@@ -211,9 +211,9 @@ void Network::multicast(NodeId from, std::span<const NodeId> dests,
     // between engine windows, but bus backlog can hold a frame across them.
     // A frame whose destinations were cut away while it sat on the source
     // bus was on the wire when the partition happened — it is lost. (This
-    // is also what keeps reachability-class islands sound: without the
-    // re-check, a stale hop would post into a class the planner knows to be
-    // unreachable and whose sites may have run arbitrarily far ahead.)
+    // is also what keeps class jobs sound: without the re-check, a stale
+    // hop would post into another reachability class, whose job may run on
+    // another thread and may have run arbitrarily far ahead.)
     const int cur_partition = nodes_[from.value()].partition;
     SiteCtx& sctx = sites_[nodes_[from.value()].site];
     Time& uplink_free =
@@ -313,12 +313,6 @@ void Network::set_segments(const std::vector<std::vector<NodeId>>& segments,
     // it can reach another site.
     engine_.set_lookahead(wan_.propagation_delay_us + 1);
   }
-  // Seed the planner: per-site node counts are the static load estimate
-  // (event rates scale with population until measurements exist), and the
-  // current reachability classes bound what may share a shard.
-  std::vector<std::uint64_t> weights(sites_.size(), 0);
-  for (const NodeState& node : nodes_) weights[node.site]++;
-  engine_.set_site_weights(weights);
   push_site_classes();
   PLWG_INFO("net", "topology: ", segments.size(), " LAN segments on ",
             sites_.size(), " sites");

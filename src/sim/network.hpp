@@ -19,24 +19,22 @@
 // maps to an engine *site* (segment i -> site i mod N) and all of the
 // segment's mutable simulation state — bus queue, WAN uplink queue, fault
 // RNG, stats, trace digest — lives in that site's SiteCtx, touched only by
-// the thread currently running the site. Which worker that is comes from
-// the engine's ShardPlan (sites grouped into shards by measured load); the
-// network never cares, because nothing here is keyed by shard. The only
-// cross-site interaction is the backbone hop of an inter-segment packet,
-// posted through Engine::post and injected at a window boundary; its
-// timestamp is at least the backbone propagation delay in the future, which
-// is exactly the engine's lookahead. A consequence of per-site ownership is
+// the thread currently running the site. Which thread that is depends on
+// the engine's class jobs; the network never cares, because nothing here is
+// keyed by thread. The only cross-site interaction is the backbone hop of
+// an inter-segment packet, posted through Engine::post and injected at a
+// sub-window boundary; its timestamp is at least the backbone propagation
+// delay in the future, which is exactly the engine's lookahead. A consequence of per-site ownership is
 // that the WAN uplink queue is keyed per (partition, source segment)
 // instead of one global backbone queue: each segment's uplink serializes
 // independently, like per-port router queues, so no site ever waits on
 // another site's queue head.
 //
-// The network also feeds the engine's planner: set_segments pushes per-site
-// node counts (the static load estimate) and every topology mutation that
-// can change which segments may exchange packets (set_segments /
-// set_partitions / heal) pushes the site reachability classes — the
-// partition classes unioned over segments — so partitioned islands can be
-// scheduled barrier-free.
+// The network also tells the engine what may run independently: every
+// topology mutation that can change which segments may exchange packets
+// (set_segments / set_partitions / heal) pushes the site reachability
+// classes — the partition classes unioned over segments — and the engine
+// runs one job per class.
 #pragma once
 
 #include <cstdint>
@@ -169,8 +167,8 @@ class Network {
   /// Orthogonal to partitions (cutting the WAN is expressed as a partition
   /// along segment lines). The default is a single segment (no backbone
   /// hops). Also assigns segments to sites, sets the engine lookahead to
-  /// the minimum cross-site latency, and pushes per-site load estimates +
-  /// reachability classes to the engine's planner.
+  /// the minimum cross-site latency, and pushes the site reachability
+  /// classes to the engine.
   void set_segments(const std::vector<std::vector<NodeId>>& segments,
                     WanConfig wan);
   [[nodiscard]] int segment_of(NodeId n) const;
@@ -254,15 +252,15 @@ class Network {
   /// Called from the node's own site (the transport runs there).
   void charge_cpu(NodeId n, Duration cost_us);
 
-  /// Aggregated view over every shard's counters. Refreshed on each call;
+  /// Aggregated view over every site's counters. Refreshed on each call;
   /// read it while the engine is idle.
   [[nodiscard]] const NetworkStats& stats() const;
   void reset_stats();
 
   /// Combined trace digest over all sites in site-index order, folding in
-  /// each site's executed-event count. Sites — not shards — are the digest
-  /// unit, so the value is invariant to PLWG_SIM_THREADS *and* to the
-  /// engine's shard plan (replans included). Read while idle.
+  /// each site's executed-event count. Sites are the digest unit, so the
+  /// value is invariant to PLWG_SIM_THREADS and to how the engine groups
+  /// sites into class jobs. Read while idle.
   [[nodiscard]] std::uint64_t trace_digest() const;
 
   /// Conservative reachability classes over sites: two sites share a class
@@ -308,9 +306,9 @@ class Network {
   /// Everything a site mutates while running its events. One per engine
   /// site. No atomics: each instance is touched by at most one thread per
   /// window, and only aggregated (stats, digest) from the driver thread
-  /// while idle. This — not the shard — is the determinism unit: the engine
-  /// may regroup sites into shards at any barrier without touching anything
-  /// in here.
+  /// while idle. This is the determinism unit: the engine may regroup
+  /// sites into different class jobs at any topology change without
+  /// touching anything in here.
   struct SiteCtx {
     Simulator* sim = nullptr;
     Rng rng{0};
@@ -364,7 +362,7 @@ class Network {
   [[nodiscard]] std::size_t site_of_segment(int segment) const {
     return static_cast<std::size_t>(segment) % sites_.size();
   }
-  /// Push per-site reachability classes to the engine's planner. Called by
+  /// Push per-site reachability classes to the engine. Called by
   /// every mutation that changes which segments can exchange packets.
   void push_site_classes();
   /// Topology mutations are only legal while no window is running.
@@ -381,7 +379,7 @@ class Network {
   WanConfig wan_;
   int next_partition_token_ = 1;
   /// Directed-link fault overrides. Mutated only from the driver thread
-  /// while the engine is idle; read (const) from shard threads mid-window,
+  /// while the engine is idle; read (const) from site threads mid-window,
   /// which is safe for the same reason partition tokens are.
   std::unordered_map<std::uint64_t, LinkFault> link_faults_;
   std::vector<NodeState> nodes_;

@@ -1,9 +1,9 @@
 // Order-sensitive digest of a simulation's observable trace.
 //
 // FNV-1a folded over every final packet delivery (time, endpoints, size,
-// optionally payload bytes) in the order the destination shard executed
-// them. Per-shard digests are combined in fixed shard order together with
-// each shard's executed-event count, so the combined value pins both the
+// optionally payload bytes) in the order the destination site executed
+// them. Per-site digests are combined in fixed site order together with
+// each site's executed-event count, so the combined value pins both the
 // delivery trace and the timer-event schedule. Two runs with the same seed
 // must produce the same combined digest at any thread count — the
 // determinism contract of sim::Engine, enforced by
@@ -33,7 +33,7 @@ class TraceDigest {
     for (std::uint8_t b : bytes) hash_ = (hash_ ^ b) * kPrime;
   }
 
-  /// One final delivery (handler about to run) at the destination shard.
+  /// One final delivery (handler about to run) at the destination site.
   void record_delivery(Time t, NodeId from, NodeId to, std::size_t size) {
     fold_u64(static_cast<std::uint64_t>(t));
     fold_u64((static_cast<std::uint64_t>(from.value()) << 32) | to.value());
@@ -45,7 +45,7 @@ class TraceDigest {
   [[nodiscard]] std::uint64_t deliveries() const { return deliveries_; }
 
   /// Fold another digest (and its delivery count) into this one — used to
-  /// combine per-shard digests in shard-index order.
+  /// combine per-site digests in site-index order.
   void combine(const TraceDigest& other) {
     fold_u64(other.hash_);
     fold_u64(other.deliveries_);

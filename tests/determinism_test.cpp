@@ -1,4 +1,4 @@
-// The sharded engine's determinism contract, end to end: the same seed must
+// The multi-site engine's determinism contract, end to end: the same seed must
 // produce a byte-identical trace digest — deliveries, payloads, timer-event
 // counts — and a clean oracle at 1, 2, and 8 worker threads, on a
 // multi-segment world under chaos (partitions, crashes, restarts) with live
@@ -16,7 +16,6 @@
 #include "harness/scenario.hpp"
 #include "harness/world.hpp"
 #include "lwg/lwg_user.hpp"
-#include "sim/shard_planner.hpp"
 #include "util/codec.hpp"
 
 namespace plwg::harness {
@@ -38,32 +37,18 @@ struct EpisodeResult {
   std::uint64_t digest = 0;
   bool converged = false;
   bool oracle_clean = false;
-  std::uint64_t replans = 0;
   std::string oracle_report;
 };
-
-/// An aggressive planner configuration: replan often, at a low imbalance
-/// bar, so the witness actually exercises load-driven shard migration and
-/// partition-driven retagging — not just the static initial packing.
-sim::PlannerConfig aggressive_planner() {
-  sim::PlannerConfig planner;
-  planner.enabled = true;
-  planner.replan_interval_us = 500'000;
-  planner.imbalance_threshold = 1.10;
-  return planner;
-}
 
 /// One deterministic chaos episode on a 4-segment / 8-process WAN world:
 /// form a segment-spanning LWG, interleave chaos with application sends,
 /// quiesce, converge, and read the combined trace digest.
-EpisodeResult run_episode(std::uint64_t seed, std::size_t threads,
-                          const sim::PlannerConfig& planner) {
+EpisodeResult run_episode(std::uint64_t seed, std::size_t threads) {
   WorldConfig cfg;
   cfg.num_processes = 8;
   cfg.num_name_servers = 2;
   cfg.segments = {{0, 1}, {2, 3}, {4, 5}, {6, 7}};
   cfg.sim_threads = threads;
-  cfg.planner = planner;
   cfg.net.seed = seed;
   cfg.net.digest_payloads = true;
   SimWorld world(cfg);
@@ -114,7 +99,6 @@ EpisodeResult run_episode(std::uint64_t seed, std::size_t threads,
   out.converged = world.run_until(
       [&] { return world.convergence_failure().empty(); }, 200'000'000);
   out.digest = world.trace_digest();
-  out.replans = world.engine().replan_count();
   if (world.oracle_enabled()) {
     out.oracle_clean = world.oracle().clean();
     if (!out.oracle_clean) out.oracle_report = world.oracle().report_json();
@@ -125,20 +109,20 @@ EpisodeResult run_episode(std::uint64_t seed, std::size_t threads,
   return out;
 }
 
-/// The legacy witness: identity placement (planner off) is the pre-planner
-/// engine, and its digest must be thread-count-invariant exactly as before.
+/// Whenever a chaos partition splits the four sites into several
+/// reachability classes, the class jobs run one after another at 1 thread
+/// and concurrently at 2 and 8, and heals merge them again mid-episode:
+/// the digest must not notice.
 TEST(DeterminismTest, IdenticalDigestsAtOneTwoAndEightThreads) {
   const std::uint64_t first = env_u64("PLWG_DET_FIRST", 1);
   const std::uint64_t count = env_u64("PLWG_DET_SEEDS", 50);
-  sim::PlannerConfig identity;
-  identity.enabled = false;
   for (std::uint64_t seed = first; seed < first + count; ++seed) {
     SCOPED_TRACE("determinism seed " + std::to_string(seed));
-    const EpisodeResult base = run_episode(seed, 1, identity);
+    const EpisodeResult base = run_episode(seed, 1);
     EXPECT_TRUE(base.converged);
     EXPECT_TRUE(base.oracle_clean) << base.oracle_report;
     for (std::size_t threads : {std::size_t{2}, std::size_t{8}}) {
-      const EpisodeResult other = run_episode(seed, threads, identity);
+      const EpisodeResult other = run_episode(seed, threads);
       EXPECT_EQ(base.digest, other.digest)
           << "seed " << seed << ": digest diverged at " << threads
           << " threads";
@@ -150,46 +134,11 @@ TEST(DeterminismTest, IdenticalDigestsAtOneTwoAndEightThreads) {
   }
 }
 
-/// The planner witness: with load-driven replanning and partition-driven
-/// retagging active (aggressive knobs so replans actually fire mid-episode),
-/// the digest must equal the identity-placement digest at 1, 2, and 8
-/// threads — shard placement is pure execution grouping, invisible to the
-/// simulation. Also asserts that the corpus exercised at least one replan,
-/// so the witness cannot silently degrade into a static-plan test.
-TEST(DeterminismTest, PlannerReplansAreDigestInvariantAcrossThreads) {
-  const std::uint64_t first = env_u64("PLWG_DET_FIRST", 1);
-  const std::uint64_t count = env_u64("PLWG_DET_SEEDS", 50);
-  sim::PlannerConfig identity;
-  identity.enabled = false;
-  const sim::PlannerConfig planner = aggressive_planner();
-  std::uint64_t total_replans = 0;
-  for (std::uint64_t seed = first; seed < first + count; ++seed) {
-    SCOPED_TRACE("planner determinism seed " + std::to_string(seed));
-    const EpisodeResult base = run_episode(seed, 1, identity);
-    EXPECT_TRUE(base.converged);
-    for (std::size_t threads :
-         {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
-      const EpisodeResult other = run_episode(seed, threads, planner);
-      EXPECT_EQ(base.digest, other.digest)
-          << "seed " << seed << ": planner-on digest diverged at " << threads
-          << " threads";
-      EXPECT_EQ(base.converged, other.converged);
-      EXPECT_TRUE(other.oracle_clean)
-          << "threads " << threads << ": " << other.oracle_report;
-      total_replans += other.replans;
-    }
-    if (::testing::Test::HasFatalFailure()) break;
-  }
-  EXPECT_GT(total_replans, 0u)
-      << "the chaos corpus never triggered a replan or retag — the planner "
-         "witness is vacuous";
-}
-
 /// The adversarial corpus's fault shapes — flap trains and one-way links
 /// inside each segment, lossy cross-segment overrides — must preserve the
-/// contract on the sharded engine: every per-link drop/jitter draw comes
-/// from the owning shard's RNG stream, so the digest cannot depend on the
-/// worker-thread count or on cross-shard execution interleaving.
+/// contract on the multi-site engine: every per-link drop/jitter draw comes
+/// from the owning site's RNG stream, so the digest cannot depend on the
+/// worker-thread count or on cross-class execution interleaving.
 TEST(DeterminismTest, ScenarioFaultShapesAreThreadCountInvariant) {
   const Scenario scenario =
       load_scenario_file(scenario_dir() + "/wan_flap_asymmetric.json");
@@ -214,16 +163,14 @@ TEST(DeterminismTest, ScenarioFaultShapesAreThreadCountInvariant) {
   }
 }
 
-/// A single-LAN world has one shard: the engine must degenerate to the
+/// A single-LAN world has one site: the engine must degenerate to the
 /// classic single-threaded loop, so the digest is thread-count-invariant
-/// trivially — pinned here to catch accidental sharding of single-LAN
-/// worlds.
+/// trivially — pinned here to catch a worker pool on single-LAN worlds.
 TEST(DeterminismTest, SingleLanWorldIsSingleShard) {
   WorldConfig cfg;
   cfg.num_processes = 4;
   cfg.sim_threads = 8;
   SimWorld world(cfg);
-  EXPECT_EQ(world.engine().num_shards(), 1u);
   EXPECT_EQ(world.engine().threads(), 1u);
 }
 

@@ -1,13 +1,14 @@
-// sim::Engine: conservative-window sharded event loops. These tests drive
-// the engine directly (no network) to pin the synchronization contract:
-// lockstep windows, boundary-time outbox injection in fixed order, exact
-// clock advancement, thread-count-independent execution order, and the
-// planner surface (site→shard packing, windowed load counters, island
-// scheduling for single-shard reachability classes).
+// sim::Engine: one job per reachability class, conservative sub-windows
+// inside each class. These tests drive the engine directly (no network) to
+// pin the synchronization contract: sub-window outbox injection in fixed
+// order, exact clock advancement, and execution order that is independent of
+// the thread count and of how sites are grouped into classes.
 #include "sim/engine.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -39,9 +40,7 @@ TEST(EngineTest, RunForAdvancesEverySiteExactly) {
 }
 
 TEST(EngineTest, ThreadCountIsClampedToSites) {
-  Engine::Config config;
-  config.threads = 8;
-  Engine engine(2, config);
+  Engine engine(2, 8);
   EXPECT_EQ(engine.threads(), 2u);
 }
 
@@ -72,38 +71,33 @@ TEST(EngineTest, BarrierHooksFireOncePerRun) {
   engine.set_lookahead(100);
   int barriers = 0;
   engine.add_barrier_hook([&] { ++barriers; });
-  engine.run_until(1'000);  // 10 lockstep windows, one end-of-run drain
+  engine.run_until(1'000);  // 10 sub-windows, one end-of-run drain
   EXPECT_EQ(barriers, 1);
   engine.run_until(1'500);
   EXPECT_EQ(barriers, 2);
 }
 
-/// The determinism contract at engine level: the same event program
-/// produces the same observable order at 1 thread and at many threads,
-/// with dynamic shard placement on or off, with or without reachability
-/// classes splitting the sites into islands.
-std::string run_program(std::size_t threads, bool planner_enabled,
-                        bool two_classes) {
-  Engine::Config config;
-  config.threads = threads;
-  config.planner.enabled = planner_enabled;
-  Engine engine(4, config);
+/// The determinism contract at engine level: a class-local event program —
+/// sites {0,1} and {2,3} only post to their pair neighbor — produces the
+/// same observable order at 1 thread and at many, whether the engine runs
+/// all four sites as one class or the pairs as two classes, and whatever
+/// class changes happen between run_until calls. `classes_at(k)` gives the
+/// site classes for the k-th of `slices` equal run_until slices.
+std::string run_program(std::size_t threads, std::size_t slices,
+                        const std::function<std::vector<int>(std::size_t)>&
+                            classes_at) {
+  Engine engine(4, threads);
   engine.set_lookahead(100);
-  if (two_classes) {
-    // Sites {0,1} and {2,3} cannot exchange events: posts below stay inside
-    // a class, so the planner may run each class as an island.
-    engine.set_site_classes({0, 0, 2, 2});
-  }
   std::string trace;  // appended at the end-of-run drain (single-threaded)
   std::vector<std::vector<std::pair<Time, int>>> site_events(4);
   // Each site runs a periodic local event and occasionally posts to its
-  // class neighbor; every event records (time, site) into its site's log.
+  // pair neighbor; every event records (time, site) into its site's log.
   for (std::size_t s = 0; s < 4; ++s) {
     for (Time t = 10 + static_cast<Time>(s); t < 2'000; t += 37) {
       engine.site(s).schedule_at(t, [&, s, t] {
         site_events[s].emplace_back(t, static_cast<int>(s));
         if (t % 5 == 0) {
-          const std::size_t dst = two_classes ? (s ^ 1) : (s + 1) % 4;
+          const std::size_t dst = s ^ 1;
           engine.post(dst, t + 150, [&, dst, t] {
             site_events[dst].emplace_back(t + 150, 100 + static_cast<int>(dst));
           });
@@ -119,32 +113,82 @@ std::string run_program(std::size_t threads, bool planner_enabled,
       site_events[s].clear();
     }
   });
-  engine.run_until(3'000);
+  const Time end = 3'000;
+  for (std::size_t k = 0; k < slices; ++k) {
+    engine.set_site_classes(classes_at(k));
+    engine.run_until(end * static_cast<Time>(k + 1) /
+                     static_cast<Time>(slices));
+  }
   return trace;
 }
 
+std::vector<int> one_class(std::size_t) { return {0, 0, 0, 0}; }
+std::vector<int> two_classes(std::size_t) { return {0, 0, 2, 2}; }
+
 TEST(EngineTest, TraceIsIdenticalAcrossThreadCounts) {
-  const std::string seq = run_program(1, false, false);
+  const std::string seq = run_program(1, 1, one_class);
   EXPECT_FALSE(seq.empty());
-  EXPECT_EQ(seq, run_program(2, false, false));
-  EXPECT_EQ(seq, run_program(4, false, false));
+  const std::string sliced = run_program(1, 7, one_class);
+  for (std::size_t threads : {std::size_t{2}, std::size_t{4}}) {
+    EXPECT_EQ(seq, run_program(threads, 1, one_class)) << threads;
+    EXPECT_EQ(sliced, run_program(threads, 7, one_class)) << threads;
+  }
 }
 
+/// The order run_program's trace must have, computed without the engine:
+/// per site, its local events and its neighbor's posts merged by time. No
+/// local time 10+s+37k equals a post time 160+(s^1)+37j, so there are no
+/// ties to break.
+std::string reference_trace() {
+  std::string trace;
+  for (std::size_t s = 0; s < 4; ++s) {
+    std::vector<std::pair<Time, int>> events;
+    for (Time t = 10 + static_cast<Time>(s); t < 2'000; t += 37) {
+      events.emplace_back(t, static_cast<int>(s));
+    }
+    for (Time t = 10 + static_cast<Time>(s ^ 1); t < 2'000; t += 37) {
+      if (t % 5 == 0) events.emplace_back(t + 150, 100 + static_cast<int>(s));
+    }
+    std::sort(events.begin(), events.end());
+    for (const auto& [t, tag] : events) {
+      trace += std::to_string(t) + ":" + std::to_string(tag) + ";";
+    }
+  }
+  return trace;
+}
+
+// The shard planner this test was named for is gone; what it guarded —
+// grouping sites into jobs never changes the trace — is checked here
+// against an order computed without the engine, for both groupings.
 TEST(EngineTest, TraceIsIdenticalWithPlannerOnOrOff) {
-  const std::string seq = run_program(1, false, false);
-  EXPECT_EQ(seq, run_program(1, true, false));
-  EXPECT_EQ(seq, run_program(2, true, false));
-  EXPECT_EQ(seq, run_program(4, true, false));
+  const std::string expected = reference_trace();
+  for (std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
+    EXPECT_EQ(expected, run_program(threads, 1, one_class)) << threads;
+    EXPECT_EQ(expected, run_program(threads, 1, two_classes)) << threads;
+  }
 }
 
 TEST(EngineTest, TraceIsIdenticalWhenClassesBecomeIslands) {
-  const std::string seq = run_program(1, false, true);
+  const std::string seq = run_program(1, 1, one_class);
   EXPECT_FALSE(seq.empty());
-  // Identity placement lock-steps all four sites; the planner runs the two
-  // classes as independent islands. Same trace either way, at any width.
-  EXPECT_EQ(seq, run_program(1, true, true));
-  EXPECT_EQ(seq, run_program(2, true, true));
-  EXPECT_EQ(seq, run_program(4, true, true));
+  // One four-site class and two two-site classes advance on the same
+  // sub-window grid: same trace either way, at any width.
+  for (std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
+    EXPECT_EQ(seq, run_program(threads, 1, two_classes)) << threads;
+  }
+}
+
+TEST(EngineTest, TraceIsIdenticalWhenClassesSplitAndMergeMidRun) {
+  // The trace is flushed once per run_until, so compare against the same
+  // seven slices run as one class throughout.
+  const std::string seq = run_program(1, 7, one_class);
+  // Split into pairs for the middle slices, merge back for the last ones.
+  const auto split_then_merge = [](std::size_t k) {
+    return k >= 2 && k < 5 ? two_classes(k) : one_class(k);
+  };
+  for (std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
+    EXPECT_EQ(seq, run_program(threads, 7, split_then_merge)) << threads;
+  }
 }
 
 TEST(EngineTest, EventCountAggregatesAcrossSites) {
@@ -155,64 +199,8 @@ TEST(EngineTest, EventCountAggregatesAcrossSites) {
   engine.site(1).schedule_at(7, [&] { ++fired; });
   EXPECT_EQ(engine.run_until(20), 2u);
   EXPECT_EQ(fired, 2);
-}
-
-TEST(EngineTest, PlannerBoundsShardCountByThreads) {
-  Engine::Config config;
-  config.threads = 2;
-  config.planner.enabled = true;
-  Engine engine(8, config);
-  // 8 sites, one reachability class, 2 workers: the plan must collapse the
-  // sites into 2 shards — not keep one shard per site.
-  EXPECT_EQ(engine.num_sites(), 8u);
-  EXPECT_EQ(engine.num_shards(), 2u);
-
-  Engine::Config identity = config;
-  identity.planner.enabled = false;
-  Engine base(8, identity);
-  EXPECT_EQ(base.num_shards(), 8u);
-}
-
-TEST(EngineTest, WindowedEventCountersResetPerWindow) {
-  Engine engine(2);
-  engine.set_lookahead(10);
-  for (Time t = 1; t <= 100; ++t) {
-    engine.site(0).schedule_at(t, [] {});
-  }
-  engine.run_until(100);
-  EXPECT_EQ(engine.site_events_run(0), 100u);
-  EXPECT_EQ(engine.site_events_in_window(0), 100u);
-  engine.begin_event_window();
-  EXPECT_EQ(engine.site_events_in_window(0), 0u);
-  engine.site(0).schedule_at(150, [] {});
-  engine.run_until(200);
-  EXPECT_EQ(engine.site_events_in_window(0), 1u);
-  EXPECT_EQ(engine.site_events_run(0), 101u);
-  // Shard-level view: everything above happened on the shard owning site 0.
-  const std::size_t s = engine.plan().site_shard[0];
-  EXPECT_GE(engine.shard_events_run(s), 101u);
-  EXPECT_GE(engine.shard_events_in_window(s), 1u);
-}
-
-TEST(EngineTest, LoadReplanMovesHotSiteOntoItsOwnShard) {
-  Engine::Config config;
-  config.threads = 2;
-  config.planner.enabled = true;
-  config.planner.replan_interval_us = 1'000;
-  config.planner.imbalance_threshold = 1.10;
-  Engine engine(4, config);
-  engine.set_lookahead(100);
-  // Static packing starts balanced (equal weights). Make site 3 hot.
-  for (Time t = 1; t < 5'000; ++t) {
-    engine.site(3).schedule_at(t, [] {});
-  }
-  const std::size_t before = engine.replan_count();
-  engine.run_until(2'000);  // measure the imbalance...
-  engine.run_until(4'000);  // ...replan fires at this entry
-  EXPECT_GT(engine.replan_count(), before);
-  // The hot site ends up alone on its shard; the three cold sites share.
-  const std::size_t hot = engine.plan().site_shard[3];
-  EXPECT_EQ(engine.plan().shard_sites[hot].size(), 1u);
+  EXPECT_EQ(engine.site_events_run(0), 1u);
+  EXPECT_EQ(engine.site_events_run(1), 1u);
 }
 
 }  // namespace
