@@ -12,6 +12,10 @@
 //                             observes, so both digests are equal
 //   wan16:threads=<1|4>       16 LAN segments with local and cross-WAN
 //                             LWGs through a WAN cut and heal
+//   wan100                    100 LAN segments x 3 processes, one local LWG
+//                             each, formed concurrently (most naming records
+//                             hold several alive rows at once), then 1 sim-s
+//                             of traffic
 //
 // Each case prints "GOLDEN <key> <digest>", which is how the rebless
 // script collects a fresh table.
@@ -223,6 +227,79 @@ TEST(GoldenDigestTest, Wan16OneThread) {
 TEST(GoldenDigestTest, Wan16FourThreads) {
   expect_golden("wan16:threads=4", wan16_digest(4));
 }
+
+/// The wan1000 benchmark world at 100 segments: each segment's first
+/// process founds its LWG, then the other two join all at once. The
+/// concurrent joins leave many naming records with two or more alive rows,
+/// so the digest pins the MULTIPLE-MAPPINGS callback schedule of a formation
+/// full of conflicts. Then every process sends one probe per 10 ms for 1 s.
+std::uint64_t wan100_digest() {
+  constexpr std::size_t kSegments = 100;
+  constexpr std::size_t kPerSegment = 3;
+  WorldConfig cfg;
+  cfg.num_processes = kSegments * kPerSegment;
+  cfg.num_name_servers = 2;
+  cfg.net.digest_payloads = true;
+  for (std::size_t s = 0; s < kSegments; ++s) {
+    std::vector<std::size_t> seg;
+    for (std::size_t i = 0; i < kPerSegment; ++i) {
+      seg.push_back(s * kPerSegment + i);
+    }
+    cfg.segments.push_back(seg);
+  }
+  SimWorld world(cfg);
+  std::vector<NullUser> users(cfg.num_processes);
+  const auto view_size = [&](std::size_t proc) -> std::size_t {
+    const lwg::LwgView* v =
+        world.lwg(proc).view_of(LwgId{proc / kPerSegment + 1});
+    return v == nullptr ? 0 : v->members.size();
+  };
+  for (std::size_t s = 0; s < kSegments; ++s) {
+    world.lwg(s * kPerSegment).join(LwgId{s + 1}, users[s * kPerSegment]);
+  }
+  EXPECT_TRUE(world.run_until(
+      [&] {
+        for (std::size_t s = 0; s < kSegments; ++s) {
+          if (view_size(s * kPerSegment) == 0) return false;
+        }
+        return true;
+      },
+      60'000'000));
+  for (std::size_t p = 0; p < cfg.num_processes; ++p) {
+    if (p % kPerSegment != 0) {
+      world.lwg(p).join(LwgId{p / kPerSegment + 1}, users[p]);
+    }
+  }
+  EXPECT_TRUE(world.run_until(
+      [&] {
+        for (std::size_t p = 0; p < cfg.num_processes; ++p) {
+          if (view_size(p) != kPerSegment) return false;
+        }
+        return true;
+      },
+      60'000'000));
+  EXPECT_TRUE(world.run_until(
+      [&] { return world.convergence_failure().empty(); }, 60'000'000))
+      << world.convergence_failure();
+  std::uint64_t callbacks = 0;
+  for (std::size_t j = 0; j < world.num_servers(); ++j) {
+    callbacks += world.server(j).stats().callbacks_sent;
+  }
+  EXPECT_GT(callbacks, 0u) << "formation raised no naming conflict";
+
+  for (std::uint64_t round = 0; round < 100; ++round) {
+    for (std::size_t p = 0; p < cfg.num_processes; ++p) {
+      Encoder enc;
+      enc.put_u64(round);
+      world.lwg(p).send(LwgId{p / kPerSegment + 1}, enc.take());
+    }
+    world.run_for(10'000);
+  }
+  EXPECT_TRUE(world.oracle().clean());
+  return world.trace_digest();
+}
+
+TEST(GoldenDigestTest, Wan100) { expect_golden("wan100", wan100_digest()); }
 
 }  // namespace
 }  // namespace plwg::harness
