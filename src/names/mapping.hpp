@@ -55,8 +55,9 @@ struct LwgRecord {
   /// Views made obsolete by a registered successor (genealogy GC).
   std::set<ViewId> superseded;
 
-  /// True if ≥2 alive mappings point at *different* HWGs — the condition
-  /// that triggers a MULTIPLE-MAPPINGS callback (paper Sect. 6.1).
+  /// True if ≥2 alive mappings point at *different* HWGs — the paper's
+  /// conflict (Sect. 6.1). The server's MULTIPLE-MAPPINGS callback fires on
+  /// the wider condition of ≥2 alive rows (see server_check_conflicts).
   [[nodiscard]] bool has_conflict() const;
 
   /// All processes that belong to any alive LWG view (callback targets).

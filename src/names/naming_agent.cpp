@@ -1,5 +1,7 @@
 #include "names/naming_agent.hpp"
 
+#include <algorithm>
+
 #include "util/assert.hpp"
 #include "util/backoff.hpp"
 #include "util/log.hpp"
@@ -167,7 +169,7 @@ void NamingAgent::server_on_set(NodeId from, const SetReqMsg& msg) {
   Encoder body;
   AckMsg{msg.req_id}.encode(body);
   send_msg(from, NamingMsgType::kAck, body);
-  server_check_conflicts();
+  server_check_conflicts({&msg.lwg, 1});
 }
 
 void NamingAgent::server_on_read(NodeId from, const ReadReqMsg& msg) {
@@ -202,34 +204,35 @@ void NamingAgent::server_on_testset(NodeId from, const TestSetReqMsg& msg) {
   Encoder body;
   reply.encode(body);
   send_msg(from, NamingMsgType::kMappings, body);
-  server_check_conflicts();
+  server_check_conflicts({&msg.lwg, 1});
 }
 
 void NamingAgent::server_on_sync(const SyncMsg& msg) {
   PLWG_ASSERT(server_);
+  // Only the records the sync carries can change, so only they need an
+  // observer snapshot.
   std::map<LwgId, std::map<ViewId, MappingEntry>> before;
   if (observer_) {
-    for (const auto& [lwg, rec] : server_->db.records) {
+    for (const auto& [lwg, rec] : msg.db.records) {
       before.emplace(lwg, alive_rows(lwg));
     }
-    for (const auto& [lwg, rec] : msg.db.records) before.try_emplace(lwg);
   }
   // Merge record by record so we learn *which* LWGs changed: anything a
   // peer taught us is dirty here too and rides our next delta onward —
   // deltas gossip transitively instead of waiting for a full round.
-  bool changed = false;
+  std::vector<LwgId> changed;
   for (const auto& [lwg, rec] : msg.db.records) {
     if (server_->db.records[lwg].merge_from(rec)) {
       server_->dirty.insert(lwg);
-      changed = true;
+      changed.push_back(lwg);
     }
   }
-  if (changed) {
+  if (!changed.empty()) {
     PLWG_DEBUG("names", "server ", node_.id(), " merged peer state");
     if (observer_) {
-      for (const auto& [lwg, rows] : before) report_record_diff(lwg, rows);
+      for (LwgId lwg : changed) report_record_diff(lwg, before.at(lwg));
     }
-    server_check_conflicts();
+    server_check_conflicts(changed);
   }
 }
 
@@ -267,18 +270,40 @@ void NamingAgent::server_broadcast_sync() {
                 transport::MsgClass::kAck);
 }
 
-void NamingAgent::server_check_conflicts() {
+void NamingAgent::server_check_conflicts(std::span<const LwgId> changed) {
   PLWG_ASSERT(server_);
-  for (const auto& [lwg, rec] : server_->db.records) {
+  ServerState& srv = *server_;
+  const Time now = node_.now();
+  // A record's signature only moves when a request changes it, so an
+  // untouched record needs a visit only when its re-notify is due.
+  std::vector<LwgId> visit;
+  if (!srv.scanned) {
+    srv.scanned = true;
+    for (const auto& [lwg, rec] : srv.db.records) visit.push_back(lwg);
+  } else {
+    visit.assign(changed.begin(), changed.end());
+    for (const auto& [last, lwg] : srv.by_last_callback) {
+      if (now - last < kCallbackRepeatUs) break;
+      visit.push_back(lwg);
+    }
+    std::sort(visit.begin(), visit.end());
+    visit.erase(std::unique(visit.begin(), visit.end()), visit.end());
+  }
+  stats_.conflict_checks += visit.size();
+  for (LwgId lwg : visit) {
+    const LwgRecord& rec = srv.db.records.at(lwg);
+    auto it = srv.notified.find(lwg);
     // Notify on hwg divergence (the paper's conflict) and also whenever a
     // record carries more than one alive row: concurrent same-hwg rows are
     // either a partition the merge protocol will fold (the callback is then
     // redundant but harmless) or a ghost row whose every holder died —
     // which only a notified surviving member can retire (see
     // LwgService::on_multiple_mappings).
-    if (!rec.has_conflict() && rec.entries.size() < 2) {
-      server_->notified.erase(lwg);
-      server_->last_callback.erase(lwg);
+    if (rec.entries.size() < 2) {
+      if (it != srv.notified.end()) {
+        srv.by_last_callback.erase({it->second.last_callback, lwg});
+        srv.notified.erase(it);
+      }
       continue;
     }
     std::vector<std::pair<ViewId, HwgId>> signature;
@@ -286,18 +311,17 @@ void NamingAgent::server_check_conflicts() {
     for (const auto& [view, entry] : rec.entries) {
       signature.emplace_back(view, entry.hwg);
     }
-    auto it = server_->notified.find(lwg);
-    const Time last = server_->last_callback.contains(lwg)
-                          ? server_->last_callback[lwg]
-                          : -1;
-    const bool changed =
-        it == server_->notified.end() || it->second != signature;
-    const bool due = last < 0 || node_.now() - last >= kCallbackRepeatUs;
-    if (changed || due) {
-      server_->notified[lwg] = std::move(signature);
-      server_->last_callback[lwg] = node_.now();
-      server_send_callback(lwg, rec);
+    if (it == srv.notified.end()) {
+      it = srv.notified.emplace(lwg, ServerState::Notified{}).first;
+    } else if (it->second.signature == signature &&
+               now - it->second.last_callback < kCallbackRepeatUs) {
+      continue;
+    } else {
+      srv.by_last_callback.erase({it->second.last_callback, lwg});
     }
+    it->second = {std::move(signature), now};
+    srv.by_last_callback.emplace(now, lwg);
+    server_send_callback(lwg, rec);
   }
 }
 
@@ -361,7 +385,7 @@ void NamingAgent::tick() {
   if (server_ && now - last_sync_ >= kSyncIntervalUs) {
     last_sync_ = now;
     server_broadcast_sync();
-    server_check_conflicts();  // periodic re-notify while conflicts persist
+    server_check_conflicts({});  // periodic re-notify while conflicts persist
   }
   node_.after(kTickUs, [this] { tick(); });
 }

@@ -4,8 +4,8 @@
 // server fail-over). Nodes designated as name servers additionally enable
 // the *server* role: a weakly-consistent replica of the mapping database
 // that reconciles with its peers by periodic anti-entropy and pushes
-// MULTIPLE-MAPPINGS callbacks to the members of LWGs whose concurrent views
-// are mapped onto different HWGs (paper Sect. 5.2 / 6.1).
+// MULTIPLE-MAPPINGS callbacks to the members of LWGs that hold concurrent
+// mappings (paper Sect. 5.2 / 6.1).
 //
 // Consistency model: within a partition, clients of the same server see a
 // consistent database; across partitions the replicas diverge freely and
@@ -86,6 +86,7 @@ class NamingAgent : public transport::PortHandler {
     std::uint64_t delta_syncs_sent = 0;  // rounds that shipped a delta
     std::uint64_t full_syncs_sent = 0;   // rounds that shipped the full db
     std::uint64_t callbacks_sent = 0;    // MULTIPLE-MAPPINGS deliveries
+    std::uint64_t conflict_checks = 0;   // records visited by conflict checks
   };
   [[nodiscard]] const Stats& stats() const { return stats_; }
 
@@ -112,9 +113,19 @@ class NamingAgent : public transport::PortHandler {
     std::set<LwgId> dirty;
     /// Anti-entropy round counter (every kFullSyncEvery'th round is full).
     std::uint32_t sync_round = 0;
-    /// Last conflict signature notified per LWG, to de-duplicate callbacks.
-    std::map<LwgId, std::vector<std::pair<ViewId, HwgId>>> notified;
-    std::map<LwgId, Time> last_callback;
+    /// Per LWG with two or more alive rows: the row signature last
+    /// notified (to de-duplicate callbacks) and when.
+    struct Notified {
+      std::vector<std::pair<ViewId, HwgId>> signature;
+      Time last_callback = 0;
+    };
+    std::map<LwgId, Notified> notified;
+    /// `notified` ordered by last callback time: its prefix is the set of
+    /// LWGs whose periodic re-notify is due.
+    std::set<std::pair<Time, LwgId>> by_last_callback;
+    /// False until the first conflict check, which visits every record: a
+    /// durable database can bring conflicts that no request touched.
+    bool scanned = false;
   };
 
   void tick();
@@ -133,7 +144,11 @@ class NamingAgent : public transport::PortHandler {
   void server_on_testset(NodeId from, const TestSetReqMsg& msg);
   void server_on_sync(const SyncMsg& msg);
   void server_broadcast_sync();
-  void server_check_conflicts();
+  /// Send the MULTIPLE-MAPPINGS callbacks that are due: for the `changed`
+  /// LWGs if their conflict signature moved, and for every conflicted LWG
+  /// whose last callback is kCallbackRepeatUs old. Visits only those
+  /// records (all of them on the first check), in LwgId order.
+  void server_check_conflicts(std::span<const LwgId> changed);
   void server_send_callback(LwgId lwg, const LwgRecord& rec);
   void send_msg(NodeId to, NamingMsgType type, const Encoder& body);
   void multicast_msg(std::span<const NodeId> to, NamingMsgType type,

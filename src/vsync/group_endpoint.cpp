@@ -156,8 +156,8 @@ void GroupEndpoint::install_view(const View& view) {
 
 void GroupEndpoint::reset_view_state() {
   msg_log_.clear();
-  delivered_set_.clear();
-  ordered_smids_.clear();
+  cut_delivered_.clear();
+  ordered_.clear();
   order_buffer_.clear();
   delivered_upto_ = 0;
   max_seen_ = 0;

@@ -172,14 +172,14 @@ class GroupEndpoint {
   // -- data path (group_endpoint_data.cpp) --
   void on_send_req(const SendReqMsg& msg);
   void drain_order_buffer(ProcessId origin);
-  void on_ordered(const OrderedMsgWire& msg);
+  void on_ordered(OrderedMsgWire wire);
   void on_nack(ProcessId from, const NackMsg& msg);
   void on_heartbeat(const HeartbeatMsg& msg);
   /// Sequencer only: recompute the view-wide stability floor from the
   /// delivery bounds piggybacked on members' heartbeats.
   void update_stability_floor();
-  /// Drop log entries (and delivered-set bookkeeping) at or below the
-  /// stability floor — everyone has them, nobody can NACK or FETCH them.
+  /// Drop log entries at or below the stability floor — everyone has them,
+  /// nobody can NACK or FETCH them.
   void trim_stable_log();
   /// `first_unacked` is the sender's progress bound carried by SEND_REQ;
   /// preserved when the message is deferred to the next view so the
@@ -249,8 +249,10 @@ class GroupEndpoint {
   bool has_view_ = false;
   View view_;
   std::map<std::uint64_t, OrderedMsg> msg_log_;  // ORDERED received, not yet GC'd
-  std::set<std::uint64_t> delivered_set_;        // dedupe across cut delivery
   std::uint64_t delivered_upto_ = 0;             // contiguous prefix delivered
+  // Seqs a flush cut delivered above delivered_upto_, so the prefix does not
+  // deliver them again. Cleared at every view install: empty outside flushes.
+  std::set<std::uint64_t> cut_delivered_;
   std::uint64_t max_seen_ = 0;
   // Stability-floor log GC: the sequencer folds the delivered_upto bounds
   // piggybacked on heartbeats into a view-wide floor and advertises it on
@@ -264,14 +266,32 @@ class GroupEndpoint {
   // Sender-driven reliability: a send stays here until this process delivers
   // its own copy; re-sent to the sequencer periodically within the view and
   // re-submitted into the next view after a view change. The sequencer
-  // de-duplicates via ordered_smids_.
+  // de-duplicates via ordered_.
   struct UnackedSend {
     std::vector<std::uint8_t> payload;
     Time last_sent = 0;
     std::uint32_t attempts = 0;  // repair resends so far (backoff input)
   };
   std::map<std::uint64_t, UnackedSend> unacked_sends_;
-  std::set<std::pair<ProcessId, std::uint64_t>> ordered_smids_;
+  // Sequencer-side record of what this view ordered, per origin. A sender
+  // never re-sends below the first_unacked it reports (everything below it
+  // was delivered back to it), so each SEND_REQ raises the watermark `next`
+  // to its first_unacked; ordering smid `next` advances it. Smids ordered
+  // out of FIFO order (re-injected SEND_REQs, the sequencer's own fresh
+  // sends ahead of its re-submitted ones) wait in `ahead` until the
+  // watermark reaches them, so the state is bounded by the in-flight window.
+  struct OriginOrder {
+    std::uint64_t next = 1;  // sender message ids start at 1
+    std::set<std::uint64_t> ahead;
+
+    [[nodiscard]] bool ordered(std::uint64_t smid) const {
+      return smid < next || ahead.contains(smid);
+    }
+    void raise(std::uint64_t first_unacked);
+    /// Record `smid` as ordered; false if it already was.
+    bool insert(std::uint64_t smid);
+  };
+  std::map<ProcessId, OriginOrder> ordered_;
   // Sequencer-side per-origin hold-back buffer: a SEND_REQ is sequenced only
   // once every sender message id between the sender's first_unacked and it
   // has been ordered, preserving per-sender FIFO under retransmission.

@@ -56,7 +56,7 @@ void GroupEndpoint::resend_unacked(bool force) {
     send.last_sent = t;
     send.attempts = force ? 1 : std::min<std::uint32_t>(send.attempts + 1, 32);
     if (view_.coordinator() == self()) {
-      // ordered_smids_ de-duplicates if the original made it through.
+      // ordered_ de-duplicates if the original made it through.
       order_and_multicast(self(), smid,
                           std::vector<std::uint8_t>(send.payload),
                           unacked_sends_.begin()->first);
@@ -82,7 +82,11 @@ void GroupEndpoint::order_and_multicast(ProcessId origin,
                    std::move(payload)});
     return;
   }
-  if (!ordered_smids_.insert({origin, sender_msg_id}).second) {
+  OriginOrder& order = ordered_[origin];
+  if (origin == self() && !unacked_sends_.empty()) {
+    order.raise(unacked_sends_.begin()->first);
+  }
+  if (!order.insert(sender_msg_id)) {
     return;  // duplicate of a retransmitted send already in the order
   }
   OrderedMsgWire wire;
@@ -107,7 +111,9 @@ void GroupEndpoint::order_and_multicast(ProcessId origin,
 void GroupEndpoint::on_send_req(const SendReqMsg& msg) {
   if (!view_matches(msg.view)) return;
   if (view_.coordinator() != self()) return;  // stale routing
-  if (ordered_smids_.contains({msg.origin, msg.sender_msg_id})) return;
+  OriginOrder& order = ordered_[msg.origin];
+  order.raise(msg.first_unacked);
+  if (order.ordered(msg.sender_msg_id)) return;
   auto [it, inserted] =
       order_buffer_[msg.origin].try_emplace(msg.sender_msg_id, msg);
   if (!inserted && msg.first_unacked > it->second.first_unacked) {
@@ -122,17 +128,15 @@ void GroupEndpoint::drain_order_buffer(ProcessId origin) {
   auto it = order_buffer_.find(origin);
   if (it == order_buffer_.end()) return;
   auto& pending = it->second;
+  const OriginOrder& order = ordered_[origin];
   while (!pending.empty()) {
     auto first = pending.begin();
     const std::uint64_t smid = first->first;
-    const SendReqMsg& req = first->second;
-    // Orderable iff nothing from this sender can still precede it: either
-    // it is the sender's first outstanding message, or its predecessor has
-    // been ordered in this view.
-    const bool orderable =
-        smid == req.first_unacked ||
-        ordered_smids_.contains({origin, smid - 1});
-    if (!orderable) break;
+    // Orderable iff nothing from this sender can still precede it: its
+    // predecessor has been ordered in this view, or lies below the
+    // watermark the sender's first_unacked raised (this smid is then the
+    // sender's first outstanding message).
+    if (!order.ordered(smid - 1)) break;
     SendReqMsg taken = std::move(first->second);
     pending.erase(first);
     order_and_multicast(origin, smid, std::move(taken.payload),
@@ -141,12 +145,32 @@ void GroupEndpoint::drain_order_buffer(ProcessId origin) {
   if (pending.empty()) order_buffer_.erase(it);
 }
 
-void GroupEndpoint::on_ordered(const OrderedMsgWire& wire) {
+void GroupEndpoint::OriginOrder::raise(std::uint64_t first_unacked) {
+  if (first_unacked <= next) return;
+  next = first_unacked;
+  ahead.erase(ahead.begin(), ahead.lower_bound(next));
+  while (!ahead.empty() && *ahead.begin() == next) {
+    ahead.erase(ahead.begin());
+    ++next;
+  }
+}
+
+bool GroupEndpoint::OriginOrder::insert(std::uint64_t smid) {
+  if (ordered(smid)) return false;
+  if (smid == next) {
+    raise(smid + 1);
+  } else {
+    ahead.insert(smid);
+  }
+  return true;
+}
+
+void GroupEndpoint::on_ordered(OrderedMsgWire wire) {
   if (!view_matches(wire.view)) return;
   const std::uint64_t seq = wire.msg.seq;
   max_seen_ = std::max(max_seen_, seq);
   stable_upto_ = std::max(stable_upto_, wire.stable_upto);
-  msg_log_.emplace(seq, wire.msg);
+  msg_log_.try_emplace(seq, std::move(wire.msg));
   // Delivery continues while the user is being stopped, but freezes once the
   // FLUSH_ACK (our have-list) is out: anything delivered after that point
   // might not be in the coordinator's cut.
@@ -159,7 +183,7 @@ void GroupEndpoint::deliver_contiguous() {
     auto it = msg_log_.find(delivered_upto_ + 1);
     if (it == msg_log_.end()) break;
     ++delivered_upto_;
-    if (delivered_set_.insert(it->first).second) {
+    if (cut_delivered_.empty() || cut_delivered_.erase(delivered_upto_) == 0) {
       deliver_one(it->second);
       if (defunct()) return;
     }
@@ -248,8 +272,6 @@ void GroupEndpoint::trim_stable_log() {
   stats_.log_trimmed += static_cast<std::uint64_t>(
       std::distance(msg_log_.begin(), log_end));
   msg_log_.erase(msg_log_.begin(), log_end);
-  delivered_set_.erase(delivered_set_.begin(),
-                       delivered_set_.upper_bound(to));
   trimmed_upto_ = to;
 }
 

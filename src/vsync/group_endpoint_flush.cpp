@@ -310,13 +310,13 @@ void GroupEndpoint::on_flush_cut(const FlushCutMsg& msg) {
 void GroupEndpoint::deliver_cut(const FlushCutMsg& msg) {
   for (const OrderedMsg& m : msg.retrans) msg_log_.emplace(m.seq, m);
   for (std::uint64_t s : msg.cut) {
-    // Seqs at or below our stability trim were delivered here long ago and
-    // then GC'd out of delivered_set_; skip them like any other duplicate.
-    if (s <= trimmed_upto_ || delivered_set_.contains(s)) continue;
+    // Skip what this member already delivered: the contiguous prefix
+    // (its trimmed part included) and earlier deliveries of this cut.
+    if (s <= delivered_upto_ || cut_delivered_.contains(s)) continue;
     auto it = msg_log_.find(s);
     PLWG_ASSERT_MSG(it != msg_log_.end(),
                     "cut message neither in log nor retransmitted");
-    delivered_set_.insert(s);
+    cut_delivered_.insert(s);
     deliver_one(it->second);
     if (defunct()) return;
   }

@@ -3,6 +3,7 @@
 // and the MULTIPLE-MAPPINGS callback (paper Sects. 5.2, 6.1).
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 #include <optional>
 
@@ -28,18 +29,30 @@ MappingEntry entry(std::uint32_t coord, std::uint32_t seq, std::uint64_t hwg,
 
 class RecordingListener : public ConflictListener {
  public:
+  explicit RecordingListener(const sim::Simulator* clock = nullptr)
+      : clock_(clock) {}
   void on_multiple_mappings(LwgId lwg,
                             const std::vector<MappingEntry>& entries) override {
     callbacks.emplace_back(lwg, entries);
+    if (clock_ != nullptr) times[lwg].push_back(clock_->now());
   }
   std::vector<std::pair<LwgId, std::vector<MappingEntry>>> callbacks;
+  std::map<LwgId, std::vector<Time>> times;  // arrivals, if given a clock
+
+ private:
+  const sim::Simulator* clock_;
 };
+
+/// The server's re-notify period for a persisting conflict
+/// (kCallbackRepeatUs in naming_agent.cpp).
+constexpr Duration kCallbackRepeatUs = 2'000'000;
 
 class NamesServiceTest : public ::testing::Test {
  protected:
   /// `clients` client nodes and `servers` server nodes.
-  void build(std::size_t clients, std::size_t servers) {
-    net_ = std::make_unique<sim::Network>(engine_, sim::NetworkConfig{});
+  void build(std::size_t clients, std::size_t servers,
+             sim::NetworkConfig cfg = {}) {
+    net_ = std::make_unique<sim::Network>(engine_, cfg);
     for (std::size_t i = 0; i < clients; ++i) {
       client_nodes_.push_back(std::make_unique<transport::NodeRuntime>(*net_));
     }
@@ -68,6 +81,20 @@ class NamesServiceTest : public ::testing::Test {
   }
 
   void run_for(Duration us) { sim_.run_until(sim_.now() + us); }
+
+  /// One client node (id 0) and one server node (id 1) whose replica
+  /// starts from `db`, as a restarted server reloads its disk copy.
+  void build_with_durable_db(Database db) {
+    net_ = std::make_unique<sim::Network>(engine_, sim::NetworkConfig{});
+    client_nodes_.push_back(std::make_unique<transport::NodeRuntime>(*net_));
+    server_nodes_.push_back(std::make_unique<transport::NodeRuntime>(*net_));
+    const std::vector<NodeId> servers{server_nodes_[0]->id()};
+    server_agents_.push_back(
+        std::make_unique<NamingAgent>(*server_nodes_[0], servers));
+    server_agents_[0]->enable_server({}, std::move(db));
+    client_agents_.push_back(
+        std::make_unique<NamingAgent>(*client_nodes_[0], servers));
+  }
 
   NamingAgent& client(std::size_t i) { return *client_agents_[i]; }
   NamingAgent& server(std::size_t j) { return *server_agents_[j]; }
@@ -216,6 +243,87 @@ TEST_F(NamesServiceTest, ResolvingConflictStopsCallbacks) {
   const std::size_t count = listener.callbacks.size();
   run_for(8'000'000);
   EXPECT_EQ(listener.callbacks.size(), count);
+}
+
+TEST_F(NamesServiceTest, UntouchedConflictRenotifiesWhileOtherLwgsChange) {
+  // Without a shared bus every delivery takes the same time, so the gaps
+  // between arrivals at the idle client are the gaps between sends.
+  sim::NetworkConfig cfg;
+  cfg.shared_bus = false;
+  build(2, 1, cfg);
+  RecordingListener listener(&sim_);
+  client(0).set_conflict_listener(&listener);
+  const LwgId conflicted{7};
+  client(0).set(conflicted, entry(1, 1, 100, {0}), {});
+  client(0).set(conflicted, entry(2, 1, 200, {0}), {});
+  // Client 1 re-registers another LWG every 100 ms; every such set runs a
+  // conflict check, and the untouched conflicted LWG must be re-notified by
+  // the first check at which its repeat period has passed.
+  const LwgId busy{8};
+  for (std::uint64_t k = 1; k <= 100; ++k) {
+    client(1).set(busy, entry(3, 1, 300, {1}, k), {});
+    run_for(100'000);
+  }
+  const std::vector<Time>& at = listener.times[conflicted];
+  ASSERT_GE(at.size(), 4u);
+  for (std::size_t k = 1; k < at.size(); ++k) {
+    EXPECT_GE(at[k] - at[k - 1], kCallbackRepeatUs) << "callback " << k;
+    EXPECT_LT(at[k] - at[k - 1], kCallbackRepeatUs + 100'000)
+        << "callback " << k;
+  }
+  EXPECT_FALSE(listener.times.contains(busy));
+}
+
+TEST_F(NamesServiceTest, DurableConflictIsNotifiedOnFirstCheck) {
+  // A server restarted from its disk copy may already hold a conflict that
+  // no request will ever touch again.
+  const LwgId conflicted{7};
+  Database db;
+  db.records[conflicted].apply(entry(1, 1, 100, {0}), {});
+  db.records[conflicted].apply(entry(2, 1, 200, {0}), {});
+  build_with_durable_db(std::move(db));
+  RecordingListener listener;
+  client(0).set_conflict_listener(&listener);
+  // A set on another LWG runs the server's first conflict check well before
+  // its first periodic (anti-entropy tick) check at 1 s.
+  client(0).set(LwgId{8}, entry(3, 1, 300, {0}), {});
+  run_for(500'000);
+  ASSERT_EQ(listener.callbacks.size(), 1u);
+  EXPECT_EQ(listener.callbacks[0].first, conflicted);
+  EXPECT_EQ(listener.callbacks[0].second.size(), 2u);
+}
+
+TEST_F(NamesServiceTest, ConflictChecksVisitTouchedAndDueRecordsOnly) {
+  // 500 conflicted LWGs that nobody touches, and 1,000 sets on one other
+  // LWG. Checking every record on every request would visit ~500,000
+  // records; visiting only the touched LWG plus the LWGs whose re-notify is
+  // due keeps it linear in requests plus due re-notifies.
+  constexpr std::uint64_t kConflicted = 500;
+  constexpr std::uint64_t kSets = 1'000;
+  Database db;
+  for (std::uint64_t g = 1; g <= kConflicted; ++g) {
+    db.records[LwgId{g}].apply(entry(1, 1, 100, {0}), {});
+    db.records[LwgId{g}].apply(entry(2, 1, 200, {0}), {});
+  }
+  build_with_durable_db(std::move(db));
+  const LwgId busy{kConflicted + 1};
+  constexpr Duration kSpacingUs = 2'000;
+  for (std::uint64_t k = 1; k <= kSets; ++k) {
+    client(0).set(busy, entry(3, 1, 300, {0}, k), {});
+    run_for(kSpacingUs);
+  }
+  run_for(500'000);  // let the last requests land
+  const NamingAgent::Stats& st = server(0).stats();
+  ASSERT_EQ(st.set_requests, kSets);
+  // Every conflicted LWG is notified once per repeat period at most.
+  const Duration elapsed = kSets * kSpacingUs + 500'000;
+  const std::uint64_t due_rounds = elapsed / kCallbackRepeatUs + 1;
+  const std::uint64_t bound =
+      (kConflicted + 1)                   // the first check scans all
+      + st.set_requests                   // one touched LWG per set
+      + kConflicted * due_rounds;         // periodic re-notifies
+  EXPECT_LE(st.conflict_checks, bound);
+  EXPECT_GE(st.conflict_checks, kConflicted + st.set_requests);
 }
 
 TEST_F(NamesServiceTest, SetIsRetriedUntilAcked) {
