@@ -4,9 +4,9 @@
 //
 // These are the two layers every experiment funnels through (millions of
 // events, one codec pass per message), so this file is the regression gate
-// for hot-path work. `scripts/bench_smoke.sh` runs it and records the
-// results in BENCH_hotpath.json; compare against the checked-in baseline
-// before merging changes that touch src/sim or src/util/codec.
+// for hot-path work. `scripts/bench_smoke.sh` builds and runs it; compare
+// interleaved runs of both trees before merging changes that touch src/sim
+// or src/util/codec.
 #include <benchmark/benchmark.h>
 
 #include <memory>

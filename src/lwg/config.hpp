@@ -36,9 +36,6 @@ struct LwgConfig {
   /// Act on MULTIPLE-MAPPINGS callbacks (paper Sect. 6.2). Disabled only in
   /// ablation experiments.
   bool reconcile_on_conflict = true;
-  /// Run the Fig. 1 mapping heuristics (disabled for both baselines and in
-  /// ablations).
-  bool policies_enabled = true;
 
   /// kStaticSingle only: the shared HWG and who founds it.
   HwgId static_hwg;

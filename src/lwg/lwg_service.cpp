@@ -415,12 +415,12 @@ void LwgService::tick() {
     }
   }
 
-  if (config_.policies_enabled && config_.mode == MappingMode::kDynamic &&
+  if (config_.mode == MappingMode::kDynamic &&
       now - last_policy_run_ >= config_.policy_period_us) {
     run_policies();
   }
-  // The shrink timer must run even with policies disabled so baselines do
-  // not leak HWGs; it is cheap and purely local.
+  // The shrink timer must run in the baselines too (they skip the policies)
+  // so they do not leak HWGs; it is cheap and purely local.
   run_shrink_rule();
 
   vsync_.node().after(kTickUs, [this] { tick(); });
@@ -472,7 +472,7 @@ std::string LwgService::debug_dump() const {
 
 void LwgService::run_policies() {
   last_policy_run_ = vsync_.node().now();
-  if (config_.mode != MappingMode::kDynamic || !config_.policies_enabled) {
+  if (config_.mode != MappingMode::kDynamic) {
     return;
   }
   run_share_rule();

@@ -27,7 +27,6 @@ void NetworkStats::accumulate(const NetworkStats& other) {
   bytes_on_wire += other.bytes_on_wire;
   drops += other.drops;
   link_blocked += other.link_blocked;
-  corruptions += other.corruptions;
   stale_epoch_drops += other.stale_epoch_drops;
   bus_busy_us += other.bus_busy_us;
   stalls += other.stalls;
@@ -46,7 +45,6 @@ std::string NetworkStats::debug_dump() const {
   out += " bytes_on_wire=" + std::to_string(bytes_on_wire);
   out += " drops=" + std::to_string(drops);
   out += " link_blocked=" + std::to_string(link_blocked);
-  out += " corruptions=" + std::to_string(corruptions);
   out += " stale_epoch_drops=" + std::to_string(stale_epoch_drops);
   out += " bus_busy_us=" + std::to_string(bus_busy_us);
   if (stalls > 0) {
@@ -145,11 +143,8 @@ void Network::multicast(NodeId from, std::span<const NodeId> dests,
 
   // Shared-bus occupancy on the sender's LAN.
   const Duration lan_tx = transmission_time(data.size(), config_.bandwidth_bps);
-  Time tx_end = sim.now();
-  if (config_.shared_bus) {
-    tx_end = occupy_bus(ctx, bus_key(sender.partition, sender.segment),
-                        sim.now(), lan_tx);
-  }
+  const Time tx_end = occupy_bus(
+      ctx, bus_key(sender.partition, sender.segment), sim.now(), lan_tx);
 
   auto shared = std::make_shared<const std::vector<std::uint8_t>>(
       std::move(data));
@@ -246,14 +241,11 @@ void Network::segment_arrival(
     NodeId from, int partition, int segment, Duration lan_tx,
     const std::shared_ptr<const std::vector<std::uint8_t>>& shared,
     const std::vector<NodeId>& nodes) {
-  // Runs in the destination segment's site: its bus queue, fault RNG and
-  // corruption counter are all local here.
+  // Runs in the destination segment's site: its bus queue and fault RNG
+  // are local here.
   SiteCtx& ctx = sites_[site_of_segment(segment)];
   const Time seg_done =
-      config_.shared_bus
-          ? occupy_bus(ctx, bus_key(partition, segment), ctx.sim->now(),
-                       lan_tx)
-          : ctx.sim->now();
+      occupy_bus(ctx, bus_key(partition, segment), ctx.sim->now(), lan_tx);
   for (NodeId to : nodes) {
     // Same wire-loss rule as the backbone edge: a re-cut while the frame
     // crossed the backbone drops it at the destination LAN.
@@ -275,14 +267,7 @@ void Network::deliver_from_bus(
     arrival += static_cast<Duration>(
         ctx.rng.next_below(static_cast<std::uint64_t>(jitter) + 1));
   }
-  auto payload = shared;
-  if (config_.corrupt_probability > 0 &&
-      ctx.rng.next_bool(config_.corrupt_probability)) {
-    ctx.stats.corruptions++;
-    payload = std::make_shared<const std::vector<std::uint8_t>>(
-        corrupt_copy(ctx.rng, *shared));
-  }
-  deliver(from, to, std::move(payload), arrival);
+  deliver(from, to, shared, arrival);
 }
 
 void Network::set_segments(const std::vector<std::vector<NodeId>>& segments,
@@ -521,23 +506,6 @@ void Network::restart(NodeId n, NetHandler& handler) {
 std::uint32_t Network::crash_epoch(NodeId n) const {
   PLWG_ASSERT(n.value() < nodes_.size());
   return nodes_[n.value()].epoch;
-}
-
-std::vector<std::uint8_t> Network::corrupt_copy(
-    Rng& rng, const std::vector<std::uint8_t>& data) {
-  std::vector<std::uint8_t> out = data;
-  if (out.empty()) return out;
-  if (rng.next_bool(0.5)) {
-    // Truncation (possibly to an empty packet).
-    out.resize(rng.next_below(out.size()));
-  } else {
-    const std::size_t flips = 1 + rng.next_below(4);
-    for (std::size_t i = 0; i < flips; ++i) {
-      out[rng.next_below(out.size())] ^=
-          static_cast<std::uint8_t>(1u << rng.next_below(8));
-    }
-  }
-  return out;
 }
 
 void Network::charge_cpu(NodeId n, Duration cost_us) {

@@ -59,15 +59,8 @@ struct NetworkConfig {
   double bandwidth_bps = 10e6;
   /// Probability a given delivery is dropped (per destination).
   double drop_probability = 0.0;
-  /// Probability a given delivery is corrupted in transit (per destination):
-  /// the receiver gets a copy with random bit flips or a truncated tail.
-  /// Exercises the frame-demux hardening; parsers must reject, not crash.
-  double corrupt_probability = 0.0;
   /// Extra uniform delivery jitter in [0, jitter_us].
   Duration jitter_us = 0;
-  /// When false, the bus queue is skipped: packets only pay propagation and
-  /// processing cost. Useful for protocol-logic tests.
-  bool shared_bus = true;
   /// Fold delivered payload bytes into the trace digest (not just sizes).
   /// Strictest determinism check; costs one pass over every payload.
   bool digest_payloads = false;
@@ -116,7 +109,6 @@ struct NetworkStats {
   std::uint64_t bytes_on_wire = 0;     // payload + headers
   std::uint64_t drops = 0;
   std::uint64_t link_blocked = 0;      // deliveries eaten by a down link
-  std::uint64_t corruptions = 0;       // deliveries mutated in transit
   std::uint64_t stale_epoch_drops = 0; // packets addressed to a dead incarnation
   Duration bus_busy_us = 0;            // accumulated transmission time
   // Gray-failure injection (stall_node & friends).
@@ -325,11 +317,6 @@ class Network {
     return sites_[nodes_[n.value()].site];
   }
 
-  /// Return a corrupted copy of `data`: a truncated prefix or a few random
-  /// bit flips, chosen by the site's fault RNG.
-  [[nodiscard]] static std::vector<std::uint8_t> corrupt_copy(
-      Rng& rng, const std::vector<std::uint8_t>& data);
-
   [[nodiscard]] Duration transmission_time(std::size_t payload_bytes,
                                            double bandwidth_bps) const;
   void deliver(NodeId from, NodeId to,
@@ -337,8 +324,8 @@ class Network {
                Time arrival);
   /// Last hop of every delivery that survived the reachability and drop
   /// checks: the frame leaves `to`'s LAN bus at `bus_done`, pays LAN
-  /// propagation plus link jitter, may be corrupted, and is delivered.
-  /// Draws jitter, then corruption, from `ctx`'s fault RNG.
+  /// propagation plus link jitter (drawn from `ctx`'s fault RNG), and is
+  /// delivered.
   void deliver_from_bus(SiteCtx& ctx, NodeId from, NodeId to,
                         const LinkFault* lf,
                         const std::shared_ptr<const std::vector<std::uint8_t>>&

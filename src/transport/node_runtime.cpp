@@ -68,8 +68,6 @@ NodeRuntime::NodeRuntime(sim::Network& net, NodeId reuse,
 void NodeRuntime::register_port(Port port, PortHandler& handler) {
   const auto idx = static_cast<std::size_t>(port);
   PLWG_ASSERT(idx < kPortCount);
-  PLWG_ASSERT_MSG(port != Port::kFlow,
-                  "port 0 is reserved for transport flow control");
   PLWG_ASSERT_MSG(handlers_[idx] == nullptr, "port already registered");
   handlers_[idx] = &handler;
 }
@@ -81,44 +79,16 @@ NodeRuntime::Batch& NodeRuntime::batch_for(NodeId to) {
   return batches_[to.value()];
 }
 
-NodeRuntime::PeerFlow& NodeRuntime::flow_for(NodeId peer) {
-  if (peer.value() >= flow_.size()) {
-    flow_.resize(peer.value() + 1);
-  }
-  return flow_[peer.value()];
-}
-
 void NodeRuntime::stage(Port port, NodeId to, const Encoder& payload,
                         MsgClass cls) {
   PLWG_ASSERT(to.valid());
-  if (flow_enabled() && port != Port::kFlow && to != id_) {
-    PeerFlow& flow = flow_for(to);
-    // Admission: once the peer's unacked window is full, messages park in
-    // the bounded held queue instead of the wire. The `!held.empty()` arm
-    // keeps FIFO order — a new message may not overtake parked ones even if
-    // the window briefly has room. The current batch's staged bytes count
-    // against the window too, or a single round could overshoot it
-    // arbitrarily before the flush.
-    if (flow.inflight_bytes + batch_for(to).entries.size() >=
-            config_.inflight_cap_bytes ||
-        !flow.held.empty()) {
-      hold_message(to, port, payload.bytes(), cls);
-      return;
-    }
-  }
-  stage_bytes(port, to, payload.bytes(), cls);
-}
-
-void NodeRuntime::stage_bytes(Port port, NodeId to,
-                              std::span<const std::uint8_t> payload,
-                              MsgClass cls) {
   Batch& b = batch_for(to);
   // Flush this destination early rather than grow past the frame-size cap
   // or the u16 entry count; the overflowing message starts a fresh batch.
   if (b.active &&
       (kFrameHeaderBytes + b.entries.size() + kEntryHeaderBytes +
                payload.size() >
-           config_.max_batch_bytes ||
+           kMaxBatchBytes ||
        b.count == kMaxEntriesPerFrame)) {
     flush_now();
   }
@@ -128,141 +98,10 @@ void NodeRuntime::stage_bytes(Port port, NodeId to,
   }
   b.entries.put_u8(static_cast<std::uint8_t>(port));
   b.entries.put_u32(static_cast<std::uint32_t>(payload.size()));
-  b.entries.put_raw(payload);
+  b.entries.put_raw(payload.bytes());
   b.count++;
   if (cls == MsgClass::kAck) b.acks++;
-  if (port == Port::kFlow) b.flow++;
   staged_count_++;
-}
-
-void NodeRuntime::hold_message(NodeId peer, Port port,
-                               std::span<const std::uint8_t> payload,
-                               MsgClass cls) {
-  PeerFlow& flow = flow_for(peer);
-  const std::size_t bytes = kEntryHeaderBytes + payload.size();
-  if (config_.send_queue_cap_bytes > 0) {
-    if (bytes > config_.send_queue_cap_bytes) {
-      // Could never fit even in an empty queue.
-      stats_.backpressure_rejects++;
-      return;
-    }
-    if (config_.overflow_policy == OverflowPolicy::kReject) {
-      if (flow.held_bytes + bytes > config_.send_queue_cap_bytes) {
-        stats_.backpressure_rejects++;
-        return;
-      }
-    } else {
-      while (!flow.held.empty() &&
-             flow.held_bytes + bytes > config_.send_queue_cap_bytes) {
-        const std::size_t evicted =
-            kEntryHeaderBytes + flow.held.front().payload.size();
-        flow.held.pop_front();
-        flow.held_bytes -= evicted;
-        held_total_bytes_ -= evicted;
-        stats_.backpressure_drops++;
-      }
-    }
-  }
-  HeldMsg msg;
-  msg.port = port;
-  msg.cls = cls;
-  msg.payload.assign(payload.begin(), payload.end());
-  flow.held.push_back(std::move(msg));
-  flow.held_bytes += bytes;
-  held_total_bytes_ += bytes;
-  stats_.backpressure_held++;
-  stats_.peak_held_bytes =
-      std::max<std::uint64_t>(stats_.peak_held_bytes, held_total_bytes_);
-  // Held messages only move when acks arrive; if the peer never acks (it
-  // crashed, or every frame toward it drops), the sweep is what unwedges
-  // the window and lets the queue drain.
-  arm_inflight_sweep();
-}
-
-void NodeRuntime::drain_held(NodeId peer) {
-  PeerFlow& flow = flow_for(peer);
-  bool drained = false;
-  while (!flow.held.empty() &&
-         flow.inflight_bytes + batch_for(peer).entries.size() <
-             config_.inflight_cap_bytes) {
-    HeldMsg msg = std::move(flow.held.front());
-    flow.held.pop_front();
-    const std::size_t bytes = kEntryHeaderBytes + msg.payload.size();
-    flow.held_bytes -= bytes;
-    held_total_bytes_ -= bytes;
-    stage_bytes(msg.port, peer, msg.payload, msg.cls);
-    drained = true;
-  }
-  if (drained) schedule_flush();
-}
-
-void NodeRuntime::release_inflight(PeerFlow& flow) {
-  while (!flow.inflight.empty() &&
-         flow.inflight.front().seq <= flow.peer_acked) {
-    flow.inflight_bytes -= flow.inflight.front().bytes;
-    inflight_total_bytes_ -= flow.inflight.front().bytes;
-    flow.inflight.pop_front();
-  }
-}
-
-void NodeRuntime::on_flow_ack(NodeId from,
-                              std::span<const std::uint8_t> payload) {
-  Decoder dec(payload);
-  std::uint64_t acked = 0;
-  try {
-    acked = dec.get_u64();
-  } catch (const CodecError&) {
-    stats_.decode_errors++;
-    return;
-  }
-  stats_.flow_acks_received++;
-  PeerFlow& flow = flow_for(from);
-  if (acked <= flow.peer_acked) return;  // stale or duplicate cumulative ack
-  flow.peer_acked = acked;
-  release_inflight(flow);
-  drain_held(from);
-}
-
-void NodeRuntime::send_flow_ack(NodeId to, PeerFlow& flow) {
-  flow.acked_to_peer = flow.frames_seen;
-  stats_.flow_acks_sent++;
-  Encoder ack;
-  ack.put_u64(flow.frames_seen);
-  // Acks bypass the admission check (kFlow port) — a full window toward a
-  // peer must never block acking what that peer sent US, or two loaded
-  // peers would deadlock each other's windows.
-  stage_bytes(Port::kFlow, to, ack.bytes(), MsgClass::kAck);
-  schedule_flush();
-}
-
-void NodeRuntime::arm_inflight_sweep() {
-  if (sweep_scheduled_ || config_.inflight_timeout_us <= 0) return;
-  if (inflight_total_bytes_ == 0 && held_total_bytes_ == 0) return;
-  sweep_scheduled_ = true;
-  after(config_.inflight_timeout_us, [this] {
-    sweep_scheduled_ = false;
-    sweep_inflight();
-  });
-}
-
-void NodeRuntime::sweep_inflight() {
-  const Time deadline = now() - config_.inflight_timeout_us;
-  for (std::size_t i = 0; i < flow_.size(); ++i) {
-    PeerFlow& flow = flow_[i];
-    while (!flow.inflight.empty() && flow.inflight.front().sent_at <= deadline) {
-      // Presumed lost: the receiver is dead, partitioned away, or the frame
-      // dropped. Releasing it keeps the window from wedging shut forever;
-      // if the peer was merely slow its late ack arrives as a no-op.
-      flow.inflight_bytes -= flow.inflight.front().bytes;
-      inflight_total_bytes_ -= flow.inflight.front().bytes;
-      flow.inflight.pop_front();
-      stats_.inflight_expired++;
-    }
-    if (!flow.held.empty()) {
-      drain_held(NodeId{static_cast<std::uint32_t>(i)});
-    }
-  }
-  arm_inflight_sweep();
 }
 
 void NodeRuntime::schedule_flush() {
@@ -288,7 +127,6 @@ void NodeRuntime::clear_batch(Batch& batch) {
   batch.entries.clear();
   batch.count = 0;
   batch.acks = 0;
-  batch.flow = 0;
   batch.active = false;
 }
 
@@ -315,23 +153,6 @@ void NodeRuntime::emit_frame(std::span<const NodeId> group,
   const std::uint64_t piggybacked = batch.count > 1 ? batch.acks : 0;
   stats_.piggybacked_acks += piggybacked;
   net_.note_frame(id_, batch.count, piggybacked);
-  // Frames carrying anything beyond flow acks enter each destination's
-  // unacked window. Pure-ack frames are exempt in BOTH directions (the
-  // receiver does not count them either), or ack frames would need acks of
-  // their own, forever.
-  if (flow_enabled() && batch.count > batch.flow) {
-    const std::size_t wire_bytes = frame.size();
-    const Time sent_at = now();
-    for (NodeId to : group) {
-      if (to == id_) continue;  // loopback skips the wire and the window
-      PeerFlow& flow = flow_for(to);
-      flow.frames_to_peer++;
-      flow.inflight.push_back({flow.frames_to_peer, wire_bytes, sent_at});
-      flow.inflight_bytes += wire_bytes;
-      inflight_total_bytes_ += wire_bytes;
-    }
-    arm_inflight_sweep();
-  }
   net_.multicast(id_, group, std::move(frame));
 }
 
@@ -434,7 +255,6 @@ void NodeRuntime::on_packet(NodeId from, std::span<const std::uint8_t> data) {
   known = incarnation;
   const std::uint16_t count = get_u16_le(data.subspan(8, 2));
   std::span<const std::uint8_t> rest = data.subspan(kFrameHeaderBytes);
-  bool countable = false;  // carried anything beyond flow acks
   for (std::uint16_t n = 0; n < count; ++n) {
     // The checksum already vouched for these bytes, so a bound violation
     // here is a sender framing bug rather than wire damage — but hostile
@@ -455,12 +275,6 @@ void NodeRuntime::on_packet(NodeId from, std::span<const std::uint8_t> data) {
     }
     const std::span<const std::uint8_t> payload = rest.subspan(0, len);
     rest = rest.subspan(len);
-    if (port_byte == static_cast<std::uint8_t>(Port::kFlow)) {
-      // Transport-internal cumulative ack; never reaches a PortHandler.
-      on_flow_ack(from, payload);
-      continue;
-    }
-    countable = true;
     const auto idx = static_cast<std::size_t>(port_byte);
     if (idx >= kPortCount || handlers_[idx] == nullptr) {
       stats_.unbound_port_drops++;
@@ -480,11 +294,6 @@ void NodeRuntime::on_packet(NodeId from, std::span<const std::uint8_t> data) {
   if (!rest.empty()) {
     stats_.malformed_frames++;
     PLWG_WARN("transport", "trailing bytes after batch from ", from);
-  }
-  if (flow_enabled() && countable && from != id_) {
-    PeerFlow& flow = flow_for(from);
-    flow.frames_seen++;
-    send_flow_ack(from, flow);
   }
 }
 

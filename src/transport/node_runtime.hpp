@@ -6,10 +6,11 @@
 // destination node and flushed as ONE multi-message frame per destination at
 // the end of the current event-loop round (or immediately when invoked from
 // outside the event loop, or after at most `max_linger_us` when lingering is
-// configured). Per-frame costs — the 46B wire header, the bus occupancy, and
-// above all the receiver's per-packet CPU charge — are paid once per frame
-// instead of once per protocol message, which is where the LWG service's
-// amortization story actually lands on the wire. Stability traffic (acks,
+// configured, or early once the frame would pass kMaxBatchBytes). Per-frame
+// costs — the 46B wire header, the bus occupancy, and above all the
+// receiver's per-packet CPU charge — are paid once per frame instead of once
+// per protocol message, which is where the LWG service's amortization story
+// actually lands on the wire. Stability traffic (acks,
 // heartbeats, flush votes) is tagged `MsgClass::kAck` by its senders so the
 // stats can report how much of it piggybacked on frames it shared with data.
 //
@@ -28,7 +29,6 @@
 #pragma once
 
 #include <array>
-#include <deque>
 #include <span>
 #include <utility>
 #include <vector>
@@ -40,9 +40,9 @@
 
 namespace plwg::transport {
 
-/// Service multiplexing key, one per protocol stack on a host.
+/// Service multiplexing key, one per protocol stack on a host. Port 0 is
+/// never bound: an entry on it is an ordinary unbound-port drop.
 enum class Port : std::uint8_t {
-  kFlow = 0,    // transport-internal flow-control acks (not registrable)
   kVsync = 1,   // heavy-weight group layer
   kNaming = 2,  // naming service (client<->server and server<->server)
   kApp = 3,     // example applications / test fixtures
@@ -55,42 +55,18 @@ inline constexpr std::size_t kPortCount = 4;
 /// whole frame cost disappears when it shares a frame with anything else.
 enum class MsgClass : std::uint8_t { kData = 0, kAck = 1 };
 
-/// What to do with a new message when a peer's bounded send queue is full.
-enum class OverflowPolicy : std::uint8_t {
-  kReject = 0,      // refuse the newest message (caller's retry logic recovers)
-  kDropOldest = 1,  // evict from the queue head to make room
-};
+/// Flush a destination's batch early rather than let the frame exceed this
+/// size (a staged message larger than the cap still goes out, alone).
+inline constexpr std::size_t kMaxBatchBytes = 16 * 1024;
 
 /// Knobs for the coalescing layer.
 struct TransportConfig {
-  /// Flush a destination's batch early rather than let the frame exceed
-  /// this size (a staged message larger than the cap still goes out, alone).
-  std::size_t max_batch_bytes = 16 * 1024;
   /// How long a staged message may linger waiting for frame-mates. 0 means
   /// "end of the current event-loop round": the flush fires at the same
   /// simulated time it was staged, adding zero latency while still merging
   /// everything the round produced. Positive values trade latency for
   /// cross-round coalescing.
   Duration max_linger_us = 0;
-
-  // --- per-peer flow control / backpressure -----------------------------
-  // A stalled or slow receiver must degrade its senders' THROUGHPUT, not
-  // their MEMORY. When inflight_cap_bytes > 0 every frame carrying data is
-  // tracked per destination until the destination acks it (cumulative
-  // frame-count acks on the reserved kFlow port); once a peer's unacked
-  // bytes reach the cap, further messages to it are parked in a bounded
-  // per-peer queue instead of being put on the wire.
-  /// Unacked wire bytes allowed per peer; 0 disables flow control entirely
-  /// (exact legacy behavior: nothing is tracked, no acks are sent).
-  std::size_t inflight_cap_bytes = 0;
-  /// Bytes of parked messages allowed per peer once the window is full;
-  /// 0 = unbounded parking (flow control without a memory bound).
-  std::size_t send_queue_cap_bytes = 0;
-  /// What happens to a message that does not fit in the parked queue.
-  OverflowPolicy overflow_policy = OverflowPolicy::kReject;
-  /// Inflight frames older than this are presumed lost (receiver crashed or
-  /// the frame was dropped) and released so the window cannot wedge shut.
-  Duration inflight_timeout_us = 2'000'000;
 };
 
 /// Implemented by each service attached to a port.
@@ -127,14 +103,9 @@ class NodeRuntime : public sim::NetHandler {
     std::uint64_t frames_sent = 0;
     std::uint64_t messages_sent = 0;
     std::uint64_t piggybacked_acks = 0;
-    // Flow control / backpressure (all zero when inflight_cap_bytes == 0).
-    std::uint64_t flow_acks_sent = 0;
-    std::uint64_t flow_acks_received = 0;
-    std::uint64_t backpressure_held = 0;     // messages parked behind the window
-    std::uint64_t backpressure_rejects = 0;  // messages refused (kReject / oversize)
-    std::uint64_t backpressure_drops = 0;    // parked messages evicted (kDropOldest)
-    std::uint64_t inflight_expired = 0;      // frames presumed lost by the sweep
-    std::uint64_t peak_held_bytes = 0;       // high-water mark of parked bytes
+    // Always 0: the transport has no flow control. Kept only because the
+    // perfbench metrics read it; drop it with the next benchmark change.
+    std::uint64_t backpressure_held = 0;
   };
 
   explicit NodeRuntime(sim::Network& net, TransportConfig config = {});
@@ -179,12 +150,6 @@ class NodeRuntime : public sim::NetHandler {
   void flush_now();
   /// Messages staged and not yet flushed (tests).
   [[nodiscard]] std::size_t staged_messages() const { return staged_count_; }
-  /// Bytes currently parked behind full flow-control windows (all peers).
-  [[nodiscard]] std::size_t queued_bytes() const { return held_total_bytes_; }
-  /// Wire bytes sent but not yet acked (all peers); 0 with flow control off.
-  [[nodiscard]] std::size_t inflight_bytes() const {
-    return inflight_total_bytes_;
-  }
 
   /// Schedule a callback on this host after `delay`; no-op if the host has
   /// crashed — or crashed and restarted as a new incarnation — by the time
@@ -223,61 +188,11 @@ class NodeRuntime : public sim::NetHandler {
     Encoder entries;           // [port][len][payload] * count
     std::uint16_t count = 0;
     std::uint16_t acks = 0;    // entries staged as MsgClass::kAck
-    std::uint16_t flow = 0;    // entries on the kFlow port (not ack-counted)
     bool active = false;       // appears in active_dests_
   };
 
-  /// One frame on the wire toward a peer, awaiting its cumulative ack.
-  struct InflightFrame {
-    std::uint64_t seq = 0;   // per-peer countable-frame sequence number
-    std::size_t bytes = 0;   // whole-frame wire size
-    Time sent_at = 0;        // for the loss-presumption sweep
-  };
-
-  /// A message parked because the peer's flow window is full.
-  struct HeldMsg {
-    Port port = Port::kApp;
-    MsgClass cls = MsgClass::kData;
-    std::vector<std::uint8_t> payload;
-  };
-
-  /// Per-peer flow-control ledger (both directions).
-  struct PeerFlow {
-    // Receive side: countable frames seen from the peer, and how many of
-    // them we have already acked back.
-    std::uint64_t frames_seen = 0;
-    std::uint64_t acked_to_peer = 0;
-    // Send side: countable frames emitted toward the peer, the peer's
-    // cumulative ack, and the frames between the two.
-    std::uint64_t frames_to_peer = 0;
-    std::uint64_t peer_acked = 0;
-    std::deque<InflightFrame> inflight;
-    std::size_t inflight_bytes = 0;
-    std::deque<HeldMsg> held;
-    std::size_t held_bytes = 0;
-  };
-
   [[nodiscard]] Batch& batch_for(NodeId to);
-  [[nodiscard]] PeerFlow& flow_for(NodeId peer);
-  [[nodiscard]] bool flow_enabled() const {
-    return config_.inflight_cap_bytes > 0;
-  }
   void stage(Port port, NodeId to, const Encoder& payload, MsgClass cls);
-  /// The staging tail shared by stage() and the held-queue drain: appends
-  /// one entry to `to`'s batch with no flow-control admission check.
-  void stage_bytes(Port port, NodeId to, std::span<const std::uint8_t> payload,
-                   MsgClass cls);
-  /// Park a message behind `peer`'s full window, applying the overflow
-  /// policy against send_queue_cap_bytes.
-  void hold_message(NodeId peer, Port port,
-                    std::span<const std::uint8_t> payload, MsgClass cls);
-  /// Re-stage parked messages while the window has room.
-  void drain_held(NodeId peer);
-  void on_flow_ack(NodeId from, std::span<const std::uint8_t> payload);
-  void send_flow_ack(NodeId to, PeerFlow& flow);
-  void release_inflight(PeerFlow& flow);
-  void arm_inflight_sweep();
-  void sweep_inflight();
   void schedule_flush();
   /// Emit one frame carrying `batch`'s entries to every node in `group`.
   void emit_frame(std::span<const NodeId> group, const Batch& batch);
@@ -298,11 +213,6 @@ class NodeRuntime : public sim::NetHandler {
   /// Highest incarnation heard per peer node (indexed by NodeId value);
   /// frames from lower incarnations are stale ghosts and are dropped.
   std::vector<std::uint32_t> peer_incarnation_;
-  /// Flow-control ledgers, indexed by peer NodeId value (lazily sized).
-  std::vector<PeerFlow> flow_;
-  std::size_t held_total_bytes_ = 0;      // sum of PeerFlow::held_bytes
-  std::size_t inflight_total_bytes_ = 0;  // sum of PeerFlow::inflight_bytes
-  bool sweep_scheduled_ = false;
   Stats stats_;
 };
 

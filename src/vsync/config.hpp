@@ -29,9 +29,6 @@ struct VsyncConfig {
   DetectorKind detector = DetectorKind::kFixedTimeout;
   /// Inter-arrival samples remembered per peer.
   std::size_t detector_window = 32;
-  /// When true the endpoint answers Stop upcalls itself, immediately.
-  /// (The LWG layer manages StopOk explicitly; simple users set this.)
-  bool auto_stop_ok = false;
   /// Simulated CPU cost of processing one membership-protocol message
   /// (flush/ack/cut/new-view). Models the expensive protocol work of a view
   /// change on period hardware; 0 disables the charge. This is what makes

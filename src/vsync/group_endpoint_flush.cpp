@@ -151,12 +151,6 @@ void GroupEndpoint::on_flush_req(ProcessId from, const FlushReqMsg& msg) {
   part_flush_ = std::move(pf);
   if (state_ == State::kActive) set_state(State::kStopping);
 
-  if (config().auto_stop_ok) {
-    part_flush_->stop_delivered = true;
-    part_flush_->stop_acked = true;
-    maybe_send_flush_ack();
-    return;
-  }
   part_flush_->stop_delivered = true;
   user_.on_stop(gid_);  // user must call stop_ok(); may do so synchronously
 }

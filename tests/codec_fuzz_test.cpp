@@ -5,6 +5,7 @@
 
 #include <algorithm>
 
+#include "frame_mangler.hpp"
 #include "lwg/messages.hpp"
 #include "names/messages.hpp"
 #include "sim/network.hpp"
@@ -161,17 +162,17 @@ TEST(CodecFuzz, TransportFrameDemuxSurvivesGarbage) {
   EXPECT_EQ(stats.malformed_frames, 2000u);
 }
 
-// Mutations of *valid* frames: flip a few bits or truncate, as the network
-// fault injector does. Nothing may crash, and any frame that still decodes
-// must decode to an untampered payload (checksum collisions aside, which
-// random bit flips cannot find).
+// Mutations of *valid* frames: flip a few bits or truncate, as a faulty link
+// would. Nothing may crash, and any frame that still decodes must decode to
+// an untampered payload (checksum collisions aside, which random bit flips
+// cannot find).
 TEST(CodecFuzz, MutatedValidFramesSurviveTheDemux) {
   sim::Engine engine;
   sim::Simulator& sim = engine.site(0);
-  sim::NetworkConfig cfg;
-  cfg.corrupt_probability = 1.0;
-  sim::Network net(engine, cfg);
+  sim::Network net(engine, sim::NetworkConfig{});
   transport::NodeRuntime a(net), b(net);
+  transport::testing::FrameTap tap;
+  const NodeId tap_id = net.add_node(tap);
   struct Collect : transport::PortHandler {
     void on_message(NodeId, Decoder& dec) override {
       seen.push_back(dec.get_u32());
@@ -183,9 +184,14 @@ TEST(CodecFuzz, MutatedValidFramesSurviveTheDemux) {
     Encoder payload;
     payload.put_u32(i);
     payload.put_u64(~static_cast<std::uint64_t>(i));
-    a.send(transport::Port::kApp, b.id(), payload);
+    a.send(transport::Port::kApp, tap_id, payload);
   }
   sim.run();
+  ASSERT_EQ(tap.frames.size(), 500u);
+  Rng rng(42);
+  for (const auto& frame : tap.frames) {
+    b.on_packet(a.id(), transport::testing::corrupt_copy(rng, frame));
+  }
   for (std::uint32_t v : collect.seen) EXPECT_LT(v, 500u);
   EXPECT_EQ(collect.seen.size() + b.stats().malformed_frames, 500u);
 }

@@ -167,16 +167,5 @@ TEST_F(LwgSwitchTest, PoliciesAreQuiescentOnWellMappedGroups) {
   }
 }
 
-TEST_F(LwgSwitchTest, DisabledPoliciesNeverSwitch) {
-  harness::WorldConfig cfg = config(8);
-  cfg.lwg.policies_enabled = false;
-  build(cfg);
-  form_lwg(LwgId{1}, {0, 1, 2, 3, 4, 5, 6, 7});
-  form_lwg(LwgId{2}, {0, 1});
-  run_for(20'000'000);
-  EXPECT_EQ(lwg(0).stats().switches_started, 0u);
-  EXPECT_EQ(lwg(0).hwg_of(LwgId{1}), lwg(0).hwg_of(LwgId{2}));
-}
-
 }  // namespace
 }  // namespace plwg::lwg::testing

@@ -94,18 +94,6 @@ TEST_F(NetFixture, SharedBusSerializesTransmissions) {
   EXPECT_GE(t1 - t0, 81);
 }
 
-TEST_F(NetFixture, PointToPointModeSkipsBusQueue) {
-  config.shared_bus = false;
-  build(3);
-  net->unicast(nodes[0], nodes[2], std::vector<std::uint8_t>(54, 0));
-  net->unicast(nodes[1], nodes[2], std::vector<std::uint8_t>(54, 0));
-  sim.run();
-  ASSERT_EQ(handlers[2]->packets.size(), 2u);
-  // Same arrival instant; serialization happens only in the CPU queue.
-  EXPECT_EQ(handlers[2]->packets[1].at - handlers[2]->packets[0].at,
-            config.node_process_cost_us);
-}
-
 TEST_F(NetFixture, PartitionBlocksCrossTraffic) {
   build(4);
   net->set_partitions({{nodes[0], nodes[1]}, {nodes[2], nodes[3]}});

@@ -6,6 +6,7 @@
 
 #include <memory>
 
+#include "frame_mangler.hpp"
 #include "sim/network.hpp"
 #include "sim/simulator.hpp"
 #include "transport/node_runtime.hpp"
@@ -24,8 +25,7 @@ struct Recorder : PortHandler {
 
 class TransportBatchingTest : public ::testing::Test {
  protected:
-  explicit TransportBatchingTest(sim::NetworkConfig cfg = {})
-      : net_(engine_, cfg) {}
+  TransportBatchingTest() : net_(engine_, sim::NetworkConfig{}) {}
 
   static Encoder make_payload(std::uint32_t v) {
     Encoder e;
@@ -124,16 +124,15 @@ TEST_F(TransportBatchingTest, PiggybackedAcksAreCounted) {
 }
 
 TEST_F(TransportBatchingTest, SizeCapFlushesEarly) {
-  TransportConfig cfg;
-  cfg.max_batch_bytes = 64;
-  NodeRuntime a(net_, cfg), b(net_);
+  NodeRuntime a(net_), b(net_);
   Recorder rec;
   b.register_port(Port::kApp, rec);
 
   sim_.schedule_after(0, [&] {
     Encoder big;
     big.put_u32(1);
-    for (int i = 0; i < 10; ++i) big.put_u64(0);  // 84B entry > 64B cap
+    // Each entry is over half the cap, so two cannot share a frame.
+    big.put_raw(std::vector<std::uint8_t>(kMaxBatchBytes / 2));
     a.send(Port::kApp, b.id(), big);
     a.send(Port::kApp, b.id(), big);  // would exceed the cap: early flush
   });
@@ -190,14 +189,12 @@ TEST_F(TransportBatchingTest, BatchToDeadIncarnationDropsAtomically) {
   EXPECT_EQ(net_.stats().stale_epoch_drops, 1u);
 }
 
+/// Frames a sender puts on the wire land on a FrameTap instead of the
+/// receiver, so a test can corrupt them before handing them on.
 class TransportBatchingCorruptTest : public TransportBatchingTest {
  protected:
-  static sim::NetworkConfig corrupt_config() {
-    sim::NetworkConfig cfg;
-    cfg.corrupt_probability = 1.0;
-    return cfg;
-  }
-  TransportBatchingCorruptTest() : TransportBatchingTest(corrupt_config()) {}
+  testing::FrameTap tap_;
+  NodeId tap_id_ = net_.add_node(tap_);
 };
 
 TEST_F(TransportBatchingCorruptTest, CorruptedBatchIsRejectedWhole) {
@@ -206,15 +203,17 @@ TEST_F(TransportBatchingCorruptTest, CorruptedBatchIsRejectedWhole) {
   b.register_port(Port::kApp, rec);
 
   sim_.schedule_after(0, [&] {
-    a.send(Port::kApp, b.id(), make_payload(1));
-    a.send(Port::kApp, b.id(), make_payload(2));
+    a.send(Port::kApp, tap_id_, make_payload(1));
+    a.send(Port::kApp, tap_id_, make_payload(2));
   });
   sim_.run();
+  ASSERT_EQ(tap_.frames.size(), 1u);
+  Rng rng(42);
+  b.on_packet(a.id(), testing::corrupt_copy(rng, tap_.frames[0]));
 
   // One frame, corrupted in transit: the checksum refuses the batch whole —
   // neither entry leaks through, corruption degrades to loss.
   EXPECT_EQ(net_.stats().frames_sent, 1u);
-  EXPECT_EQ(net_.stats().corruptions, 1u);
   EXPECT_TRUE(rec.values.empty());
   EXPECT_EQ(b.stats().malformed_frames, 1u);
 }

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
+#include "frame_mangler.hpp"
 #include "sim/network.hpp"
 #include "sim/simulator.hpp"
 
@@ -121,22 +124,28 @@ TEST_F(TransportTest, DoubleRegisterSamePortAsserts) {
 
 // --- frame hardening & incarnations ----------------------------------------
 
-/// Hand-rolled single-message frame in the runtime's batched wire format
-/// (independent reimplementation so a codec bug can't hide in both the
-/// sender and the test): [inc u32][checksum u32][count u16][entries], each
-/// entry [port u8][len u32][payload].
-std::vector<std::uint8_t> raw_frame(std::uint8_t port, std::uint32_t inc,
-                                    std::vector<std::uint8_t> payload,
+/// One frame entry: destination port byte and payload.
+using RawEntry = std::pair<std::uint8_t, std::vector<std::uint8_t>>;
+
+/// Hand-rolled frame in the runtime's batched wire format (independent
+/// reimplementation so a codec bug can't hide in both the sender and the
+/// test): [inc u32][checksum u32][count u16][entries], each entry
+/// [port u8][len u32][payload].
+std::vector<std::uint8_t> raw_batch(std::uint32_t inc,
+                                    const std::vector<RawEntry>& entries,
                                     bool valid_checksum = true) {
-  std::vector<std::uint8_t> tail;  // count + the single entry
-  tail.push_back(1);
-  tail.push_back(0);  // count = 1, little endian
-  tail.push_back(port);
-  const auto len = static_cast<std::uint32_t>(payload.size());
-  for (int i = 0; i < 4; ++i) {
-    tail.push_back(static_cast<std::uint8_t>(len >> (8 * i)));
+  std::vector<std::uint8_t> tail;  // count + the entries
+  const auto count = static_cast<std::uint16_t>(entries.size());
+  tail.push_back(static_cast<std::uint8_t>(count));
+  tail.push_back(static_cast<std::uint8_t>(count >> 8));  // little endian
+  for (const auto& [port, payload] : entries) {
+    tail.push_back(port);
+    const auto len = static_cast<std::uint32_t>(payload.size());
+    for (int i = 0; i < 4; ++i) {
+      tail.push_back(static_cast<std::uint8_t>(len >> (8 * i)));
+    }
+    tail.insert(tail.end(), payload.begin(), payload.end());
   }
-  tail.insert(tail.end(), payload.begin(), payload.end());
   std::uint32_t h = 2166136261u;
   auto mix = [&h](std::uint8_t byte) {
     h ^= byte;
@@ -154,6 +163,13 @@ std::vector<std::uint8_t> raw_frame(std::uint8_t port, std::uint32_t inc,
   }
   out.insert(out.end(), tail.begin(), tail.end());
   return out;
+}
+
+/// A single-message frame.
+std::vector<std::uint8_t> raw_frame(std::uint8_t port, std::uint32_t inc,
+                                    std::vector<std::uint8_t> payload,
+                                    bool valid_checksum = true) {
+  return raw_batch(inc, {{port, std::move(payload)}}, valid_checksum);
 }
 
 std::vector<std::uint8_t> u32_payload(std::uint32_t v) {
@@ -219,6 +235,21 @@ TEST_F(TransportTest, DemuxCountsUnboundPortAndDecodeErrors) {
   b.on_packet(a.id(), raw_frame(3, 0, {0x01}));          // Thrower wants a u64
   EXPECT_EQ(b.stats().unbound_port_drops, 2u);
   EXPECT_EQ(b.stats().decode_errors, 1u);
+}
+
+TEST_F(TransportTest, PortZeroEntryIsAnUnboundDropMidBatch) {
+  // Port 0 has no service: an entry on it, inside a frame whose checksum is
+  // valid, is dropped like any unbound port and its frame-mates still land.
+  NodeRuntime a(net_), b(net_);
+  Recorder h;
+  b.register_port(Port::kApp, h);
+  b.on_packet(a.id(), raw_batch(0, {{3, u32_payload(1)},
+                                    {0, u32_payload(2)},
+                                    {3, u32_payload(3)}}));
+  EXPECT_EQ(h.values, (std::vector<std::uint32_t>{1, 3}));
+  EXPECT_EQ(b.stats().unbound_port_drops, 1u);
+  EXPECT_EQ(b.stats().malformed_frames, 0u);
+  EXPECT_EQ(b.stats().decode_errors, 0u);
 }
 
 TEST_F(TransportTest, InFlightPacketsDieWithTheTargetIncarnation) {
@@ -289,23 +320,26 @@ TEST_F(TransportTest, StaleTimersDieWithTheIncarnation) {
 }
 
 TEST_F(TransportTest, CorruptionInTransitIsContained) {
-  sim::NetworkConfig cfg;
-  cfg.corrupt_probability = 1.0;  // every delivery mangled
-  sim::Network lossy(engine_, cfg);
-  NodeRuntime a(lossy), b(lossy);
+  NodeRuntime a(net_), b(net_);
+  testing::FrameTap tap;
+  const NodeId tap_id = net_.add_node(tap);
   Recorder h;
   b.register_port(Port::kApp, h);
   for (int i = 0; i < 64; ++i) {
     Encoder payload;
     payload.put_u32(static_cast<std::uint32_t>(i));
-    a.send(Port::kApp, b.id(), payload);
+    a.send(Port::kApp, tap_id, payload);
   }
   sim_.run();
+  ASSERT_EQ(tap.frames.size(), 64u);
+  Rng rng(42);  // every delivery mangled
+  for (const auto& frame : tap.frames) {
+    b.on_packet(a.id(), testing::corrupt_copy(rng, frame));
+  }
   // Corruption degrades to loss, never to a wrong value: a mangled frame
   // fails the length check or the checksum and is dropped. (A frame can
   // still arrive intact — two flips of the same bit cancel — so deliveries
   // are allowed, but only with byte-exact payloads.)
-  EXPECT_EQ(lossy.stats().corruptions, 64u);
   EXPECT_EQ(b.stats().malformed_frames + h.values.size(), 64u);
   EXPECT_GT(b.stats().malformed_frames, 0u);
   for (std::uint32_t v : h.values) EXPECT_LT(v, 64u);

@@ -1,6 +1,5 @@
 // The Stop / StopOk handshake (paper Table 1): the flush must wait for the
-// user's confirmation, sends issued between Stop and StopOk are queued, and
-// auto_stop_ok mode bypasses the handshake.
+// user's confirmation, and sends issued between Stop and StopOk are queued.
 #include <gtest/gtest.h>
 
 #include "vsync_fixture.hpp"
@@ -80,23 +79,6 @@ TEST_F(VsyncStopTest, SendsBetweenStopAndStopOkAreDeliveredNextView) {
       },
       10'000'000));
   EXPECT_EQ(slow.delivered.back(), 0x55);
-}
-
-TEST_F(VsyncStopTest, AutoStopOkSkipsTheUpcall) {
-  VsyncConfig cfg;
-  cfg.auto_stop_ok = true;
-  build(2, {}, cfg);
-  const HwgId gid = host(0).allocate_group_id();
-  host(0).create_group(gid, user(0));
-  host(1).join_group(gid, MemberSet{pid(0)}, user(1));
-  ASSERT_TRUE(run_until(
-      [&] { return converged(gid, {0, 1}, members_of({0, 1})); }, 10'000'000));
-  host(0).endpoint(gid)->force_flush();
-  ASSERT_TRUE(run_until(
-      [&] { return user(1).log(gid).epochs.size() >= 2; }, 10'000'000));
-  // No Stop upcall ever reached the user.
-  EXPECT_EQ(user(0).log(gid).stops, 0);
-  EXPECT_EQ(user(1).log(gid).stops, 0);
 }
 
 TEST_F(VsyncStopTest, UnansweredStopIsEventuallyForcedOutByTimeout) {
