@@ -6,16 +6,21 @@
 //      reconciliation stays dominated by the (constant) probe/sync periods.
 //   2. Segment-count sweep — 100 and 1,000 segments (3 processes each, up
 //      to ~3,000 nodes), one local LWG per segment, at 1 engine thread:
-//      wall-clock per sim-second against node count.
+//      wall-clock per sim-second and peak memory against node count.
+//      PLWG_BENCH_BIG=0 skips the 1,000-segment cell (a smoke run).
 //   3. Island episode — a partition-heavy steady state (the WAN cut into
 //      16 disconnected islands, so the engine runs 16 independent class
 //      jobs) at 1 and at 4 engine threads. Reported as wall-clock per
 //      sim-second and speedup over 1 thread; the process exits nonzero
 //      unless both runs produce the same trace digest.
+#include <sys/resource.h>
+
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <iostream>
 #include <memory>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -220,14 +225,30 @@ double drive(SegmentWorld& sw, Duration sim_us, Duration period_us) {
       .count();
 }
 
+/// Peak resident set size of this process so far, in MB.
+double peak_rss_mb() {
+  rusage ru{};
+  getrusage(RUSAGE_SELF, &ru);
+  return static_cast<double>(ru.ru_maxrss) / 1024.0;  // ru_maxrss is KiB
+}
+
 /// Experiment 2: segment-count sweep at fixed per-segment load.
 void run_scale_sweep() {
   std::printf("\n# Segment-count sweep: N segments x %zu processes, one "
               "local LWG each, 1 send/process/10ms, 1 sim-s measured, "
               "1 engine thread\n",
               kPerSegment);
-  metrics::Table table({"segments", "nodes", "wall-s-per-sim-s", "deliveries"});
+  // Peak RSS is the process's high-water mark after the row: each row's
+  // world is larger than everything built before it.
+  metrics::Table table({"segments", "nodes", "wall-s-per-sim-s", "deliveries",
+                        "peak-rss-MB"});
+  const char* big = std::getenv("PLWG_BENCH_BIG");
+  const bool run_big = big == nullptr || std::string_view(big) != "0";
   for (std::size_t segments : {std::size_t{100}, std::size_t{1'000}}) {
+    if (segments > 100 && !run_big) {
+      std::printf("segments=%zu: skipped (PLWG_BENCH_BIG=0)\n", segments);
+      continue;
+    }
     SegmentWorld sw = make_segment_world(segments, 1);
     if (!sw.formed) {
       std::printf("segments=%zu: formation timed out\n", segments);
@@ -239,7 +260,8 @@ void run_scale_sweep() {
     for (const auto& u : sw.users) delivered += u->delivered;
     table.add_row({std::to_string(segments),
                    std::to_string(sw.cfg.num_processes),
-                   metrics::Table::fmt(wall, 3), std::to_string(delivered)});
+                   metrics::Table::fmt(wall, 3), std::to_string(delivered),
+                   metrics::Table::fmt(peak_rss_mb(), 1)});
   }
   table.print(std::cout);
   std::printf("shape check: 10x the nodes costs more than 10x the "

@@ -73,15 +73,31 @@ void NodeRuntime::register_port(Port port, PortHandler& handler) {
 }
 
 NodeRuntime::Batch& NodeRuntime::batch_for(NodeId to) {
-  if (to.value() >= batches_.size()) {
-    batches_.resize(to.value() + 1);
+  auto it = std::ranges::lower_bound(batches_, to, {}, &PeerBatch::to);
+  if (it == batches_.end() || it->to != to) {
+    it = batches_.insert(it, PeerBatch{to, {}});
   }
-  return batches_[to.value()];
+  return it->batch;
+}
+
+NodeRuntime::Batch& NodeRuntime::staged_batch(NodeId to) {
+  auto it = std::ranges::lower_bound(batches_, to, {}, &PeerBatch::to);
+  PLWG_ASSERT(it != batches_.end() && it->to == to);
+  return it->batch;
+}
+
+std::size_t NodeRuntime::peer_count() const {
+  std::vector<NodeId> peers;
+  for (const PeerBatch& p : batches_) peers.push_back(p.to);
+  for (const PeerIncarnation& p : peer_incarnation_) peers.push_back(p.from);
+  std::ranges::sort(peers);
+  return peers.size() - std::ranges::unique(peers).size();
 }
 
 void NodeRuntime::stage(Port port, NodeId to, const Encoder& payload,
                         MsgClass cls) {
   PLWG_ASSERT(to.valid());
+  // flush_now() never inserts into batches_, so `b` survives it.
   Batch& b = batch_for(to);
   // Flush this destination early rather than grow past the frame-size cap
   // or the u16 entry count; the overflowing message starts a fresh batch.
@@ -165,7 +181,7 @@ void NodeRuntime::flush_now() {
   if (net_.crashed(id_)) {
     // The sender died with messages staged: they die with it, like bytes
     // sitting in a dead host's socket buffers. Don't count them as sent.
-    for (NodeId to : active_dests_) clear_batch(batches_[to.value()]);
+    for (NodeId to : active_dests_) clear_batch(staged_batch(to));
     active_dests_.clear();
     staged_count_ = 0;
     return;
@@ -175,15 +191,18 @@ void NodeRuntime::flush_now() {
   // one-occupancy-per-multicast economics. Group greedily in staging
   // order (deterministic); a destination whose batch also carries a
   // piggybacked extra simply falls out of the group and pays its own
-  // frame, which is never worse than the unbatched transport.
-  for (std::size_t i = 0; i < active_dests_.size(); ++i) {
-    Batch& lead = batches_[active_dests_[i].value()];
+  // frame, which is never worse than the unbatched transport. Nothing
+  // below inserts into batches_, so the looked-up pointers stay valid.
+  active_batches_.clear();
+  for (NodeId to : active_dests_) active_batches_.push_back(&staged_batch(to));
+  for (std::size_t i = 0; i < active_batches_.size(); ++i) {
+    Batch& lead = *active_batches_[i];
     if (!lead.active) continue;  // already emitted with an earlier group
     group_scratch_.clear();
     group_scratch_.push_back(active_dests_[i]);
     const std::span<const std::uint8_t> lead_bytes = lead.entries.bytes();
-    for (std::size_t j = i + 1; j < active_dests_.size(); ++j) {
-      Batch& other = batches_[active_dests_[j].value()];
+    for (std::size_t j = i + 1; j < active_batches_.size(); ++j) {
+      Batch& other = *active_batches_[j];
       if (!other.active || other.count != lead.count ||
           other.entries.size() != lead.entries.size()) {
         continue;
@@ -242,10 +261,12 @@ void NodeRuntime::on_packet(NodeId from, std::span<const std::uint8_t> data) {
     PLWG_WARN("transport", "bad checksum on frame from node ", from);
     return;
   }
-  if (from.value() >= peer_incarnation_.size()) {
-    peer_incarnation_.resize(from.value() + 1, 0);
+  auto peer = std::ranges::lower_bound(peer_incarnation_, from, {},
+                                       &PeerIncarnation::from);
+  if (peer == peer_incarnation_.end() || peer->from != from) {
+    peer = peer_incarnation_.insert(peer, PeerIncarnation{from});
   }
-  std::uint32_t& known = peer_incarnation_[from.value()];
+  std::uint32_t& known = peer->incarnation;
   if (incarnation < known) {
     stats_.stale_incarnation_drops++;
     PLWG_DEBUG("transport", "ghost frame from node ", from, " incarnation ",

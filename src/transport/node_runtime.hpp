@@ -150,6 +150,9 @@ class NodeRuntime : public sim::NetHandler {
   void flush_now();
   /// Messages staged and not yet flushed (tests).
   [[nodiscard]] std::size_t staged_messages() const { return staged_count_; }
+  /// Distinct peers this node holds transport state for: the destinations it
+  /// staged to plus the sources it heard from (tests).
+  [[nodiscard]] std::size_t peer_count() const;
 
   /// Schedule a callback on this host after `delay`; no-op if the host has
   /// crashed — or crashed and restarted as a new incarnation — by the time
@@ -191,7 +194,25 @@ class NodeRuntime : public sim::NetHandler {
     bool active = false;       // appears in active_dests_
   };
 
+  /// A destination's entry in batches_ (sorted by NodeId). It is inserted
+  /// on first contact, in stage(); the batch and its Encoder capacity are
+  /// reused by every later flush, so the steady state allocates nothing.
+  struct PeerBatch {
+    NodeId to;
+    Batch batch;
+  };
+  /// A source's entry in peer_incarnation_ (sorted by NodeId): the highest
+  /// incarnation heard from it.
+  struct PeerIncarnation {
+    NodeId from;
+    std::uint32_t incarnation = 0;
+  };
+
+  /// The batch for `to`, inserted on first contact. Invalidates references
+  /// to other batches when it inserts, so only stage() calls it.
   [[nodiscard]] Batch& batch_for(NodeId to);
+  /// The batch of an already-staged destination; never inserts.
+  [[nodiscard]] Batch& staged_batch(NodeId to);
   void stage(Port port, NodeId to, const Encoder& payload, MsgClass cls);
   void schedule_flush();
   /// Emit one frame carrying `batch`'s entries to every node in `group`.
@@ -203,16 +224,16 @@ class NodeRuntime : public sim::NetHandler {
   NodeId id_;
   std::uint32_t incarnation_ = 0;
   std::array<PortHandler*, kPortCount> handlers_{};
-  std::vector<NodeId> dest_scratch_;   // reused by the ProcessId multicast
-  std::vector<Batch> batches_;         // indexed by destination NodeId value
-  std::vector<NodeId> active_dests_;   // staging order — the flush order
-  std::vector<NodeId> group_scratch_;  // reused by flush_now's grouping
+  std::vector<PeerBatch> batches_;      // destinations staged to, by NodeId
+  std::vector<NodeId> active_dests_;    // staging order — the flush order
+  std::vector<Batch*> active_batches_;  // flush_now: active_dests_' batches
+  std::vector<NodeId> group_scratch_;   // reused by flush_now's grouping
   std::size_t staged_count_ = 0;
   bool flush_scheduled_ = false;
   sim::TimerId flush_timer_ = 0;
-  /// Highest incarnation heard per peer node (indexed by NodeId value);
-  /// frames from lower incarnations are stale ghosts and are dropped.
-  std::vector<std::uint32_t> peer_incarnation_;
+  /// Sources heard from, by NodeId; frames from an incarnation lower than
+  /// the highest heard are stale ghosts and are dropped.
+  std::vector<PeerIncarnation> peer_incarnation_;
   Stats stats_;
 };
 

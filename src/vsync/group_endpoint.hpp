@@ -45,6 +45,7 @@
 #include "vsync/config.hpp"
 #include "vsync/group_user.hpp"
 #include "vsync/messages.hpp"
+#include "vsync/ordered_log.hpp"
 #include "vsync/view.hpp"
 
 namespace plwg::vsync {
@@ -248,7 +249,7 @@ class GroupEndpoint {
   // Current view + per-view data state.
   bool has_view_ = false;
   View view_;
-  std::map<std::uint64_t, OrderedMsg> msg_log_;  // ORDERED received, not yet GC'd
+  OrderedLog msg_log_;                           // ORDERED received, not yet GC'd
   std::uint64_t delivered_upto_ = 0;             // contiguous prefix delivered
   // Seqs a flush cut delivered above delivered_upto_, so the prefix does not
   // deliver them again. Cleared at every view install: empty outside flushes.

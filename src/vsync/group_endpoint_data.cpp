@@ -9,7 +9,6 @@
 #include "vsync/group_endpoint.hpp"
 
 #include <algorithm>
-#include <iterator>
 
 #include "util/assert.hpp"
 #include "util/backoff.hpp"
@@ -170,7 +169,7 @@ void GroupEndpoint::on_ordered(OrderedMsgWire wire) {
   const std::uint64_t seq = wire.msg.seq;
   max_seen_ = std::max(max_seen_, seq);
   stable_upto_ = std::max(stable_upto_, wire.stable_upto);
-  msg_log_.try_emplace(seq, std::move(wire.msg));
+  msg_log_.insert(std::move(wire.msg));
   // Delivery continues while the user is being stopped, but freezes once the
   // FLUSH_ACK (our have-list) is out: anything delivered after that point
   // might not be in the coordinator's cut.
@@ -180,11 +179,11 @@ void GroupEndpoint::on_ordered(OrderedMsgWire wire) {
 
 void GroupEndpoint::deliver_contiguous() {
   while (true) {
-    auto it = msg_log_.find(delivered_upto_ + 1);
-    if (it == msg_log_.end()) break;
+    const OrderedMsg* msg = msg_log_.find(delivered_upto_ + 1);
+    if (msg == nullptr) break;
     ++delivered_upto_;
     if (cut_delivered_.empty() || cut_delivered_.erase(delivered_upto_) == 0) {
-      deliver_one(it->second);
+      deliver_one(*msg);
       if (defunct()) return;
     }
   }
@@ -224,9 +223,9 @@ void GroupEndpoint::on_nack(ProcessId from, const NackMsg& msg) {
     // A NACKed seq below the stability floor cannot happen (the NACKer's own
     // delivery bound is folded into the floor before the log is trimmed), so
     // a log miss here means the message is simply not ordered yet.
-    auto it = msg_log_.find(seq);
-    if (it == msg_log_.end()) continue;
-    OrderedMsgWire wire{view_.id, stable_upto_, it->second};
+    const OrderedMsg* logged = msg_log_.find(seq);
+    if (logged == nullptr) continue;
+    OrderedMsgWire wire{view_.id, stable_upto_, *logged};
     Encoder& body = scratch_body();
     wire.encode(body);
     unicast(from, MsgType::kOrdered, body);
@@ -268,10 +267,7 @@ void GroupEndpoint::trim_stable_log() {
   }
   const std::uint64_t to = std::min(stable_upto_, delivered_upto_);
   if (to <= trimmed_upto_) return;
-  const auto log_end = msg_log_.upper_bound(to);
-  stats_.log_trimmed += static_cast<std::uint64_t>(
-      std::distance(msg_log_.begin(), log_end));
-  msg_log_.erase(msg_log_.begin(), log_end);
+  stats_.log_trimmed += msg_log_.trim_upto(to);
   trimmed_upto_ = to;
 }
 

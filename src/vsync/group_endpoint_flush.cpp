@@ -163,7 +163,7 @@ void GroupEndpoint::maybe_send_flush_ack() {
   set_state(State::kFlushing);
   std::vector<std::uint64_t> have;
   have.reserve(msg_log_.size());
-  for (const auto& [seq, msg] : msg_log_) have.push_back(seq);
+  for (const OrderedMsg& m : msg_log_) have.push_back(m.seq);
   Encoder& body = scratch_body();
   FlushAckMsg{part_flush_->old_view, part_flush_->epoch, self(),
               std::move(have)}
@@ -197,7 +197,7 @@ void GroupEndpoint::flush_acks_maybe_complete() {
   // Every survivor acked. Messages this initiator sequenced after sending
   // its own have-list are still part of the view's stream — fold the live
   // log into the cut so they are not lost.
-  for (const auto& [seq, msg] : msg_log_) flush_op_->union_have.insert(seq);
+  for (const OrderedMsg& m : msg_log_) flush_op_->union_have.insert(m.seq);
   // Fetch any cut contents this process lacks.
   flush_op_->awaiting_fetch.clear();
   for (std::uint64_t s : flush_op_->union_have) {
@@ -232,8 +232,7 @@ void GroupEndpoint::on_fetch(ProcessId from, const FetchMsg& msg) {
   reply.old_view = msg.old_view;
   reply.epoch = msg.epoch;
   for (std::uint64_t s : msg.seqs) {
-    auto it = msg_log_.find(s);
-    if (it != msg_log_.end()) reply.msgs.push_back(it->second);
+    if (const OrderedMsg* m = msg_log_.find(s)) reply.msgs.push_back(*m);
   }
   Encoder& body = scratch_body();
   reply.encode(body);
@@ -246,7 +245,7 @@ void GroupEndpoint::on_fetch_reply(const FetchReplyMsg& msg) {
     return;
   }
   for (const OrderedMsg& m : msg.msgs) {
-    msg_log_.emplace(m.seq, m);
+    msg_log_.insert(m);
     flush_op_->awaiting_fetch.erase(m.seq);
   }
   if (flush_op_->awaiting_fetch.empty()) send_flush_cut();
@@ -268,9 +267,9 @@ void GroupEndpoint::send_flush_cut() {
       }
     }
     if (!everyone_has) {
-      auto it = msg_log_.find(s);
-      PLWG_ASSERT_MSG(it != msg_log_.end(), "cut content missing at initiator");
-      cut.retrans.push_back(it->second);
+      const OrderedMsg* m = msg_log_.find(s);
+      PLWG_ASSERT_MSG(m != nullptr, "cut content missing at initiator");
+      cut.retrans.push_back(*m);
     }
   }
   flush_op_->cut_sent = true;
@@ -302,16 +301,16 @@ void GroupEndpoint::on_flush_cut(const FlushCutMsg& msg) {
 }
 
 void GroupEndpoint::deliver_cut(const FlushCutMsg& msg) {
-  for (const OrderedMsg& m : msg.retrans) msg_log_.emplace(m.seq, m);
+  for (const OrderedMsg& m : msg.retrans) msg_log_.insert(m);
   for (std::uint64_t s : msg.cut) {
     // Skip what this member already delivered: the contiguous prefix
     // (its trimmed part included) and earlier deliveries of this cut.
     if (s <= delivered_upto_ || cut_delivered_.contains(s)) continue;
-    auto it = msg_log_.find(s);
-    PLWG_ASSERT_MSG(it != msg_log_.end(),
+    const OrderedMsg* m = msg_log_.find(s);
+    PLWG_ASSERT_MSG(m != nullptr,
                     "cut message neither in log nor retransmitted");
     cut_delivered_.insert(s);
-    deliver_one(it->second);
+    deliver_one(*m);
     if (defunct()) return;
   }
 }

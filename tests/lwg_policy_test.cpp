@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+
 namespace plwg::lwg::policy {
 namespace {
 
@@ -100,13 +102,19 @@ TEST(ShrinkRule, LeavesOnlyWhenNoLwgMapped) {
 }
 
 // --- parameter sweeps --------------------------------------------------------
+//
+// gtest names each case by the raw bytes of its param struct, and the ctest
+// id includes that name. Padding is spelled out as zeros so the ids are the
+// same in every build; compiler padding holds whatever the stack held.
 
 struct MinorityCase {
   std::uint32_t lwg_size;
   std::uint32_t hwg_size;
   double k_m;
   bool expect_victim;
+  std::array<std::uint8_t, 7> zero_padding{};
 };
+static_assert(sizeof(MinorityCase) == 24, "MinorityCase has implicit padding");
 
 class MinoritySweep : public ::testing::TestWithParam<MinorityCase> {};
 
@@ -133,7 +141,9 @@ INSTANTIATE_TEST_SUITE_P(
 struct CollapseCase {
   std::uint32_t a_lo, a_hi, b_lo, b_hi;
   bool expect;
+  std::array<std::uint8_t, 3> zero_padding{};
 };
+static_assert(sizeof(CollapseCase) == 20, "CollapseCase has implicit padding");
 
 class CollapseSweep : public ::testing::TestWithParam<CollapseCase> {};
 

@@ -4,16 +4,23 @@
 // between the unit-tested rules and the running service.
 #include <gtest/gtest.h>
 
+#include <array>
+
 #include "lwg_fixture.hpp"
 
 namespace plwg::lwg::testing {
 namespace {
 
+// gtest names each case by the raw bytes of its param struct, and the ctest
+// id includes that name. Padding is spelled out as zeros so the ids are the
+// same in every build; compiler padding holds whatever the stack held.
 struct SweepCase {
   double k_m;
   std::size_t small_size;  // members of the minority LWG
   bool expect_eviction;    // small_size <= 8 / k_m
+  std::array<std::uint8_t, 7> zero_padding{};
 };
+static_assert(sizeof(SweepCase) == 24, "SweepCase has implicit padding");
 
 class PolicySweepTest : public LwgFixture,
                         public ::testing::WithParamInterface<SweepCase> {};

@@ -4,7 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <utility>
+#include <vector>
 
 #include "frame_mangler.hpp"
 #include "sim/network.hpp"
@@ -343,6 +345,108 @@ TEST_F(TransportTest, CorruptionInTransitIsContained) {
   EXPECT_EQ(b.stats().malformed_frames + h.values.size(), 64u);
   EXPECT_GT(b.stats().malformed_frames, 0u);
   for (std::uint32_t v : h.values) EXPECT_LT(v, 64u);
+}
+
+// --- per-peer state ----------------------------------------------------------
+
+TEST_F(TransportTest, PeerStateIsSizedByPeersUsedNotByTheWorld) {
+  // Every node sends to the highest-id node. A table indexed by NodeId would
+  // give each sender kNodes slots; each keeps state for its one peer only.
+  constexpr std::size_t kNodes = 2'000;
+  std::vector<std::unique_ptr<NodeRuntime>> nodes;
+  for (std::size_t i = 0; i < kNodes; ++i) {
+    nodes.push_back(std::make_unique<NodeRuntime>(net_));
+  }
+  NodeRuntime& sink = *nodes.back();
+  Recorder h;
+  sink.register_port(Port::kApp, h);
+  Encoder payload;
+  payload.put_u32(1);
+  for (std::size_t i = 0; i + 1 < kNodes; ++i) {
+    nodes[i]->send(Port::kApp, sink.id(), payload);
+  }
+  sim_.run();
+  EXPECT_EQ(h.froms.size(), kNodes - 1);
+  for (std::size_t i = 0; i + 1 < kNodes; ++i) {
+    ASSERT_EQ(nodes[i]->peer_count(), 1u) << "node " << i;
+  }
+  EXPECT_EQ(sink.peer_count(), kNodes - 1);  // one per sender heard from
+}
+
+using Arrival = std::pair<NodeId, std::uint32_t>;
+
+/// Appends (receiving node, value) to a log that several destinations
+/// share: their arrival order on the shared bus.
+struct SharedRecorder : PortHandler {
+  SharedRecorder(NodeId self_id, std::vector<Arrival>& shared_log)
+      : self(self_id), log(shared_log) {}
+  void on_message(NodeId, Decoder& dec) override {
+    log.emplace_back(self, dec.get_u32());
+  }
+  NodeId self;
+  std::vector<Arrival>& log;
+};
+
+TEST_F(TransportTest, DescendingDestinationsFlushInStagingOrder) {
+  std::vector<std::unique_ptr<NodeRuntime>> nodes;
+  for (int i = 0; i < 8; ++i) {
+    nodes.push_back(std::make_unique<NodeRuntime>(net_));
+  }
+  NodeRuntime& a = *nodes[1];
+  const std::vector<NodeId> dests{nodes[7]->id(), nodes[5]->id(),
+                                  nodes[0]->id()};
+  std::vector<Arrival> log;
+  SharedRecorder r7(dests[0], log), r5(dests[1], log), r0(dests[2], log);
+  nodes[7]->register_port(Port::kApp, r7);
+  nodes[5]->register_port(Port::kApp, r5);
+  nodes[0]->register_port(Port::kApp, r0);
+
+  auto payload = [](std::uint32_t v) {
+    Encoder e;
+    e.put_u32(v);
+    return e;
+  };
+  // Distinct batches, staged N-1, 5, 0: each later destination sorts in
+  // front of the ones already staged, yet frames leave in staging order.
+  sim_.schedule_after(0, [&] {
+    for (std::size_t k = 0; k < dests.size(); ++k) {
+      a.send(Port::kApp, dests[k], payload(static_cast<std::uint32_t>(k)));
+    }
+  });
+  sim_.run();
+  EXPECT_EQ(log, (std::vector<Arrival>{
+                     {dests[0], 0}, {dests[1], 1}, {dests[2], 2}}));
+  EXPECT_EQ(a.stats().frames_sent, 3u);
+
+  // Identical batches to the same three still coalesce into one frame.
+  log.clear();
+  sim_.schedule_after(0, [&] {
+    a.multicast(Port::kApp, dests, payload(9));
+  });
+  sim_.run();
+  EXPECT_EQ(log, (std::vector<Arrival>{
+                     {dests[0], 9}, {dests[1], 9}, {dests[2], 9}}));
+  EXPECT_EQ(a.stats().frames_sent, 4u);
+  EXPECT_EQ(a.peer_count(), 3u);
+}
+
+TEST_F(TransportTest, GhostFrameDroppedAfterLowerIdPeerInsertedInFront) {
+  std::vector<std::unique_ptr<NodeRuntime>> nodes;
+  for (int i = 0; i < 8; ++i) {
+    nodes.push_back(std::make_unique<NodeRuntime>(net_));
+  }
+  NodeRuntime& b = *nodes[4];
+  Recorder h;
+  b.register_port(Port::kApp, h);
+  const NodeId high = nodes[7]->id();
+  const NodeId low = nodes[2]->id();
+  b.on_packet(high, raw_frame(3, 5, u32_payload(1)));  // learns inc 5
+  b.on_packet(low, raw_frame(3, 0, u32_payload(2)));   // sorts in front
+  b.on_packet(high, raw_frame(3, 4, u32_payload(3)));  // ghost of inc 4
+  b.on_packet(high, raw_frame(3, 5, u32_payload(4)));
+  EXPECT_EQ(h.values, (std::vector<std::uint32_t>{1, 2, 4}));
+  EXPECT_EQ(b.stats().stale_incarnation_drops, 1u);
+  EXPECT_EQ(b.peer_count(), 2u);
 }
 
 }  // namespace

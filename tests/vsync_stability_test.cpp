@@ -1,7 +1,9 @@
 // Stability-floor log GC: members piggyback their delivery bound on
 // heartbeats, the sequencer folds them into a view-wide floor advertised on
 // ORDERED traffic and heartbeats, and everyone trims the seqs below it from
-// the retransmission log — without breaking NACK repair or flush cuts.
+// the retransmission log — without breaking NACK repair or flush cuts. The
+// log keeps seq order and the first copy of each seq, whatever the arrival
+// order.
 #include <gtest/gtest.h>
 
 #include "vsync_fixture.hpp"
@@ -100,6 +102,94 @@ TEST_F(VsyncStabilityTest, OrderedTrafficSuppressesSequencerHeartbeats) {
   EXPECT_TRUE(host(0).endpoint(gid)->suspected().empty());
   EXPECT_TRUE(host(1).endpoint(gid)->suspected().empty());
   EXPECT_TRUE(converged(gid, {0, 1}, members_of({0, 1})));
+}
+
+// --- the receive log ----------------------------------------------------------
+
+/// Hands a one-member group's endpoint ORDERED messages through its wire
+/// entry, in any order, the way reordering and NACK repair deliver them.
+class VsyncLogTest : public VsyncFixture {
+ protected:
+  void SetUp() override {
+    build(1);
+    gid_ = host(0).allocate_group_id();
+    host(0).create_group(gid_, user(0));
+    ASSERT_TRUE(run_until([&] { return host(0).view_of(gid_) != nullptr; },
+                          5'000'000));
+    ep_ = host(0).endpoint(gid_);
+    ASSERT_NE(ep_, nullptr);
+  }
+
+  /// ORDERED `seq` carrying payload tag `tag` and the stability floor
+  /// `stable_upto`.
+  void receive(std::uint64_t seq, std::uint8_t tag,
+               std::uint64_t stable_upto = 0) {
+    OrderedMsgWire wire;
+    wire.view = ep_->view().id;
+    wire.stable_upto = stable_upto;
+    wire.msg.seq = seq;
+    wire.msg.origin = pid(0);
+    wire.msg.sender_msg_id = 1'000 + seq;
+    wire.msg.payload = payload(tag);
+    Encoder enc;
+    wire.encode(enc);
+    Decoder dec(enc.bytes());
+    ep_->on_message(pid(0), MsgType::kOrdered, dec);
+  }
+
+  std::vector<std::uint8_t> delivered_tags() {
+    std::vector<std::uint8_t> tags;
+    for (const auto& epoch : user(0).log(gid_).epochs) {
+      for (const auto& [origin, data] : epoch.delivered) tags.push_back(data[0]);
+    }
+    return tags;
+  }
+
+  HwgId gid_;
+  GroupEndpoint* ep_ = nullptr;
+};
+
+TEST_F(VsyncLogTest, OutOfOrderSeqsAreDeliveredInOrderExactlyOnce) {
+  receive(3, 30);
+  EXPECT_TRUE(delivered_tags().empty());
+  receive(1, 10);
+  receive(2, 20);
+  receive(2, 20);  // duplicates of delivered seqs change nothing
+  receive(3, 30);
+  EXPECT_EQ(delivered_tags(), (std::vector<std::uint8_t>{10, 20, 30}));
+}
+
+TEST_F(VsyncLogTest, DuplicateSeqNeverReplacesTheFirstCopy) {
+  receive(2, 20);
+  receive(2, 99);  // same seq, different payload
+  receive(1, 10);
+  EXPECT_EQ(delivered_tags(), (std::vector<std::uint8_t>{10, 20}));
+}
+
+TEST_F(VsyncLogTest, RepairedSeqBelowTheBackIsInsertedInOrder) {
+  for (std::uint64_t seq : {1, 2, 4, 5, 6}) {
+    receive(seq, static_cast<std::uint8_t>(10 * seq));
+  }
+  EXPECT_EQ(delivered_tags(), (std::vector<std::uint8_t>{10, 20}));
+  // The NACK repair of the gap: 4..6 are found behind it only if 3 went in
+  // at its place in seq order.
+  receive(3, 30);
+  EXPECT_EQ(delivered_tags(),
+            (std::vector<std::uint8_t>{10, 20, 30, 40, 50, 60}));
+}
+
+TEST_F(VsyncLogTest, LogTrimmedCountsExactlyThePoppedEntries) {
+  const std::uint64_t trimmed_before = ep_->stats().log_trimmed;
+  for (std::uint64_t seq : {1, 2, 4, 5}) {
+    receive(seq, static_cast<std::uint8_t>(seq), /*stable_upto=*/2);
+  }
+  ep_->on_tick();  // trims 1 and 2; 4 and 5 wait behind the gap
+  EXPECT_EQ(ep_->stats().log_trimmed - trimmed_before, 2u);
+  receive(3, 3, /*stable_upto=*/5);
+  ep_->on_tick();  // trims 3, 4 and 5
+  EXPECT_EQ(ep_->stats().log_trimmed - trimmed_before, 5u);
+  ep_->on_tick();  // nothing left to trim
+  EXPECT_EQ(ep_->stats().log_trimmed - trimmed_before, 5u);
 }
 
 }  // namespace
