@@ -1,6 +1,6 @@
 // Hot-path microbenchmarks: simulator event loop, codec encode/decode, the
-// member-set / policy / RNG building blocks, and an end-to-end Fig. 2-style
-// throughput run.
+// member-set / policy / RNG / byte-hash building blocks, and an end-to-end
+// Fig. 2-style throughput run.
 //
 // These are the two layers every experiment funnels through (millions of
 // events, one codec pass per message), so this file is the regression gate
@@ -17,6 +17,7 @@
 #include "lwg/policy.hpp"
 #include "sim/simulator.hpp"
 #include "util/codec.hpp"
+#include "util/hash.hpp"
 #include "util/member_set.hpp"
 #include "util/rng.hpp"
 #include "vsync/messages.hpp"
@@ -220,6 +221,43 @@ void BM_PolicyShareRule(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PolicyShareRule)->Arg(8)->Arg(64)->Arg(512);
+
+// The one byte-pass hash (frame checksum, oracle payload keys) against the
+// byte-at-a-time 64-bit FNV-1a loop it replaced, at a small frame, a typical
+// batch and the batch size cap.
+std::vector<std::uint8_t> hash_input(std::size_t n) {
+  Rng rng(7);
+  std::vector<std::uint8_t> out(n);
+  for (auto& b : out) b = static_cast<std::uint8_t>(rng.next_u64());
+  return out;
+}
+
+void BM_HashBytes(benchmark::State& state) {
+  const auto data = hash_input(static_cast<std::size_t>(state.range(0)));
+  std::uint64_t seed = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(hash_bytes(data, seed++));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          state.range(0));
+}
+BENCHMARK(BM_HashBytes)->Arg(64)->Arg(1024)->Arg(16 * 1024);
+
+void BM_HashBytesFnv1aBaseline(benchmark::State& state) {
+  const auto data = hash_input(static_cast<std::size_t>(state.range(0)));
+  std::uint64_t seed = 0;
+  for (auto _ : state) {
+    std::uint64_t h = 1469598103934665603ULL ^ seed++;
+    for (std::uint8_t b : data) {
+      h ^= b;
+      h *= 1099511628211ULL;
+    }
+    benchmark::DoNotOptimize(h);
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          state.range(0));
+}
+BENCHMARK(BM_HashBytesFnv1aBaseline)->Arg(64)->Arg(1024)->Arg(16 * 1024);
 
 void BM_RngNextBelow(benchmark::State& state) {
   Rng rng(42);

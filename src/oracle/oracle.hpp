@@ -40,6 +40,7 @@
 #include "lwg/observer.hpp"
 #include "names/observer.hpp"
 #include "oracle/trace.hpp"
+#include "util/hash.hpp"
 #include "util/member_set.hpp"
 #include "util/types.hpp"
 #include "vsync/observer.hpp"
@@ -112,6 +113,23 @@ class ProtocolOracle final : public vsync::VsyncObserver,
                           const names::MappingEntry& entry) override;
   void on_mapping_gced(NodeId server, LwgId lwg,
                        const vsync::ViewId& lwg_view) override;
+
+  // --- delivery hooks by payload key --------------------------------------
+  /// The two delivery hooks' checks, fed payload_key(payload) instead of the
+  /// payload: the span hooks above hash and forward here, and the multi-site
+  /// mux captures only the key. `first_byte` is the LWG trace event's
+  /// payload tag (the payload's first byte, 0 when empty).
+  [[nodiscard]] static std::uint64_t payload_key(
+      std::span<const std::uint8_t> payload) {
+    return hash_bytes(payload);
+  }
+  void on_hwg_delivered_key(ProcessId p, HwgId gid, const vsync::ViewId& view,
+                            std::uint64_t seq, ProcessId origin,
+                            std::uint64_t sender_msg_id,
+                            std::uint64_t payload_key);
+  void on_lwg_delivered_key(ProcessId p, LwgId lwg, const vsync::ViewId& view,
+                            ProcessId src, std::uint64_t payload_key,
+                            std::uint8_t first_byte);
 
   // --- convergence (#4/#5) -----------------------------------------------
   /// Run check_converged and record a violation on failure. Returns true

@@ -47,9 +47,9 @@ void ShardedObserverMux::on_hwg_delivered(
     ProcessId origin, std::uint64_t sender_msg_id,
     std::span<const std::uint8_t> payload) {
   dispatch([&oracle = oracle_, p, gid, view, seq, origin, sender_msg_id,
-            bytes = std::vector<std::uint8_t>(payload.begin(),
-                                              payload.end())] {
-    oracle.on_hwg_delivered(p, gid, view, seq, origin, sender_msg_id, bytes);
+            key = ProtocolOracle::payload_key(payload)] {
+    oracle.on_hwg_delivered_key(p, gid, view, seq, origin, sender_msg_id,
+                                key);
   });
 }
 
@@ -82,9 +82,9 @@ void ShardedObserverMux::on_lwg_delivered(ProcessId p, LwgId lwg,
                                           std::span<const std::uint8_t>
                                               payload) {
   dispatch([&oracle = oracle_, p, lwg, view, src,
-            bytes = std::vector<std::uint8_t>(payload.begin(),
-                                              payload.end())] {
-    oracle.on_lwg_delivered(p, lwg, view, src, bytes);
+            key = ProtocolOracle::payload_key(payload),
+            first_byte = payload.empty() ? std::uint8_t{0} : payload.front()] {
+    oracle.on_lwg_delivered_key(p, lwg, view, src, key, first_byte);
   });
 }
 

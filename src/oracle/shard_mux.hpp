@@ -4,9 +4,12 @@
 // Worker threads must never call into the oracle directly — its state is one
 // big cross-node table. Instead every observer hook fired inside a site's
 // events is captured by value (timestamp + arguments) into that site's
-// ring; rings are single-writer (only the thread currently running the
-// site appends) and are drained on the driver thread when Engine::run_until
-// returns. Rings are per *site*, so the capture order does not depend on
+// ring; a delivery's payload is captured as its 64-bit oracle key
+// (ProtocolOracle::payload_key, hashed in the hook) plus the first byte the
+// LWG trace event records, never as a copy of the bytes. Rings are
+// single-writer (only the thread currently running the site appends) and
+// are drained on the driver thread when Engine::run_until returns. Rings
+// are per *site*, so the capture order does not depend on
 // which thread ran the site's class job. The drain merges all rings by
 // (event time, site index, ring position) — a total order that depends only
 // on the simulation, not on the thread schedule — and replays each event

@@ -3,28 +3,20 @@
 #include <algorithm>
 
 #include "util/assert.hpp"
+#include "util/hash.hpp"
 #include "util/log.hpp"
 
 namespace plwg::transport {
 
 namespace {
 
-/// FNV-1a over the frame's protected bytes: the sender incarnation plus
-/// everything after the checksum field (count + all entries). Cheap,
-/// order-sensitive, and catches both bit flips and truncation — of any
-/// entry, anywhere in the batch, rejecting the frame whole.
+/// The frame's protected bytes (everything after the checksum field: count
+/// + all entries) hashed with the sender incarnation as the seed, truncated
+/// to 32 bits. Order-sensitive, and catches both bit flips and truncation —
+/// of any entry, anywhere in the batch, rejecting the frame whole.
 std::uint32_t frame_checksum(std::uint32_t incarnation,
                              std::span<const std::uint8_t> protected_bytes) {
-  std::uint32_t h = 2166136261u;
-  auto mix = [&h](std::uint8_t b) {
-    h ^= b;
-    h *= 16777619u;
-  };
-  for (int i = 0; i < 4; ++i) {
-    mix(static_cast<std::uint8_t>(incarnation >> (8 * i)));
-  }
-  for (std::uint8_t b : protected_bytes) mix(b);
-  return h;
+  return static_cast<std::uint32_t>(hash_bytes(protected_bytes, incarnation));
 }
 
 void put_u16_le(std::vector<std::uint8_t>& out, std::uint16_t v) {

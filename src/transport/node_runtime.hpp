@@ -20,9 +20,10 @@
 // `incarnation` is the sender's crash-restart incarnation: a receiver that
 // has heard a newer incarnation of the same node drops the whole frame, so a
 // restarted node's ghosts cannot reanimate old protocol state at its peers.
-// `checksum` (FNV-1a over incarnation + everything after the checksum field)
-// covers the entire batch: in-transit corruption rejects the frame whole —
-// corruption degrades to loss, never to a half-poisoned batch. Because a
+// `checksum` (the low 32 bits of util/hash.hpp's hash_bytes over everything
+// after the checksum field, seeded with the incarnation) covers the entire
+// batch: in-transit corruption rejects the frame whole — corruption
+// degrades to loss, never to a half-poisoned batch. Because a
 // batch is one sim::Network packet, it is also delivered or dropped
 // atomically against crash epochs and partitions.
 // Each service parses its own payload with the bounds-checked Decoder.

@@ -9,6 +9,8 @@
 #include "harness/world.hpp"
 #include "names/mapping.hpp"
 #include "oracle/oracle.hpp"
+#include "oracle/shard_mux.hpp"
+#include "sim/engine.hpp"
 
 namespace plwg::oracle {
 namespace {
@@ -226,6 +228,87 @@ TEST_F(OracleSelfTest, ReportJsonCarriesViolationAndTrace) {
   oracle_.clear();
   EXPECT_TRUE(oracle_.clean());
   EXPECT_EQ(oracle_.total_violations(), 0u);
+}
+
+/// The oracle fed through ShardedObserverMux from inside a site's events,
+/// so every hook takes the ringed path: a delivery reaches the oracle as its
+/// payload key, hashed in the hook. Payloads that differ only past their
+/// first 8-byte word must still yield different keys.
+class OracleMuxTest : public ::testing::Test {
+ protected:
+  static constexpr Time kAt = 1'000;
+
+  OracleMuxTest() { engine_.add_barrier_hook([this] { mux_.drain(); }); }
+
+  /// Fires `hooks` as one site-0 event and runs the engine past it: the
+  /// oracle sees nothing until the end-of-run drain.
+  template <class F>
+  void fire_in_site(F hooks) {
+    engine_.post(0, kAt, [this, hooks] {
+      ASSERT_EQ(sim::Engine::current_site(), 0);
+      hooks(mux_);
+      EXPECT_EQ(oracle_.total_violations(), 0u);  // still in the ring
+    });
+    engine_.run_until(kAt + 1);
+  }
+
+  sim::Engine engine_;
+  ProtocolOracle oracle_{[this] { return mux_.now(); }};
+  ShardedObserverMux mux_{engine_, oracle_};
+  /// The same history fed straight through the span hooks, for comparison.
+  ProtocolOracle direct_{[] { return kAt; }};
+  const HwgId gid_{7};
+  const LwgId lwg_{9};
+  const ProcessId p1_{1}, p2_{2};
+  const ViewId va_{ProcessId{1}, 1};
+  const ViewId vb_{ProcessId{1}, 2};
+  // Equal first word (and first byte, the LWG trace tag); byte 9 differs.
+  const std::vector<std::uint8_t> data_a_{0xab, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10};
+  const std::vector<std::uint8_t> data_b_{0xab, 1, 2, 3, 4, 5, 6, 7, 8, 0x49,
+                                          10};
+};
+
+TEST_F(OracleMuxTest, HwgSlotDisagreementPastTheFirstWord) {
+  auto history = [this](auto& obs) {
+    for (ProcessId p : {p1_, p2_}) {
+      obs.on_hwg_view_installed(p, gid_, hwg_view(va_, {1, 2}));
+    }
+    // Same (view, seq), same origin and smid: only the payload differs.
+    obs.on_hwg_delivered(p1_, gid_, va_, 1, p1_, 1, data_a_);
+    obs.on_hwg_delivered(p2_, gid_, va_, 1, p1_, 1, data_b_);
+  };
+  fire_in_site([&](ShardedObserverMux& mux) { history(mux); });
+  expect_only_invariant(oracle_, 1);
+  history(direct_);
+  EXPECT_EQ(oracle_.report_json(), direct_.report_json());
+  oracle_.clear();
+  direct_.clear();
+}
+
+TEST_F(OracleMuxTest, LwgPairDivergencePastTheFirstWord) {
+  auto history = [this](auto& obs) {
+    const auto view_a = lwg_view(va_, {1, 2}, gid_);
+    const auto view_b = lwg_view(vb_, {1, 2}, gid_);
+    obs.on_lwg_view_installed(p1_, lwg_, view_a, {});
+    obs.on_lwg_view_installed(p2_, lwg_, view_a, {});
+    obs.on_lwg_delivered(p1_, lwg_, va_, p1_, data_a_);
+    obs.on_lwg_delivered(p2_, lwg_, va_, p1_, data_b_);
+    obs.on_lwg_view_installed(p1_, lwg_, view_b, {});
+    obs.on_lwg_view_installed(p2_, lwg_, view_b, {});
+  };
+  fire_in_site([&](ShardedObserverMux& mux) { history(mux); });
+  expect_only_invariant(oracle_, 1);
+  // The trace event still records the payload's first byte (0xab = 171).
+  const std::string report = oracle_.report_json();
+  EXPECT_NE(report.find("\"kind\":\"lwg-deliver\",\"group\":9,\"view\":"),
+            std::string::npos)
+      << report;
+  EXPECT_NE(report.find("\"peer\":1,\"arg\":171}"), std::string::npos)
+      << report;
+  history(direct_);
+  EXPECT_EQ(report, direct_.report_json());
+  oracle_.clear();
+  direct_.clear();
 }
 
 /// End-to-end deliberate violation: a live 3-process world where the oracle

@@ -11,6 +11,7 @@
 #include "frame_mangler.hpp"
 #include "sim/network.hpp"
 #include "sim/simulator.hpp"
+#include "util/hash.hpp"
 
 namespace plwg::transport {
 namespace {
@@ -148,13 +149,9 @@ std::vector<std::uint8_t> raw_batch(std::uint32_t inc,
     }
     tail.insert(tail.end(), payload.begin(), payload.end());
   }
-  std::uint32_t h = 2166136261u;
-  auto mix = [&h](std::uint8_t byte) {
-    h ^= byte;
-    h *= 16777619u;
-  };
-  for (int i = 0; i < 4; ++i) mix(static_cast<std::uint8_t>(inc >> (8 * i)));
-  for (std::uint8_t byte : tail) mix(byte);
+  // The checksum is specified as the low 32 bits of hash_bytes over the
+  // tail, seeded with the incarnation.
+  auto h = static_cast<std::uint32_t>(hash_bytes(tail, inc));
   if (!valid_checksum) h ^= 1;
   std::vector<std::uint8_t> out;
   for (int i = 0; i < 4; ++i) {
@@ -345,6 +342,54 @@ TEST_F(TransportTest, CorruptionInTransitIsContained) {
   EXPECT_EQ(b.stats().malformed_frames + h.values.size(), 64u);
   EXPECT_GT(b.stats().malformed_frames, 0u);
   for (std::uint32_t v : h.values) EXPECT_LT(v, 64u);
+}
+
+TEST_F(TransportTest, FrameChecksumKnownAnswer) {
+  // Pins the wire format: a real sender's frame, byte for byte, and the
+  // checksum of a hand-built frame with a nonzero incarnation (the seed).
+  NodeRuntime a(net_), b(net_);
+  testing::FrameTap tap;
+  const NodeId tap_id = net_.add_node(tap);
+  Encoder payload;
+  payload.put_u32(42);
+  a.send(Port::kApp, tap_id, payload);
+  sim_.run();
+  ASSERT_EQ(tap.frames.size(), 1u);
+  const std::vector<std::uint8_t> expected{
+      0,    0,    0,    0,     // incarnation
+      0xd1, 0xb7, 0x48, 0x3a,  // checksum
+      1,    0,                 // count
+      3,    4,    0,    0, 0,  // port kApp, len
+      42,   0,    0,    0};    // payload
+  EXPECT_EQ(tap.frames[0], expected);
+  EXPECT_EQ(tap.frames[0], raw_frame(3, 0, u32_payload(42)));
+
+  const auto seeded = raw_frame(3, 0x01020304, u32_payload(42));
+  EXPECT_EQ(std::vector<std::uint8_t>(seeded.begin() + 4, seeded.begin() + 8),
+            (std::vector<std::uint8_t>{0xed, 0xee, 0x52, 0x03}));
+  Recorder h;
+  b.register_port(Port::kApp, h);
+  b.on_packet(a.id(), seeded);
+  EXPECT_EQ(h.values, std::vector<std::uint32_t>{42});
+}
+
+TEST_F(TransportTest, EverySingleBitFlipRejectsTheFrameWhole) {
+  NodeRuntime a(net_), b(net_);
+  Recorder h;
+  b.register_port(Port::kApp, h);
+  const auto frame = raw_batch(5, {{3, u32_payload(7)}, {3, u32_payload(8)}});
+  std::uint64_t flipped = 0;
+  for (std::size_t bit = 0; bit < frame.size() * 8; ++bit) {
+    auto bad = frame;
+    bad[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+    b.on_packet(a.id(), bad);
+    ASSERT_EQ(b.stats().malformed_frames, ++flipped) << "bit " << bit;
+  }
+  EXPECT_TRUE(h.values.empty());
+  EXPECT_EQ(b.stats().stale_incarnation_drops, 0u);
+  // No flipped frame touched the peer's state: the intact one still lands.
+  b.on_packet(a.id(), frame);
+  EXPECT_EQ(h.values, (std::vector<std::uint32_t>{7, 8}));
 }
 
 // --- per-peer state ----------------------------------------------------------
