@@ -1,18 +1,13 @@
 // Geographic scale: the paper motivates partitionable operation with
-// "networks of large geographical scale". Three experiments:
+// "networks of large geographical scale". Two experiments:
 //
 //   1. Latency sweep — a group spanning two LANs joined by a WAN backbone
 //      is cut and healed across campus-to-continental WAN delays;
 //      reconciliation stays dominated by the (constant) probe/sync periods.
 //   2. Segment-count sweep — 100 and 1,000 segments (3 processes each, up
-//      to ~3,000 nodes), one local LWG per segment, at 1 engine thread:
-//      wall-clock per sim-second and peak memory against node count.
+//      to ~3,000 nodes), one local LWG per segment: wall-clock per
+//      sim-second and peak memory against node count.
 //      PLWG_BENCH_BIG=0 skips the 1,000-segment cell (a smoke run).
-//   3. Island episode — a partition-heavy steady state (the WAN cut into
-//      16 disconnected islands, so the engine runs 16 independent class
-//      jobs) at 1 and at 4 engine threads. Reported as wall-clock per
-//      sim-second and speedup over 1 thread; the process exits nonzero
-//      unless both runs produce the same trace digest.
 #include <sys/resource.h>
 
 #include <chrono>
@@ -21,7 +16,6 @@
 #include <iostream>
 #include <memory>
 #include <string_view>
-#include <thread>
 #include <vector>
 
 #include "harness/world.hpp"
@@ -160,12 +154,11 @@ struct SegmentWorld {
   bool formed = false;
 };
 
-SegmentWorld make_segment_world(std::size_t segments, std::size_t threads) {
+SegmentWorld make_segment_world(std::size_t segments) {
   SegmentWorld sw;
   sw.cfg.oracle = false;
   sw.cfg.num_processes = segments * kPerSegment;
   sw.cfg.num_name_servers = 2;
-  sw.cfg.sim_threads = threads;
   for (std::size_t s = 0; s < segments; ++s) {
     std::vector<std::size_t> seg;
     for (std::size_t i = 0; i < kPerSegment; ++i)
@@ -235,8 +228,7 @@ double peak_rss_mb() {
 /// Experiment 2: segment-count sweep at fixed per-segment load.
 void run_scale_sweep() {
   std::printf("\n# Segment-count sweep: N segments x %zu processes, one "
-              "local LWG each, 1 send/process/10ms, 1 sim-s measured, "
-              "1 engine thread\n",
+              "local LWG each, 1 send/process/10ms, 1 sim-s measured\n",
               kPerSegment);
   // Peak RSS is the process's high-water mark after the row: each row's
   // world is larger than everything built before it.
@@ -249,7 +241,7 @@ void run_scale_sweep() {
       std::printf("segments=%zu: skipped (PLWG_BENCH_BIG=0)\n", segments);
       continue;
     }
-    SegmentWorld sw = make_segment_world(segments, 1);
+    SegmentWorld sw = make_segment_world(segments);
     if (!sw.formed) {
       std::printf("segments=%zu: formation timed out\n", segments);
       continue;
@@ -266,50 +258,6 @@ void run_scale_sweep() {
   table.print(std::cout);
   std::printf("shape check: 10x the nodes costs more than 10x the "
               "wall-clock; EXPERIMENTS.md attributes the excess.\n");
-}
-
-/// Experiment 3: the island episode. Cut the WAN under a partition-heavy
-/// steady state — every segment becomes its own reachability class, so the
-/// engine runs 16 independent class jobs per step — and compare 1 engine
-/// thread against 4. Returns false when the two digests differ.
-bool run_island_episode() {
-  std::printf("\n# Island episode: 16 segments, WAN cut into 16 "
-              "disconnected islands, 5 sim-s of local traffic, 1 vs 4 "
-              "engine threads on %u host cores\n",
-              std::thread::hardware_concurrency());
-  metrics::Table table({"threads", "wall-s-per-sim-s", "speedup_vs_1_thread",
-                        "digest"});
-  double wall_1 = 0;
-  std::uint64_t digest_1 = 0;
-  bool same = true;
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-    SegmentWorld sw = make_segment_world(16, threads);
-    if (!sw.formed) {
-      std::printf("formation timed out\n");
-      return false;
-    }
-    // Local LWGs keep operating across the cut — the paper's
-    // partitionable-operation story.
-    sw.world->cut_wan();
-    drive(sw, 500'000, 10'000);  // let classes propagate, reach steady state
-    const double wall = drive(sw, 5'000'000, 100'000);
-    const std::uint64_t digest = sw.world->trace_digest();
-    if (threads == 1) {
-      wall_1 = wall;
-      digest_1 = digest;
-    }
-    same = same && digest == digest_1;
-    char digest_hex[32];
-    std::snprintf(digest_hex, sizeof digest_hex, "%016llx",
-                  static_cast<unsigned long long>(digest));
-    table.add_row({std::to_string(threads), metrics::Table::fmt(wall / 5.0, 4),
-                   metrics::Table::fmt(wall > 0 ? wall_1 / wall : 0.0, 2),
-                   digest_hex});
-  }
-  table.print(std::cout);
-  std::printf("digests equal at 1 and 4 threads: %s\n",
-              same ? "yes" : "NO — BUG");
-  return same;
 }
 
 }  // namespace
@@ -336,5 +284,5 @@ int main() {
               "reconciliation stays dominated by the constant probe/sync "
               "periods.\n");
   run_scale_sweep();
-  return run_island_episode() ? 0 : 1;
+  return 0;
 }

@@ -13,11 +13,6 @@
 #   BUILD_DIR            build tree holding tests/test_oracle (default: build)
 #   JOBS                 worker count (default: nproc)
 #   PLWG_SWEEP_RESTARTS  passed through (0 = crashes stay permanent)
-#   PLWG_SIM_THREADS     passed through; > 1 runs every episode with the
-#                        engine's worker pool (worlds get 2-3 LAN segments,
-#                        so partitions split them into class jobs). Each test
-#                        process then uses up to that many engine workers,
-#                        so scale JOBS down accordingly.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -36,8 +31,7 @@ if (( JOBS > TOTAL )); then JOBS=$TOTAL; fi
 log_dir=$(mktemp -d)
 trap 'rm -rf "$log_dir"' EXIT
 
-echo "sweeping seeds [$FIRST, $((FIRST + TOTAL - 1))] across $JOBS workers" \
-     "(PLWG_SIM_THREADS=${PLWG_SIM_THREADS:-1})"
+echo "sweeping seeds [$FIRST, $((FIRST + TOTAL - 1))] across $JOBS workers"
 start_ts=$SECONDS
 pids=()
 starts=()

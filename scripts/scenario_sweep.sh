@@ -15,9 +15,6 @@
 # Env:
 #   BUILD_DIR          build tree holding tests/test_scenarios (default: build)
 #   JOBS               worker count (default: nproc)
-#   PLWG_SIM_THREADS   passed through; > 1 replays every episode with the
-#                      engine's worker pool (multi-segment corpus files get
-#                      class jobs whenever a partition splits them). Scale JOBS down to match.
 #   PLWG_SCENARIO_DIR  corpus directory override (default: scenarios/ in the
 #                      source tree, compiled into the binary)
 set -euo pipefail
@@ -67,7 +64,7 @@ log_dir=$(mktemp -d)
 trap 'rm -rf "$log_dir"' EXIT
 
 echo "sweeping scenario corpus over seeds [$FIRST, $((FIRST + TOTAL - 1))]" \
-     "across $JOBS workers (PLWG_SIM_THREADS=${PLWG_SIM_THREADS:-1})"
+     "across $JOBS workers"
 start_ts=$SECONDS
 pids=()
 starts=()

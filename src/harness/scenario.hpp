@@ -164,11 +164,10 @@ struct ScenarioResult {
 
 /// Build the world, form one LWG over every process, replay the scenario's
 /// fault schedule with light application traffic, quiesce, converge, and
-/// report. Fully deterministic in (scenario, seed, sim_threads) — the same
-/// call yields byte-identical digests. The oracle is always on; violations
-/// are returned (not aborted on) so callers surface them through gtest.
+/// report. Fully deterministic in (scenario, seed) — the same call yields
+/// byte-identical digests. The oracle is always on; violations are returned
+/// (not aborted on) so callers surface them through gtest.
 [[nodiscard]] ScenarioResult run_scenario(const Scenario& scenario,
-                                          std::uint64_t seed,
-                                          std::size_t sim_threads = 1);
+                                          std::uint64_t seed);
 
 }  // namespace plwg::harness

@@ -22,8 +22,7 @@ class NullUser : public lwg::LwgUser {
 
 }  // namespace
 
-ScenarioResult run_scenario(const Scenario& scenario, std::uint64_t seed,
-                            std::size_t sim_threads) {
+ScenarioResult run_scenario(const Scenario& scenario, std::uint64_t seed) {
   ScenarioResult result;
 
   WorldConfig cfg;
@@ -33,7 +32,6 @@ ScenarioResult run_scenario(const Scenario& scenario, std::uint64_t seed,
   cfg.net.drop_probability = scenario.net_drop_probability;
   cfg.net.jitter_us = scenario.net_jitter_us;
   cfg.segments = scenario.segments;
-  cfg.sim_threads = sim_threads;
   cfg.oracle = true;
   SimWorld world(cfg);
   const std::size_t n = world.num_processes();

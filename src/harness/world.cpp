@@ -33,8 +33,7 @@ void apply_env_log_level() {
 
 SimWorld::SimWorld(WorldConfig config)
     : config_(std::move(config)),
-      engine_(std::max<std::size_t>(1, config_.segments.size()),
-              config_.sim_threads) {
+      engine_(std::max<std::size_t>(1, config_.segments.size())) {
   apply_env_log_level();
   Logger::instance().set_time_source([this] { return engine_.log_now(); });
   net_ = std::make_unique<sim::Network>(engine_, config_.net);
@@ -86,14 +85,12 @@ SimWorld::SimWorld(WorldConfig config)
   }
 
   if (config_.oracle) {
-    // Site threads must not call into the single-threaded oracle: every
-    // observer hook goes through per-site rings, merged in deterministic
-    // order when each run_until returns. The mux pins the oracle's clock to
-    // each replayed event's original timestamp.
+    // Hooks call the oracle inline. The sites of one sub-window run in
+    // turn, not in time order, but no two of their events are causally
+    // related (a cross-site packet costs at least one lookahead), so the
+    // oracle still sees a causal order; its checks do no time arithmetic.
     oracle_ = std::make_unique<oracle::ProtocolOracle>(
-        [this] { return mux_->now(); });
-    mux_ = std::make_unique<oracle::ShardedObserverMux>(engine_, *oracle_);
-    engine_.add_barrier_hook([m = mux_.get()] { m->drain(); });
+        [this] { return engine_.log_now(); });
   }
 
   for (std::size_t j = 0; j < servers_.size(); ++j) build_server(j);
@@ -127,10 +124,10 @@ void SimWorld::build_process(std::size_t i, names::Database server_disk) {
   }
   p.lwg = std::make_unique<lwg::LwgService>(*p.vsync, *p.naming, config_.lwg,
                                             stores_[i]);
-  if (mux_) {
-    p.vsync->set_observer(mux_.get());
-    p.lwg->set_observer(mux_.get());
-    p.naming->set_observer(mux_.get());
+  if (oracle_) {
+    p.vsync->set_observer(oracle_.get());
+    p.lwg->set_observer(oracle_.get());
+    p.naming->set_observer(oracle_.get());
   }
 }
 
@@ -142,7 +139,7 @@ void SimWorld::build_server(std::size_t j, names::Database disk) {
     if (k != j) peers.push_back(server_nodes_[k]);
   }
   s.naming->enable_server(std::move(peers), std::move(disk));
-  if (mux_) s.naming->set_observer(mux_.get());
+  if (oracle_) s.naming->set_observer(oracle_.get());
 }
 
 SimWorld::~SimWorld() {
@@ -338,12 +335,12 @@ void SimWorld::restart(std::size_t i) {
   // reports them through become_defunct()/note_lwg_reset(); plain
   // destruction does not, so fire the resets by hand — otherwise the
   // successor's first views would be paired with the corpse's.
-  if (mux_) {
+  if (oracle_) {
     for (const auto& [gid, ep] : p.vsync->endpoints()) {
-      mux_->on_hwg_endpoint_reset(self, gid);
+      oracle_->on_hwg_endpoint_reset(self, gid);
     }
     for (LwgId lwg : p.lwg->local_groups()) {
-      mux_->on_lwg_epoch_reset(self, lwg);
+      oracle_->on_lwg_epoch_reset(self, lwg);
     }
   }
   names::Database disk;

@@ -14,7 +14,6 @@
 #include "lwg/lwg_service.hpp"
 #include "names/naming_agent.hpp"
 #include "oracle/oracle.hpp"
-#include "oracle/shard_mux.hpp"
 #include "sim/engine.hpp"
 #include "sim/network.hpp"
 #include "sim/simulator.hpp"
@@ -47,10 +46,8 @@ struct WorldConfig {
   /// (paper Sect. 5.2).
   std::vector<std::vector<std::size_t>> segments;
   sim::WanConfig wan;
-  /// Worker threads for the engine (one site per LAN segment, one job per
-  /// reachability class). 0 reads PLWG_SIM_THREADS from the environment
-  /// (default 1). Same seed produces the same trace at any value — threads
-  /// only change wall-clock, and only while a partition splits the sites.
+  /// Ignored: the engine is single-threaded. Kept only because the
+  /// benchmark under perfbench/ still writes it.
   std::size_t sim_threads = 0;
   /// Wire the cross-node ProtocolOracle into every node (default). Benches
   /// that measure the protocol itself turn it off.
@@ -162,8 +159,7 @@ class SimWorld {
   };
 
   WorldConfig config_;
-  /// One site per LAN segment; a single-LAN world has one site and runs
-  /// on the driver thread.
+  /// One site per LAN segment; a single-LAN world has one site.
   sim::Engine engine_;
   std::unique_ptr<sim::Network> net_;
   /// Per-process / per-server stable storage; declared before the nodes
@@ -171,13 +167,9 @@ class SimWorld {
   /// must outlive a node's teardown.
   std::vector<durable::ProcessStore> stores_;
   std::vector<durable::ProcessStore> server_stores_;
-  /// Declared before the nodes so it is destroyed after them: hooks may
-  /// still fire while nodes tear down.
+  /// Every node's observer. Declared before the nodes so it is destroyed
+  /// after them: hooks may still fire while nodes tear down.
   std::unique_ptr<oracle::ProtocolOracle> oracle_;
-  /// Every observer hook reaches the oracle through the mux (per-site
-  /// rings, drained when run_until returns). Destroyed after the nodes,
-  /// like the oracle.
-  std::unique_ptr<oracle::ShardedObserverMux> mux_;
   std::vector<ProcessNode> processes_;
   std::vector<ServerNode> servers_;
   /// All name-server nodes in creation order (client fail-over lists are

@@ -7,6 +7,7 @@
 
 #include "names/mapping.hpp"
 #include "transport/node_runtime.hpp"
+#include "util/hash.hpp"
 #include "util/log.hpp"
 
 namespace plwg::oracle {
@@ -144,15 +145,6 @@ void ProtocolOracle::on_hwg_delivered(ProcessId p, HwgId gid,
                                       std::uint64_t seq, ProcessId origin,
                                       std::uint64_t sender_msg_id,
                                       std::span<const std::uint8_t> payload) {
-  on_hwg_delivered_key(p, gid, view, seq, origin, sender_msg_id,
-                       payload_key(payload));
-}
-
-void ProtocolOracle::on_hwg_delivered_key(ProcessId p, HwgId gid,
-                                          const vsync::ViewId& view,
-                                          std::uint64_t seq, ProcessId origin,
-                                          std::uint64_t sender_msg_id,
-                                          std::uint64_t payload_key) {
   auto dit = drop_hwg_deliveries_.find(p);
   if (dit != drop_hwg_deliveries_.end() && dit->second > 0) {
     if (--dit->second == 0) drop_hwg_deliveries_.erase(dit);
@@ -160,7 +152,7 @@ void ProtocolOracle::on_hwg_delivered_key(ProcessId p, HwgId gid,
   }
   trace(p, TraceEvent{now(), EventKind::kHwgDeliver, gid.value(), view, origin,
                       seq});
-  const MsgKey key{origin, sender_msg_id, payload_key};
+  const MsgKey key{origin, sender_msg_id, hash_bytes(payload)};
 
   // Total-order slot agreement: one message per (view, seq), everywhere.
   auto [sit, sinserted] = hwg_slots_.try_emplace({gid, view, seq});
@@ -283,18 +275,9 @@ void ProtocolOracle::on_lwg_view_installed(
 void ProtocolOracle::on_lwg_delivered(ProcessId p, LwgId lwg,
                                       const vsync::ViewId& view, ProcessId src,
                                       std::span<const std::uint8_t> payload) {
-  on_lwg_delivered_key(p, lwg, view, src, payload_key(payload),
-                       payload.empty() ? 0 : payload.front());
-}
-
-void ProtocolOracle::on_lwg_delivered_key(ProcessId p, LwgId lwg,
-                                          const vsync::ViewId& view,
-                                          ProcessId src,
-                                          std::uint64_t payload_key,
-                                          std::uint8_t first_byte) {
   trace(p, TraceEvent{now(), EventKind::kLwgDeliver, lwg.value(), view, src,
-                      first_byte});
-  const MsgKey key{src, 0, payload_key};
+                      payload.empty() ? 0u : payload.front()});
+  const MsgKey key{src, 0, hash_bytes(payload)};
   auto vit = lwg_views_.find({lwg, view});
   if (vit == lwg_views_.end()) {
     std::ostringstream os;

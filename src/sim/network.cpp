@@ -62,7 +62,7 @@ Network::Network(Engine& engine, NetworkConfig config)
   sites_.resize(engine.num_sites());
   // Per-site PRNG streams: site 0 draws from the seed itself; site i>0 gets
   // an independent splitmix64-derived stream. Streams depend only on the seed
-  // and the site count — never on the thread count or the class grouping.
+  // and the site count.
   std::uint64_t stream = config_.seed;
   for (std::size_t s = 0; s < sites_.size(); ++s) {
     sites_[s].sim = &engine.site(s);
@@ -109,7 +109,7 @@ void Network::multicast(NodeId from, std::span<const NodeId> dests,
   if (sender.crashed) return;
   // All sender-side queue/RNG/stat state lives in the sender's site; this
   // call runs either inside that site's events or while the engine is
-  // idle, so no other thread can touch it.
+  // idle.
   SiteCtx& ctx = sites_[sender.site];
   Simulator& sim = *ctx.sim;
 
@@ -192,10 +192,8 @@ void Network::multicast(NodeId from, std::span<const NodeId> dests,
   // hop crosses sites and is the one place Engine::post is needed. Its
   // timestamp is >= now + uplink tx (>=1us) + backbone propagation — never
   // inside the engine's lookahead sub-window. Every cross-site hop goes
-  // through the outbox: the destination is a sibling site of the sender's
-  // class job, which may already have run it through this sub-window, so a
-  // direct schedule could land in its past; the outbox injects it at the
-  // sub-window's end, in fixed (source site, post order) order.
+  // through the engine's outbox, which injects it at the sub-window's end
+  // in fixed (source site, post order) order.
   const std::size_t bytes = shared->size();
   const int partition = sender.partition;
   const int src_segment = sender.segment;
@@ -205,10 +203,7 @@ void Network::multicast(NodeId from, std::span<const NodeId> dests,
     // Re-check reachability at the backbone edge: topology changes land
     // between engine windows, but bus backlog can hold a frame across them.
     // A frame whose destinations were cut away while it sat on the source
-    // bus was on the wire when the partition happened — it is lost. (This
-    // is also what keeps class jobs sound: without the re-check, a stale
-    // hop would post into another reachability class, whose job may run on
-    // another thread and may have run arbitrarily far ahead.)
+    // bus was on the wire when the partition happened — it is lost.
     const int cur_partition = nodes_[from.value()].partition;
     SiteCtx& sctx = sites_[nodes_[from.value()].site];
     Time& uplink_free =
@@ -298,39 +293,8 @@ void Network::set_segments(const std::vector<std::vector<NodeId>>& segments,
     // it can reach another site.
     engine_.set_lookahead(wan_.propagation_delay_us + 1);
   }
-  push_site_classes();
   PLWG_INFO("net", "topology: ", segments.size(), " LAN segments on ",
             sites_.size(), " sites");
-}
-
-std::vector<int> Network::site_classes() const {
-  const std::size_t n = sites_.size();
-  // Union-find over sites, joined whenever a partition token spans them.
-  std::vector<std::size_t> parent(n);
-  for (std::size_t i = 0; i < n; ++i) parent[i] = i;
-  auto find = [&](std::size_t x) {
-    while (parent[x] != x) {
-      parent[x] = parent[parent[x]];
-      x = parent[x];
-    }
-    return x;
-  };
-  std::unordered_map<int, std::size_t> token_site;
-  for (const NodeState& node : nodes_) {
-    const auto [it, fresh] = token_site.try_emplace(node.partition, node.site);
-    if (fresh) continue;
-    const std::size_t a = find(it->second);
-    const std::size_t b = find(node.site);
-    if (a != b) parent[std::max(a, b)] = std::min(a, b);  // root = min site
-  }
-  std::vector<int> classes(n);
-  for (std::size_t i = 0; i < n; ++i) classes[i] = static_cast<int>(find(i));
-  return classes;
-}
-
-void Network::push_site_classes() {
-  if (sites_.size() < 2) return;
-  engine_.set_site_classes(site_classes());
 }
 
 int Network::segment_of(NodeId n) const {
@@ -425,7 +389,6 @@ void Network::set_partitions(const std::vector<std::vector<NodeId>>& classes) {
   }
   // New reachability classes restart the queues.
   clear_queues();
-  push_site_classes();
   PLWG_INFO("net", "network partitioned into ", classes.size(), " classes");
 }
 
@@ -434,7 +397,6 @@ void Network::heal() {
   const int token = next_partition_token_++;
   for (auto& node : nodes_) node.partition = token;
   clear_queues();
-  push_site_classes();
   PLWG_INFO("net", "network healed");
 }
 

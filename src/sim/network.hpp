@@ -15,26 +15,18 @@
 // the sender's class at send time. Healing restores one class. A "virtual
 // partition" (paper Sect. 4) is simulated the same way, only shorter-lived.
 //
-// Sharding: the network is built over a sim::Engine; each LAN segment
-// maps to an engine *site* (segment i -> site i mod N) and all of the
-// segment's mutable simulation state — bus queue, WAN uplink queue, fault
-// RNG, stats, trace digest — lives in that site's SiteCtx, touched only by
-// the thread currently running the site. Which thread that is depends on
-// the engine's class jobs; the network never cares, because nothing here is
-// keyed by thread. The only cross-site interaction is the backbone hop of
-// an inter-segment packet, posted through Engine::post and injected at a
+// Sites: the network is built over a sim::Engine; each LAN segment maps to
+// an engine *site* (segment i -> site i mod N) and all of the segment's
+// mutable simulation state — bus queue, WAN uplink queue, fault RNG, stats,
+// trace digest — lives in that site's SiteCtx, touched only by the site's
+// own events. The only cross-site interaction is the backbone hop of an
+// inter-segment packet, posted through Engine::post and injected at a
 // sub-window boundary; its timestamp is at least the backbone propagation
-// delay in the future, which is exactly the engine's lookahead. A consequence of per-site ownership is
-// that the WAN uplink queue is keyed per (partition, source segment)
-// instead of one global backbone queue: each segment's uplink serializes
-// independently, like per-port router queues, so no site ever waits on
-// another site's queue head.
-//
-// The network also tells the engine what may run independently: every
-// topology mutation that can change which segments may exchange packets
-// (set_segments / set_partitions / heal) pushes the site reachability
-// classes — the partition classes unioned over segments — and the engine
-// runs one job per class.
+// delay in the future, which is exactly the engine's lookahead. A
+// consequence of per-site ownership is that the WAN uplink queue is keyed
+// per (partition, source segment) instead of one global backbone queue:
+// each segment's uplink serializes independently, like per-port router
+// queues, so no site ever waits on another site's queue head.
 #pragma once
 
 #include <cstdint>
@@ -123,7 +115,7 @@ struct NetworkStats {
                             : static_cast<double>(messages_sent) /
                                   static_cast<double>(frames_sent);
   }
-  /// Fold `other` into this — barrier/aggregation-time only, never hot path.
+  /// Fold `other` into this — aggregation-time only, never hot path.
   void accumulate(const NetworkStats& other);
   /// Human-readable one-stop summary for logs and test failure output.
   [[nodiscard]] std::string debug_dump() const;
@@ -144,7 +136,7 @@ class Network {
   /// Transmit `data` to every destination in `dests` that is reachable from
   /// `from` and alive. One bus occupancy regardless of destination count.
   /// Must be called from the sending node's site (its own event handlers)
-  /// or from the driver thread while the engine is idle.
+  /// or from the driver while the engine is idle.
   void multicast(NodeId from, std::span<const NodeId> dests,
                  std::vector<std::uint8_t> data);
 
@@ -158,9 +150,8 @@ class Network {
   /// segment's bus. Every node must appear in exactly one segment.
   /// Orthogonal to partitions (cutting the WAN is expressed as a partition
   /// along segment lines). The default is a single segment (no backbone
-  /// hops). Also assigns segments to sites, sets the engine lookahead to
-  /// the minimum cross-site latency, and pushes the site reachability
-  /// classes to the engine.
+  /// hops). Also assigns segments to sites and sets the engine lookahead
+  /// to the minimum cross-site latency.
   void set_segments(const std::vector<std::vector<NodeId>>& segments,
                     WanConfig wan);
   [[nodiscard]] int segment_of(NodeId n) const;
@@ -178,7 +169,7 @@ class Network {
 
   // --- per-directed-link faults -----------------------------------------
   /// Install (or replace) the fault state of the directed link from->to.
-  /// Driver-thread-only, like every topology mutation. Orthogonal to
+  /// Engine idle only, like every topology mutation. Orthogonal to
   /// partitions: a delivery must pass both checks.
   void set_link_fault(NodeId from, NodeId to, LinkFault fault);
   /// Restore the directed link from->to to the default (healthy) state.
@@ -212,17 +203,17 @@ class Network {
   /// (cpu_free_at is pushed to the stall end) and outbound sends are parked
   /// and burst out when the stall lifts. Timers fire late for the same
   /// reason. All state touched is the node's own site's, so digests stay
-  /// byte-identical at any thread count. Driver-thread-only, like crash().
+  /// byte-identical. Engine idle only, like crash().
   void stall_node(NodeId n, Duration duration_us);
   /// Multiply `n`'s per-packet receive cost and charge_cpu() charges by
   /// `factor` (>1 = degraded CPU, e.g. a thermally throttled or oversold
-  /// host). 1.0 restores normal speed. Driver-thread-only.
+  /// host). 1.0 restores normal speed. Engine idle only.
   void set_cpu_factor(NodeId n, double factor);
   /// Skew `n`'s local clock rate: every timer the node schedules through
   /// scale_delay() fires at delay/rate. rate > 1 = fast clock (timeouts and
   /// heartbeats early), rate < 1 = slow clock (heartbeats late — the
   /// classic source of spurious suspicion). 1.0 restores nominal time.
-  /// Driver-thread-only.
+  /// Engine idle only.
   void set_clock_rate(NodeId n, double rate);
   /// Lift every stall, CPU factor and clock skew (quiesce support). An
   /// active stall's CPU backlog is forgiven so convergence starts now.
@@ -250,16 +241,8 @@ class Network {
   void reset_stats();
 
   /// Combined trace digest over all sites in site-index order, folding in
-  /// each site's executed-event count. Sites are the digest unit, so the
-  /// value is invariant to PLWG_SIM_THREADS and to how the engine groups
-  /// sites into class jobs. Read while idle.
+  /// each site's executed-event count. Read while idle.
   [[nodiscard]] std::uint64_t trace_digest() const;
-
-  /// Conservative reachability classes over sites: two sites share a class
-  /// iff some partition token appears on nodes of both (crashes ignored —
-  /// a crashed node's segment keeps its class). Labels are canonical (the
-  /// smallest member site's index), so equal topologies give equal vectors.
-  [[nodiscard]] std::vector<int> site_classes() const;
 
   /// Called by the transport when it puts a coalesced frame on the wire:
   /// `messages` sub-messages rode it, `piggybacked` of which were stability
@@ -288,7 +271,7 @@ class Network {
     bool crashed = false;
     std::uint32_t epoch = 0;  // bumped by restart(); stale packets die
     Time cpu_free_at = 0;     // receiver CPU queue (owned by `site`)
-    // Gray-failure state. Mutated only from the driver thread while idle;
+    // Gray-failure state. Mutated only while the engine is idle;
     // read from the node's own site mid-window.
     Time stalled_until = 0;   // process frozen until this instant
     double cpu_factor = 1.0;  // multiplies per-packet CPU cost
@@ -296,11 +279,8 @@ class Network {
   };
 
   /// Everything a site mutates while running its events. One per engine
-  /// site. No atomics: each instance is touched by at most one thread per
-  /// window, and only aggregated (stats, digest) from the driver thread
-  /// while idle. This is the determinism unit: the engine may regroup
-  /// sites into different class jobs at any topology change without
-  /// touching anything in here.
+  /// site, touched only by that site's events and aggregated (stats,
+  /// digest) while the engine is idle. This is the determinism unit.
   struct SiteCtx {
     Simulator* sim = nullptr;
     Rng rng{0};
@@ -349,9 +329,6 @@ class Network {
   [[nodiscard]] std::size_t site_of_segment(int segment) const {
     return static_cast<std::size_t>(segment) % sites_.size();
   }
-  /// Push per-site reachability classes to the engine. Called by
-  /// every mutation that changes which segments can exchange packets.
-  void push_site_classes();
   /// Topology mutations are only legal while no window is running.
   void assert_idle(const char* what) const;
   void clear_queues();
@@ -365,9 +342,8 @@ class Network {
   NetworkConfig config_;
   WanConfig wan_;
   int next_partition_token_ = 1;
-  /// Directed-link fault overrides. Mutated only from the driver thread
-  /// while the engine is idle; read (const) from site threads mid-window,
-  /// which is safe for the same reason partition tokens are.
+  /// Directed-link fault overrides. Mutated only while the engine is idle;
+  /// read (const) from any site's events mid-window.
   std::unordered_map<std::uint64_t, LinkFault> link_faults_;
   std::vector<NodeState> nodes_;
   std::vector<SiteCtx> sites_;

@@ -5,9 +5,8 @@
 // them. Per-site digests are combined in fixed site order together with
 // each site's executed-event count, so the combined value pins both the
 // delivery trace and the timer-event schedule. Two runs with the same seed
-// must produce the same combined digest at any thread count — the
-// determinism contract of sim::Engine, enforced by
-// tests/determinism_test.cpp.
+// must produce the same combined digest — the determinism contract of
+// sim::Engine, enforced by tests/determinism_test.cpp.
 #pragma once
 
 #include <cstdint>

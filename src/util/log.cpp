@@ -26,7 +26,6 @@ Logger& Logger::instance() {
 
 void Logger::write(LogLevel level, std::string_view component,
                    std::string_view msg) {
-  std::lock_guard<std::mutex> lock(write_mutex_);
   std::string line;
   line.reserve(msg.size() + component.size() + 32);
   if (time_source_) {

@@ -6,7 +6,6 @@
 #pragma once
 
 #include <functional>
-#include <mutex>
 #include <sstream>
 #include <string_view>
 
@@ -36,9 +35,6 @@ class Logger {
   Logger() = default;
   LogLevel level_ = LogLevel::kWarn;
   std::function<Time()> time_source_;
-  /// Engine worker threads log concurrently; serialize line assembly (the
-  /// time source reads shared clocks) and the fputs.
-  std::mutex write_mutex_;
 };
 
 namespace detail {

@@ -1,8 +1,7 @@
-// The multi-site engine's determinism contract, end to end: the same seed must
-// produce a byte-identical trace digest — deliveries, payloads, timer-event
-// counts — and a clean oracle at 1, 2, and 8 worker threads, on a
-// multi-segment world under chaos (partitions, crashes, restarts) with live
-// application traffic.
+// The multi-site engine's determinism contract, end to end: replaying a seed
+// must produce a byte-identical trace digest — deliveries, payloads,
+// timer-event counts — and a clean oracle, on a multi-segment world under
+// chaos (partitions, crashes, restarts) with live application traffic.
 //
 // PLWG_DET_SEEDS overrides the seed count (default 50), PLWG_DET_FIRST the
 // starting seed — same convention as the oracle sweep.
@@ -43,12 +42,11 @@ struct EpisodeResult {
 /// One deterministic chaos episode on a 4-segment / 8-process WAN world:
 /// form a segment-spanning LWG, interleave chaos with application sends,
 /// quiesce, converge, and read the combined trace digest.
-EpisodeResult run_episode(std::uint64_t seed, std::size_t threads) {
+EpisodeResult run_episode(std::uint64_t seed) {
   WorldConfig cfg;
   cfg.num_processes = 8;
   cfg.num_name_servers = 2;
   cfg.segments = {{0, 1}, {2, 3}, {4, 5}, {6, 7}};
-  cfg.sim_threads = threads;
   cfg.net.seed = seed;
   cfg.net.digest_payloads = true;
   SimWorld world(cfg);
@@ -69,8 +67,7 @@ EpisodeResult run_episode(std::uint64_t seed, std::size_t threads) {
         return true;
       },
       60'000'000);
-  EXPECT_TRUE(formed) << "seed " << seed << " threads " << threads
-                      << ": lwg never formed";
+  EXPECT_TRUE(formed) << "seed " << seed << ": lwg never formed";
 
   ChaosConfig chaos_cfg;
   chaos_cfg.seed = seed ^ 0x9e3779b97f4a7c15ULL;
@@ -109,27 +106,21 @@ EpisodeResult run_episode(std::uint64_t seed, std::size_t threads) {
   return out;
 }
 
-/// Whenever a chaos partition splits the four sites into several
-/// reachability classes, the class jobs run one after another at 1 thread
-/// and concurrently at 2 and 8, and heals merge them again mid-episode:
-/// the digest must not notice.
-TEST(DeterminismTest, IdenticalDigestsAtOneTwoAndEightThreads) {
+/// Chaos partitions split the four sites apart and heals merge them again
+/// mid-episode; a replay of the seed must not notice.
+TEST(DeterminismTest, ChaosEpisodeReplaysToIdenticalDigest) {
   const std::uint64_t first = env_u64("PLWG_DET_FIRST", 1);
   const std::uint64_t count = env_u64("PLWG_DET_SEEDS", 50);
   for (std::uint64_t seed = first; seed < first + count; ++seed) {
     SCOPED_TRACE("determinism seed " + std::to_string(seed));
-    const EpisodeResult base = run_episode(seed, 1);
+    const EpisodeResult base = run_episode(seed);
     EXPECT_TRUE(base.converged);
     EXPECT_TRUE(base.oracle_clean) << base.oracle_report;
-    for (std::size_t threads : {std::size_t{2}, std::size_t{8}}) {
-      const EpisodeResult other = run_episode(seed, threads);
-      EXPECT_EQ(base.digest, other.digest)
-          << "seed " << seed << ": digest diverged at " << threads
-          << " threads";
-      EXPECT_EQ(base.converged, other.converged);
-      EXPECT_TRUE(other.oracle_clean)
-          << "threads " << threads << ": " << other.oracle_report;
-    }
+    const EpisodeResult replay = run_episode(seed);
+    EXPECT_EQ(base.digest, replay.digest)
+        << "seed " << seed << ": digest diverged on replay";
+    EXPECT_EQ(base.converged, replay.converged);
+    EXPECT_TRUE(replay.oracle_clean) << replay.oracle_report;
     if (::testing::Test::HasFatalFailure()) break;
   }
 }
@@ -137,41 +128,25 @@ TEST(DeterminismTest, IdenticalDigestsAtOneTwoAndEightThreads) {
 /// The adversarial corpus's fault shapes — flap trains and one-way links
 /// inside each segment, lossy cross-segment overrides — must preserve the
 /// contract on the multi-site engine: every per-link drop/jitter draw comes
-/// from the owning site's RNG stream, so the digest cannot depend on the
-/// worker-thread count or on cross-class execution interleaving.
-TEST(DeterminismTest, ScenarioFaultShapesAreThreadCountInvariant) {
+/// from the owning site's RNG stream, so a replay draws the same values.
+TEST(DeterminismTest, ScenarioFaultShapesReplayToIdenticalDigest) {
   const Scenario scenario =
       load_scenario_file(scenario_dir() + "/wan_flap_asymmetric.json");
   const std::uint64_t seeds = env_u64("PLWG_DET_SCENARIO_SEEDS", 2);
   const std::uint64_t first = env_u64("PLWG_DET_FIRST", 1);
   for (std::uint64_t seed = first; seed < first + seeds; ++seed) {
-    const ScenarioResult base = run_scenario(scenario, seed, /*threads=*/1);
+    const ScenarioResult base = run_scenario(scenario, seed);
     EXPECT_TRUE(base.formed) << "seed " << seed;
     EXPECT_TRUE(base.converged) << "seed " << seed << ": " << base.failure;
     EXPECT_TRUE(base.oracle_clean) << "seed " << seed << ": " << base.failure;
-    for (std::size_t threads : {std::size_t{2}, std::size_t{8}}) {
-      const ScenarioResult other = run_scenario(scenario, seed, threads);
-      EXPECT_EQ(base.digest, other.digest)
-          << "seed " << seed << ": scenario digest diverged at " << threads
-          << " threads";
-      EXPECT_EQ(base.converged, other.converged) << "seed " << seed;
-      EXPECT_TRUE(other.oracle_clean)
-          << "seed " << seed << " threads " << threads << ": "
-          << other.failure;
-    }
+    const ScenarioResult replay = run_scenario(scenario, seed);
+    EXPECT_EQ(base.digest, replay.digest)
+        << "seed " << seed << ": scenario digest diverged on replay";
+    EXPECT_EQ(base.converged, replay.converged) << "seed " << seed;
+    EXPECT_TRUE(replay.oracle_clean) << "seed " << seed << ": "
+                                     << replay.failure;
     if (::testing::Test::HasFatalFailure()) break;
   }
-}
-
-/// A single-LAN world has one site: the engine must degenerate to the
-/// classic single-threaded loop, so the digest is thread-count-invariant
-/// trivially — pinned here to catch a worker pool on single-LAN worlds.
-TEST(DeterminismTest, SingleLanWorldIsSingleShard) {
-  WorldConfig cfg;
-  cfg.num_processes = 4;
-  cfg.sim_threads = 8;
-  SimWorld world(cfg);
-  EXPECT_EQ(world.engine().threads(), 1u);
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // Gray-failure injection end to end: the sim::Network primitives (process
 // stalls, CPU slow-down factors, clock-rate skew), their ChaosMonkey /
 // scenario-DSL plumbing, and the determinism witness — a gray scenario's
-// trace digest must be byte-identical at 1, 2 and 8 engine threads.
+// trace digest must be byte-identical when the seed is replayed.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -210,27 +210,22 @@ std::uint64_t env_u64(const char* name, std::uint64_t fallback) {
   return std::strtoull(value, nullptr, 10);
 }
 
-TEST(GrayDeterminismTest, GrayScenarioDigestIsThreadCountInvariant) {
+TEST(GrayDeterminismTest, GrayScenarioReplaysToIdenticalDigest) {
   const harness::Scenario scenario = harness::load_scenario_file(
       harness::scenario_dir() + "/gray_degraded_segment.json");
   const std::uint64_t seeds = env_u64("PLWG_DET_SCENARIO_SEEDS", 2);
   for (std::uint64_t seed = 1; seed <= seeds; ++seed) {
-    const harness::ScenarioResult base =
-        harness::run_scenario(scenario, seed, /*threads=*/1);
+    const harness::ScenarioResult base = harness::run_scenario(scenario, seed);
     EXPECT_TRUE(base.formed) << "seed " << seed;
     EXPECT_TRUE(base.converged) << "seed " << seed << ": " << base.failure;
     EXPECT_TRUE(base.oracle_clean) << "seed " << seed << ": " << base.failure;
-    for (std::size_t threads : {std::size_t{2}, std::size_t{8}}) {
-      const harness::ScenarioResult other =
-          harness::run_scenario(scenario, seed, threads);
-      EXPECT_EQ(base.digest, other.digest)
-          << "seed " << seed << ": gray digest diverged at " << threads
-          << " threads";
-      EXPECT_EQ(base.converged, other.converged) << "seed " << seed;
-      EXPECT_TRUE(other.oracle_clean)
-          << "seed " << seed << " threads " << threads << ": "
-          << other.failure;
-    }
+    const harness::ScenarioResult replay =
+        harness::run_scenario(scenario, seed);
+    EXPECT_EQ(base.digest, replay.digest)
+        << "seed " << seed << ": gray digest diverged on replay";
+    EXPECT_EQ(base.converged, replay.converged) << "seed " << seed;
+    EXPECT_TRUE(replay.oracle_clean) << "seed " << seed << ": "
+                                     << replay.failure;
     if (::testing::Test::HasFatalFailure()) break;
   }
 }

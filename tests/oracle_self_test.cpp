@@ -9,7 +9,6 @@
 #include "harness/world.hpp"
 #include "names/mapping.hpp"
 #include "oracle/oracle.hpp"
-#include "oracle/shard_mux.hpp"
 #include "sim/engine.hpp"
 
 namespace plwg::oracle {
@@ -230,31 +229,23 @@ TEST_F(OracleSelfTest, ReportJsonCarriesViolationAndTrace) {
   EXPECT_EQ(oracle_.total_violations(), 0u);
 }
 
-/// The oracle fed through ShardedObserverMux from inside a site's events,
-/// so every hook takes the ringed path: a delivery reaches the oracle as its
-/// payload key, hashed in the hook. Payloads that differ only past their
-/// first 8-byte word must still yield different keys.
-class OracleMuxTest : public ::testing::Test {
+/// The oracle wired as SimWorld wires it — clocked by Engine::log_now and
+/// called inline from inside a site's events. A delivery is checked by its
+/// payload hash: payloads that differ only past their first 8-byte word
+/// must still be told apart.
+class OracleInSiteTest : public ::testing::Test {
  protected:
   static constexpr Time kAt = 1'000;
 
-  OracleMuxTest() { engine_.add_barrier_hook([this] { mux_.drain(); }); }
-
-  /// Fires `hooks` as one site-0 event and runs the engine past it: the
-  /// oracle sees nothing until the end-of-run drain.
+  /// Fires `hooks` as one site-0 event at kAt and runs the engine past it.
   template <class F>
   void fire_in_site(F hooks) {
-    engine_.post(0, kAt, [this, hooks] {
-      ASSERT_EQ(sim::Engine::current_site(), 0);
-      hooks(mux_);
-      EXPECT_EQ(oracle_.total_violations(), 0u);  // still in the ring
-    });
+    engine_.post(0, kAt, [this, hooks] { hooks(oracle_); });
     engine_.run_until(kAt + 1);
   }
 
   sim::Engine engine_;
-  ProtocolOracle oracle_{[this] { return mux_.now(); }};
-  ShardedObserverMux mux_{engine_, oracle_};
+  ProtocolOracle oracle_{[this] { return engine_.log_now(); }};
   /// The same history fed straight through the span hooks, for comparison.
   ProtocolOracle direct_{[] { return kAt; }};
   const HwgId gid_{7};
@@ -268,7 +259,7 @@ class OracleMuxTest : public ::testing::Test {
                                           10};
 };
 
-TEST_F(OracleMuxTest, HwgSlotDisagreementPastTheFirstWord) {
+TEST_F(OracleInSiteTest, HwgSlotDisagreementPastTheFirstWord) {
   auto history = [this](auto& obs) {
     for (ProcessId p : {p1_, p2_}) {
       obs.on_hwg_view_installed(p, gid_, hwg_view(va_, {1, 2}));
@@ -277,7 +268,7 @@ TEST_F(OracleMuxTest, HwgSlotDisagreementPastTheFirstWord) {
     obs.on_hwg_delivered(p1_, gid_, va_, 1, p1_, 1, data_a_);
     obs.on_hwg_delivered(p2_, gid_, va_, 1, p1_, 1, data_b_);
   };
-  fire_in_site([&](ShardedObserverMux& mux) { history(mux); });
+  fire_in_site(history);
   expect_only_invariant(oracle_, 1);
   history(direct_);
   EXPECT_EQ(oracle_.report_json(), direct_.report_json());
@@ -285,7 +276,7 @@ TEST_F(OracleMuxTest, HwgSlotDisagreementPastTheFirstWord) {
   direct_.clear();
 }
 
-TEST_F(OracleMuxTest, LwgPairDivergencePastTheFirstWord) {
+TEST_F(OracleInSiteTest, LwgPairDivergencePastTheFirstWord) {
   auto history = [this](auto& obs) {
     const auto view_a = lwg_view(va_, {1, 2}, gid_);
     const auto view_b = lwg_view(vb_, {1, 2}, gid_);
@@ -296,7 +287,7 @@ TEST_F(OracleMuxTest, LwgPairDivergencePastTheFirstWord) {
     obs.on_lwg_view_installed(p1_, lwg_, view_b, {});
     obs.on_lwg_view_installed(p2_, lwg_, view_b, {});
   };
-  fire_in_site([&](ShardedObserverMux& mux) { history(mux); });
+  fire_in_site(history);
   expect_only_invariant(oracle_, 1);
   // The trace event still records the payload's first byte (0xab = 171).
   const std::string report = oracle_.report_json();

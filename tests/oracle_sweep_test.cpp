@@ -36,19 +36,6 @@ class OracleChaosSweepTest : public LwgFixture {
                           ? harness::NamingMode::kDedicatedServers
                           : harness::NamingMode::kReplicatedEverywhere;
     cfg.net.seed = seed;
-    // PLWG_SIM_THREADS > 1 runs the sweep on the sharded engine: the world
-    // gets 2-3 LAN segments (one shard each) so the chaos episodes — with
-    // partitions, crashes, and restarts — exercise cross-shard windows,
-    // barrier-time oracle aggregation, and the multi-threaded worker pool.
-    const std::uint64_t sim_threads = env_u64("PLWG_SIM_THREADS", 1);
-    if (sim_threads > 1) {
-      cfg.sim_threads = sim_threads;
-      const std::size_t segs = 2 + seed % 2;
-      cfg.segments.resize(segs);
-      for (std::size_t i = 0; i < cfg.num_processes; ++i) {
-        cfg.segments[i % segs].push_back(i);
-      }
-    }
     build(cfg);
     const std::size_t n = world().num_processes();
 

@@ -51,14 +51,12 @@ TEST(ScenarioSweepTest, EveryCorpusFileIsOracleCleanAcrossSeeds) {
 
   const std::uint64_t seeds = env_u64("PLWG_SWEEP_SEEDS", 3);
   const std::uint64_t first = env_u64("PLWG_SWEEP_FIRST", 1);
-  const std::uint64_t sim_threads = env_u64("PLWG_SIM_THREADS", 1);
 
   for (const std::string& file : files) {
     const Scenario scenario = load_scenario_file(file);
     for (std::uint64_t seed = first; seed < first + seeds; ++seed) {
       SCOPED_TRACE(scenario.name + " seed " + std::to_string(seed));
-      const ScenarioResult r =
-          run_scenario(scenario, seed, static_cast<std::size_t>(sim_threads));
+      const ScenarioResult r = run_scenario(scenario, seed);
       EXPECT_TRUE(r.formed) << "group never assembled";
       EXPECT_TRUE(r.converged) << r.failure;
       EXPECT_TRUE(r.oracle_clean) << r.failure;
