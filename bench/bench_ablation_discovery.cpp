@@ -16,12 +16,6 @@
 namespace plwg::bench {
 namespace {
 
-class NullUser : public lwg::LwgUser {
- public:
-  void on_lwg_view(LwgId, const lwg::LwgView&) override {}
-  void on_lwg_data(LwgId, ProcessId, std::span<const std::uint8_t>) override {}
-};
-
 struct Load {
   std::uint64_t server_requests = 0;  // set/read/testset processed
   std::uint64_t callbacks = 0;        // MULTIPLE-MAPPINGS pushed
@@ -34,25 +28,12 @@ Load run_one(std::size_t m) {
   cfg.num_processes = 8;
   cfg.num_name_servers = 2;
   harness::SimWorld world(cfg);
-  std::vector<NullUser> users(8);
+  lwg::NoopUser user;
+  const std::vector<std::size_t> all = harness::process_range(0, 8);
 
   std::vector<LwgId> ids;
   for (std::size_t g = 0; g < m; ++g) ids.push_back(LwgId{100 + g});
-  for (LwgId id : ids) {
-    world.lwg(0).join(id, users[0]);
-    world.run_until([&] { return world.lwg(0).view_of(id) != nullptr; },
-                    20'000'000);
-    for (std::size_t i = 1; i < 8; ++i) world.lwg(i).join(id, users[i]);
-    world.run_until(
-        [&] {
-          for (std::size_t i = 0; i < 8; ++i) {
-            const lwg::LwgView* v = world.lwg(i).view_of(id);
-            if (v == nullptr || v->members.size() != 8) return false;
-          }
-          return true;
-        },
-        40'000'000);
-  }
+  for (LwgId id : ids) world.form_lwg(id, all, user);
 
   const Time start = world.simulator().now();
   auto requests = [&] {
@@ -74,10 +55,10 @@ Load run_one(std::size_t m) {
   world.run_until(
       [&] {
         for (LwgId id : ids) {
-          const lwg::LwgView* a = world.lwg(0).view_of(id);
-          const lwg::LwgView* b = world.lwg(4).view_of(id);
-          if (a == nullptr || a->members.size() != 4) return false;
-          if (b == nullptr || b->members.size() != 4) return false;
+          if (!world.lwg_formed(id, {0, 1, 2, 3}) ||
+              !world.lwg_formed(id, {4, 5, 6, 7})) {
+            return false;
+          }
         }
         return true;
       },
@@ -86,10 +67,7 @@ Load run_one(std::size_t m) {
   world.run_until(
       [&] {
         for (LwgId id : ids) {
-          for (std::size_t i = 0; i < 8; ++i) {
-            const lwg::LwgView* v = world.lwg(i).view_of(id);
-            if (v == nullptr || v->members.size() != 8) return false;
-          }
+          if (!world.lwg_formed(id, all)) return false;
         }
         return true;
       },

@@ -30,12 +30,6 @@
 namespace plwg::bench {
 namespace {
 
-class NullUser : public lwg::LwgUser {
- public:
-  void on_lwg_view(LwgId, const lwg::LwgView&) override {}
-  void on_lwg_data(LwgId, ProcessId, std::span<const std::uint8_t>) override {}
-};
-
 struct Availability {
   double partitionable = 0;
   double primary_component = 0;
@@ -49,21 +43,9 @@ Availability run_one(std::uint64_t seed, Duration mean_partition_us) {
   cfg.num_processes = kProcs;
   cfg.num_name_servers = 2;
   harness::SimWorld world(cfg);
-  std::vector<NullUser> users(kProcs);
+  lwg::NoopUser user;
   const LwgId id{1};
-  world.lwg(0).join(id, users[0]);
-  world.run_until([&] { return world.lwg(0).view_of(id) != nullptr; },
-                  20'000'000);
-  for (std::size_t i = 1; i < kProcs; ++i) world.lwg(i).join(id, users[i]);
-  world.run_until(
-      [&] {
-        for (std::size_t i = 0; i < kProcs; ++i) {
-          const lwg::LwgView* v = world.lwg(i).view_of(id);
-          if (v == nullptr || v->members.size() != kProcs) return false;
-        }
-        return true;
-      },
-      60'000'000);
+  world.form_lwg(id, harness::process_range(0, kProcs), user);
 
   harness::ChaosConfig chaos_cfg;
   chaos_cfg.seed = seed;
@@ -113,21 +95,9 @@ CrashChurnResult run_crash_churn(std::uint64_t seed,
   cfg.num_processes = kProcs;
   cfg.num_name_servers = 2;
   harness::SimWorld world(cfg);
-  std::vector<NullUser> users(kProcs);
+  lwg::NoopUser user;
   const LwgId id{1};
-  world.lwg(0).join(id, users[0]);
-  world.run_until([&] { return world.lwg(0).view_of(id) != nullptr; },
-                  20'000'000);
-  for (std::size_t i = 1; i < kProcs; ++i) world.lwg(i).join(id, users[i]);
-  world.run_until(
-      [&] {
-        for (std::size_t i = 0; i < kProcs; ++i) {
-          const lwg::LwgView* v = world.lwg(i).view_of(id);
-          if (v == nullptr || v->members.size() != kProcs) return false;
-        }
-        return true;
-      },
-      60'000'000);
+  world.form_lwg(id, harness::process_range(0, kProcs), user);
 
   harness::ChaosConfig chaos_cfg;
   chaos_cfg.seed = seed ^ 0xc4a5;

@@ -16,12 +16,6 @@
 namespace plwg::bench {
 namespace {
 
-class NullUser : public lwg::LwgUser {
- public:
-  void on_lwg_view(LwgId, const lwg::LwgView&) override {}
-  void on_lwg_data(LwgId, ProcessId, std::span<const std::uint8_t>) override {}
-};
-
 struct Outcome {
   bool evicted = false;
   std::uint64_t switches = 0;
@@ -37,33 +31,12 @@ Outcome run_one(double k_m, double k_c) {
   cfg.lwg.policy_period_us = 2'000'000;
   cfg.lwg.shrink_delay_us = 4'000'000;
   harness::SimWorld world(cfg);
-  std::vector<NullUser> users(8);
+  lwg::NoopUser user;
 
   const LwgId big{1};
   const LwgId small{2};
-  world.lwg(0).join(big, users[0]);
-  world.run_until([&] { return world.lwg(0).view_of(big) != nullptr; },
-                  20'000'000);
-  for (std::size_t i = 1; i < 8; ++i) world.lwg(i).join(big, users[i]);
-  world.run_until(
-      [&] {
-        for (std::size_t i = 0; i < 8; ++i) {
-          const lwg::LwgView* v = world.lwg(i).view_of(big);
-          if (v == nullptr || v->members.size() != 8) return false;
-        }
-        return true;
-      },
-      40'000'000);
-  world.lwg(0).join(small, users[0]);
-  world.run_until([&] { return world.lwg(0).view_of(small) != nullptr; },
-                  20'000'000);
-  world.lwg(1).join(small, users[1]);
-  world.run_until(
-      [&] {
-        const lwg::LwgView* v = world.lwg(1).view_of(small);
-        return v != nullptr && v->members.size() == 2;
-      },
-      20'000'000);
+  world.form_lwg(big, harness::process_range(0, 8), user);
+  world.form_lwg(small, {0, 1}, user);
 
   // Many policy periods: time for eviction (or for thrash to show up).
   world.run_for(30'000'000);

@@ -20,20 +20,14 @@ namespace {
 Duration run_one(lwg::MappingMode mode, std::size_t n) {
   Fig2World f = build_fig2_world(mode, n);
   constexpr std::size_t kVictim = 3;  // member of every set-A group
-  const ProcessId victim = f.world->pid(kVictim);
 
   const Time crash_at = f.world->simulator().now();
   f.world->crash(kVictim);
 
-  const std::vector<std::size_t> survivors{0, 1, 2};
   const bool ok = f.world->run_until(
       [&] {
         for (LwgId g : f.set_a) {
-          for (std::size_t i : survivors) {
-            const lwg::LwgView* v = f.world->lwg(i).view_of(g);
-            if (v == nullptr || v->members.contains(victim)) return false;
-            if (v->members.size() != kGroupSize - 1) return false;
-          }
+          if (!f.world->lwg_formed(g, {0, 1, 2})) return false;
         }
         return true;
       },

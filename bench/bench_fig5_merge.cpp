@@ -17,12 +17,6 @@
 namespace plwg::bench {
 namespace {
 
-class NullUser : public lwg::LwgUser {
- public:
-  void on_lwg_view(LwgId, const lwg::LwgView&) override {}
-  void on_lwg_data(LwgId, ProcessId, std::span<const std::uint8_t>) override {}
-};
-
 struct RunResult {
   Duration merge_time_us = -1;
   std::uint64_t hwg_views = 0;  // HWG views installed at p0 during the merge
@@ -34,37 +28,24 @@ RunResult run_one(std::size_t m) {
   cfg.num_processes = 8;
   cfg.num_name_servers = 2;
   harness::SimWorld world(cfg);
-  std::vector<NullUser> users(8);
+  lwg::NoopUser user;
+  const std::vector<std::size_t> all = harness::process_range(0, 8);
 
   std::vector<LwgId> ids;
   for (std::size_t g = 0; g < m; ++g) ids.push_back(LwgId{100 + g});
 
   // Sequential formation keeps all LWGs on one HWG.
-  for (LwgId id : ids) {
-    world.lwg(0).join(id, users[0]);
-    world.run_until([&] { return world.lwg(0).view_of(id) != nullptr; },
-                    20'000'000);
-    for (std::size_t i = 1; i < 8; ++i) world.lwg(i).join(id, users[i]);
-    world.run_until(
-        [&] {
-          for (std::size_t i = 0; i < 8; ++i) {
-            const lwg::LwgView* v = world.lwg(i).view_of(id);
-            if (v == nullptr || v->members.size() != 8) return false;
-          }
-          return true;
-        },
-        40'000'000);
-  }
+  for (LwgId id : ids) world.form_lwg(id, all, user);
   const HwgId hwg = *world.lwg(0).hwg_of(ids[0]);
 
   world.partition({{0, 1, 2, 3}, {4, 5, 6, 7}}, {0, 1});
   world.run_until(
       [&] {
         for (LwgId id : ids) {
-          const lwg::LwgView* a = world.lwg(0).view_of(id);
-          const lwg::LwgView* b = world.lwg(4).view_of(id);
-          if (a == nullptr || a->members.size() != 4) return false;
-          if (b == nullptr || b->members.size() != 4) return false;
+          if (!world.lwg_formed(id, {0, 1, 2, 3}) ||
+              !world.lwg_formed(id, {4, 5, 6, 7})) {
+            return false;
+          }
         }
         return true;
       },
@@ -77,10 +58,7 @@ RunResult run_one(std::size_t m) {
   const bool ok = world.run_until(
       [&] {
         for (LwgId id : ids) {
-          for (std::size_t i = 0; i < 8; ++i) {
-            const lwg::LwgView* v = world.lwg(i).view_of(id);
-            if (v == nullptr || v->members.size() != 8) return false;
-          }
+          if (!world.lwg_formed(id, all)) return false;
         }
         return true;
       },

@@ -30,12 +30,6 @@
 namespace plwg::bench {
 namespace {
 
-class NullUser : public lwg::LwgUser {
- public:
-  void on_lwg_view(LwgId, const lwg::LwgView&) override {}
-  void on_lwg_data(LwgId, ProcessId, std::span<const std::uint8_t>) override {}
-};
-
 constexpr std::size_t kProcs = 6;
 constexpr std::size_t kVictim = kProcs - 1;  // never the acting coordinator
 constexpr Duration kStallUs = 1'300'000;     // past the 1 s floor, sub-lethal
@@ -57,22 +51,9 @@ harness::WorldConfig world_config(vsync::DetectorKind kind,
 }
 
 /// Form one LWG over every process; returns the backing HWG id.
-HwgId form_group(harness::SimWorld& world, std::vector<NullUser>& users) {
+HwgId form_group(harness::SimWorld& world, lwg::LwgUser& user) {
   const LwgId id{1};
-  world.lwg(0).join(id, users[0]);
-  world.run_until([&] { return world.lwg(0).view_of(id) != nullptr; },
-                  20'000'000);
-  for (std::size_t i = 1; i < kProcs; ++i) world.lwg(i).join(id, users[i]);
-  const bool formed = world.run_until(
-      [&] {
-        for (std::size_t i = 0; i < kProcs; ++i) {
-          const lwg::LwgView* v = world.lwg(i).view_of(id);
-          if (v == nullptr || v->members.size() != kProcs) return false;
-        }
-        return true;
-      },
-      60'000'000);
-  if (!formed) {
+  if (!world.form_lwg(id, harness::process_range(0, kProcs), user)) {
     std::fprintf(stderr, "group never formed\n");
     std::exit(1);
   }
@@ -108,8 +89,8 @@ struct GrayRun {
 /// Clean-history crash detection: steady heartbeats, then a real crash.
 double run_clean_detection(vsync::DetectorKind kind, std::uint64_t seed) {
   harness::SimWorld world(world_config(kind, seed));
-  std::vector<NullUser> users(kProcs);
-  const HwgId gid = form_group(world, users);
+  lwg::NoopUser user;
+  const HwgId gid = form_group(world, user);
   world.run_for(5'000'000);  // settle into a metronomic heartbeat history
   return measure_detection_ms(world, gid);
 }
@@ -117,8 +98,8 @@ double run_clean_detection(vsync::DetectorKind kind, std::uint64_t seed) {
 /// The gray phase: a train of sub-lethal stalls, then a real crash.
 GrayRun run_gray_phase(vsync::DetectorKind kind, std::uint64_t seed) {
   harness::SimWorld world(world_config(kind, seed));
-  std::vector<NullUser> users(kProcs);
-  const HwgId gid = form_group(world, users);
+  lwg::NoopUser user;
+  const HwgId gid = form_group(world, user);
   world.run_for(5'000'000);
 
   GrayRun out;

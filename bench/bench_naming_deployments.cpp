@@ -15,12 +15,6 @@
 namespace plwg::bench {
 namespace {
 
-class NullUser : public lwg::LwgUser {
- public:
-  void on_lwg_view(LwgId, const lwg::LwgView&) override {}
-  void on_lwg_data(LwgId, ProcessId, std::span<const std::uint8_t>) override {}
-};
-
 struct Result {
   double join_latency_ms = 0;   // mean time from join() to installed view
   std::uint64_t syncs = 0;      // server->server sync messages sent
@@ -36,7 +30,7 @@ Result run_one(harness::NamingMode mode) {
   cfg.num_name_servers = 2;
   cfg.naming_mode = mode;
   harness::SimWorld world(cfg);
-  std::vector<NullUser> users(kProcs);
+  lwg::NoopUser user;
 
   Result r;
   r.replicas =
@@ -48,13 +42,13 @@ Result run_one(harness::NamingMode mode) {
   for (std::uint64_t g = 0; g < 8; ++g) {
     const LwgId id{100 + g};
     const std::size_t first = (g % 2) * 4;
-    world.lwg(first).join(id, users[first]);
+    world.lwg(first).join(id, user);
     world.run_until([&] { return world.lwg(first).view_of(id) != nullptr; },
                     20'000'000);
     for (std::size_t k = 1; k < 4; ++k) {
       const std::size_t p = first + k;
       const Time start = world.simulator().now();
-      world.lwg(p).join(id, users[p]);
+      world.lwg(p).join(id, user);
       world.run_until([&] { return world.lwg(p).view_of(id) != nullptr; },
                       20'000'000);
       join_latency.record(world.simulator().now() - start);
@@ -84,9 +78,8 @@ Result run_one(harness::NamingMode mode) {
         for (std::uint64_t g = 0; g < 8; ++g) {
           const LwgId id{100 + g};
           const std::size_t first = (g % 2) * 4;
-          for (std::size_t k = 0; k < 4; ++k) {
-            const lwg::LwgView* v = world.lwg(first + k).view_of(id);
-            if (v == nullptr || v->members.size() != 4) return false;
+          if (!world.lwg_formed(id, harness::process_range(first, 4))) {
+            return false;
           }
         }
         return true;

@@ -73,27 +73,16 @@ Result run_one(lwg::MappingMode mode, std::size_t n) {
     users.push_back(std::make_unique<CountingLatencyUser>(world, latency));
   }
 
-  auto join_group = [&](LwgId id, std::size_t first, std::size_t count) {
-    world.lwg(first).join(id, *users[first]);
-    world.run_until([&] { return world.lwg(first).view_of(id) != nullptr; },
-                    20'000'000);
-    for (std::size_t k = 1; k < count; ++k) {
-      world.lwg(first + k).join(id, *users[first + k]);
-    }
-    world.run_until(
-        [&] {
-          const lwg::LwgView* v = world.lwg(first).view_of(id);
-          return v != nullptr && v->members.size() == count;
-        },
-        30'000'000);
+  const auto user_of = [&](std::size_t i) -> lwg::LwgUser& {
+    return *users[i];
   };
 
   std::vector<LwgId> set_a, set_b;
   for (std::size_t g = 0; g < n; ++g) {
     const LwgId a{0x0A00 + g};
     const LwgId b{0x0B00 + g};
-    join_group(a, 0, 6);  // processes 0..5
-    join_group(b, 2, 6);  // processes 2..7
+    world.form_lwg(a, harness::process_range(0, 6), user_of);  // 0..5
+    world.form_lwg(b, harness::process_range(2, 6), user_of);  // 2..7
     set_a.push_back(a);
     set_b.push_back(b);
   }

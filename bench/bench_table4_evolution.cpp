@@ -13,28 +13,15 @@
 #include "harness/world.hpp"
 #include "lwg/lwg_user.hpp"
 
-namespace plwg::bench {
-namespace {
-
-class NullUser : public lwg::LwgUser {
- public:
-  void on_lwg_view(LwgId, const lwg::LwgView&) override {}
-  void on_lwg_data(LwgId, ProcessId, std::span<const std::uint8_t>) override {}
-};
-
-}  // namespace
-}  // namespace plwg::bench
-
 int main() {
   using namespace plwg;
-  using namespace plwg::bench;
 
   harness::WorldConfig cfg;
   cfg.oracle = false;  // measuring the protocol, not checking it
   cfg.num_processes = 4;
   cfg.num_name_servers = 2;
   harness::SimWorld world(cfg);
-  std::vector<NullUser> users(4);
+  lwg::NoopUser user;
 
   std::printf("# Table 4 / Fig. 4: naming-service evolution through the "
               "four reconciliation stages\n\n");
@@ -43,15 +30,14 @@ int main() {
   const LwgId lwg_a{0xA};
   const LwgId lwg_b{0xB};
   for (std::size_t i = 0; i < 4; ++i) {
-    world.lwg(i).join(lwg_a, users[i]);
-    world.lwg(i).join(lwg_b, users[i]);
+    world.lwg(i).join(lwg_a, user);
+    world.lwg(i).join(lwg_b, user);
   }
   world.run_until(
       [&] {
-        for (std::size_t i = 0; i < 4; ++i) {
-          for (LwgId id : {lwg_a, lwg_b}) {
-            const lwg::LwgView* v = world.lwg(i).view_of(id);
-            if (v == nullptr || v->members.size() != 2) return false;
+        for (LwgId id : {lwg_a, lwg_b}) {
+          if (!world.lwg_formed(id, {0, 1}) || !world.lwg_formed(id, {2, 3})) {
+            return false;
           }
         }
         return true;

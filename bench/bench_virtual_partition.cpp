@@ -20,12 +20,6 @@
 namespace plwg::bench {
 namespace {
 
-class NullUser : public lwg::LwgUser {
- public:
-  void on_lwg_view(LwgId, const lwg::LwgView&) override {}
-  void on_lwg_data(LwgId, ProcessId, std::span<const std::uint8_t>) override {}
-};
-
 struct Outcome {
   bool fragmented = false;      // the group split during the disturbance
   std::size_t min_view = 8;     // smallest LWG view seen at any member
@@ -41,21 +35,10 @@ Outcome run_one(bool real_partition, Duration disturbance_us) {
   // the setting that makes load-induced "virtual" partitions possible.
   cfg.vsync.suspect_timeout_us = 600'000;
   harness::SimWorld world(cfg);
-  std::vector<NullUser> users(8);
+  lwg::NoopUser user;
   const LwgId id{1};
-  world.lwg(0).join(id, users[0]);
-  world.run_until([&] { return world.lwg(0).view_of(id) != nullptr; },
-                  20'000'000);
-  for (std::size_t i = 1; i < 8; ++i) world.lwg(i).join(id, users[i]);
-  world.run_until(
-      [&] {
-        for (std::size_t i = 0; i < 8; ++i) {
-          const lwg::LwgView* v = world.lwg(i).view_of(id);
-          if (v == nullptr || v->members.size() != 8) return false;
-        }
-        return true;
-      },
-      60'000'000);
+  const std::vector<std::size_t> all = harness::process_range(0, 8);
+  world.form_lwg(id, all, user);
 
   Outcome out;
   auto observe = [&] {
@@ -103,9 +86,8 @@ Outcome run_one(bool real_partition, Duration disturbance_us) {
   const bool ok = world.run_until(
       [&] {
         observe();
+        if (!world.lwg_formed(id, all)) return false;
         for (std::size_t i = 0; i < 8; ++i) {
-          const lwg::LwgView* v = world.lwg(i).view_of(id);
-          if (v == nullptr || v->members.size() != 8) return false;
           const vsync::GroupEndpoint* ep = world.vsync(i).endpoint(hwg);
           if (ep == nullptr || !ep->suspected().empty()) return false;
         }

@@ -66,19 +66,9 @@ Result run_one(Duration wan_delay_us) {
     users.push_back(std::make_unique<LatencyUser>(world, latency));
   }
   const LwgId id{1};
-  world.lwg(0).join(id, *users[0]);
-  world.run_until([&] { return world.lwg(0).view_of(id) != nullptr; },
-                  30'000'000);
-  for (std::size_t i = 1; i < 6; ++i) world.lwg(i).join(id, *users[i]);
-  world.run_until(
-      [&] {
-        for (std::size_t i = 0; i < 6; ++i) {
-          const lwg::LwgView* v = world.lwg(i).view_of(id);
-          if (v == nullptr || v->members.size() != 6) return false;
-        }
-        return true;
-      },
-      60'000'000);
+  const std::vector<std::size_t> all = harness::process_range(0, 6);
+  world.form_lwg(id, all,
+                 [&](std::size_t i) -> lwg::LwgUser& { return *users[i]; });
 
   // Cross-LAN latency under light traffic.
   const std::uint64_t frames_base = world.network().stats().frames_sent;
@@ -110,23 +100,14 @@ Result run_one(Duration wan_delay_us) {
   world.cut_wan();
   world.run_until(
       [&] {
-        const lwg::LwgView* a = world.lwg(0).view_of(id);
-        const lwg::LwgView* b = world.lwg(3).view_of(id);
-        return a != nullptr && a->members.size() == 3 && b != nullptr &&
-               b->members.size() == 3;
+        return world.lwg_formed(id, {0, 1, 2}) &&
+               world.lwg_formed(id, {3, 4, 5});
       },
       60'000'000);
   world.heal();
   const Time heal_at = world.simulator().now();
-  const bool ok = world.run_until(
-      [&] {
-        for (std::size_t i = 0; i < 6; ++i) {
-          const lwg::LwgView* v = world.lwg(i).view_of(id);
-          if (v == nullptr || v->members.size() != 6) return false;
-        }
-        return true;
-      },
-      240'000'000);
+  const bool ok =
+      world.run_until([&] { return world.lwg_formed(id, all); }, 240'000'000);
   if (ok) {
     r.reconcile_ms =
         static_cast<double>(world.simulator().now() - heal_at) / 1000.0;
@@ -188,10 +169,10 @@ SegmentWorld make_segment_world(std::size_t segments) {
   sw.formed = world.run_until(
       [&] {
         for (std::size_t s = 0; s < segments; ++s) {
-          for (std::size_t i = 0; i < kPerSegment; ++i) {
-            const lwg::LwgView* v =
-                world.lwg(s * kPerSegment + i).view_of(LwgId{s + 1});
-            if (v == nullptr || v->members.size() != kPerSegment) return false;
+          if (!world.lwg_formed(
+                  LwgId{s + 1},
+                  harness::process_range(s * kPerSegment, kPerSegment))) {
+            return false;
           }
         }
         return true;

@@ -103,31 +103,15 @@ inline Fig2World build_fig2_world(const harness::WorldConfig& cfg,
     f.users.push_back(std::make_unique<LatencyUser>(*f.world, f.latency));
   }
 
-  auto join_group = [&](LwgId id, std::size_t first) {
-    // The first member founds (and maps) the group, then the rest join.
-    f.world->lwg(first).join(id, *f.users[first]);
-    f.world->run_until(
-        [&] { return f.world->lwg(first).view_of(id) != nullptr; },
-        20'000'000);
-    for (std::size_t k = 1; k < kGroupSize; ++k) {
-      f.world->lwg(first + k).join(id, *f.users[first + k]);
-    }
-    f.world->run_until(
-        [&] {
-          for (std::size_t k = 0; k < kGroupSize; ++k) {
-            const lwg::LwgView* v = f.world->lwg(first + k).view_of(id);
-            if (v == nullptr || v->members.size() != kGroupSize) return false;
-          }
-          return true;
-        },
-        30'000'000);
+  // The first member founds (and maps) each group, then the rest join.
+  const auto user_of = [&](std::size_t i) -> lwg::LwgUser& {
+    return *f.users[i];
   };
-
   for (std::size_t g = 0; g < n; ++g) {
     const LwgId a{0x0A00 + g};
     const LwgId b{0x0B00 + g};
-    join_group(a, 0);
-    join_group(b, 4);
+    f.world->form_lwg(a, harness::process_range(0, kGroupSize), user_of);
+    f.world->form_lwg(b, harness::process_range(4, kGroupSize), user_of);
     f.set_a.push_back(a);
     f.set_b.push_back(b);
   }

@@ -71,29 +71,21 @@ int main() {
                     10'000'000);
     for (std::size_t u = 1; u < 8; ++u) world.lwg(u).join(d, users[u]);
   }
-  world.run_until(
+  const std::vector<std::size_t> team = harness::process_range(0, 8);
+  const bool docs_formed = world.run_until(
       [&] {
-        for (LwgId d : {doc1, doc2}) {
-          for (std::size_t u = 0; u < 8; ++u) {
-            const lwg::LwgView* v = world.lwg(u).view_of(d);
-            if (v == nullptr || v->members.size() != 8) return false;
-          }
-        }
-        return true;
+        return world.lwg_formed(doc1, team) && world.lwg_formed(doc2, team);
       },
       60'000'000);
   // The side session opens once the big sessions exist, so the optimistic
   // initial mapping puts it on the big HWG.
-  world.lwg(6).join(side, users[6]);
-  world.run_until([&] { return world.lwg(6).view_of(side) != nullptr; },
-                  10'000'000);
-  world.lwg(7).join(side, users[7]);
-  world.run_until(
-      [&] {
-        const lwg::LwgView* v = world.lwg(7).view_of(side);
-        return v != nullptr && v->members.size() == 2;
-      },
-      30'000'000);
+  const auto user_of = [&](std::size_t u) -> lwg::LwgUser& {
+    return users[u];
+  };
+  if (!docs_formed || !world.form_lwg(side, {6, 7}, user_of)) {
+    std::fprintf(stderr, "a session never formed\n");
+    return 1;
+  }
   print_mapping(world, 6, all_docs);
 
   std::printf("\nphase 2: everyone edits; the side session (2 of 8 members "

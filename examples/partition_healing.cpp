@@ -59,15 +59,12 @@ int main() {
   const LwgId doc{7};
   std::printf("Act 1 - the group forms across both sites\n");
   for (std::size_t i = 0; i < 4; ++i) world.lwg(i).join(doc, *users[i]);
-  world.run_until(
-      [&] {
-        for (std::size_t i = 0; i < 4; ++i) {
-          const lwg::LwgView* v = world.lwg(i).view_of(doc);
-          if (v == nullptr || v->members.size() != 4) return false;
-        }
-        return true;
-      },
-      30'000'000);
+  const std::vector<std::size_t> all = harness::process_range(0, 4);
+  if (!world.run_until([&] { return world.lwg_formed(doc, all); },
+                       30'000'000)) {
+    std::fprintf(stderr, "the group never formed\n");
+    return 1;
+  }
   std::printf("  common view: %s on hwg %llu\n",
               world.lwg(0).view_of(doc)->members.to_string().c_str(),
               static_cast<unsigned long long>(
@@ -77,14 +74,15 @@ int main() {
 
   std::printf("\nAct 2 - the WAN link fails; each site continues alone\n");
   world.partition({{0, 1}, {2, 3}}, {0, 1});
-  world.run_until(
-      [&] {
-        const lwg::LwgView* a = world.lwg(0).view_of(doc);
-        const lwg::LwgView* b = world.lwg(2).view_of(doc);
-        return a != nullptr && a->members.size() == 2 && b != nullptr &&
-               b->members.size() == 2;
-      },
-      30'000'000);
+  if (!world.run_until(
+          [&] {
+            return world.lwg_formed(doc, {0, 1}) &&
+                   world.lwg_formed(doc, {2, 3});
+          },
+          30'000'000)) {
+    std::fprintf(stderr, "the sites never formed their own views\n");
+    return 1;
+  }
   std::printf("  east view:  %s (id %s)\n",
               world.lwg(0).view_of(doc)->members.to_string().c_str(),
               world.lwg(0).view_of(doc)->id.to_string().c_str());
@@ -99,15 +97,11 @@ int main() {
 
   std::printf("\nAct 3 - the link heals; the four reconciliation steps run\n");
   world.heal();
-  world.run_until(
-      [&] {
-        for (std::size_t i = 0; i < 4; ++i) {
-          const lwg::LwgView* v = world.lwg(i).view_of(doc);
-          if (v == nullptr || v->members.size() != 4) return false;
-        }
-        return true;
-      },
-      120'000'000);
+  if (!world.run_until([&] { return world.lwg_formed(doc, all); },
+                       120'000'000)) {
+    std::fprintf(stderr, "the group never merged after the heal\n");
+    return 1;
+  }
   const lwg::LwgView* merged = world.lwg(0).view_of(doc);
   std::printf("  merged view: %s (id %s) on hwg %llu\n",
               merged->members.to_string().c_str(),

@@ -70,15 +70,11 @@ int main() {
   world.lwg(2).join(room, carol);
 
   // Let the naming service resolve the mapping and the views converge.
-  world.run_until(
-      [&] {
-        for (std::size_t i = 0; i < 3; ++i) {
-          const lwg::LwgView* v = world.lwg(i).view_of(room);
-          if (v == nullptr || v->members.size() != 3) return false;
-        }
-        return true;
-      },
-      20'000'000);
+  if (!world.run_until([&] { return world.lwg_formed(room, {0, 1, 2}); },
+                       20'000'000)) {
+    std::fprintf(stderr, "the group never formed\n");
+    return 1;
+  }
 
   world.lwg(0).send(room, text("hello from alice"));
   world.lwg(2).send(room, text("carol here"));

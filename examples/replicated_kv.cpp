@@ -176,15 +176,12 @@ int main() {
     replicas.emplace_back(names[i], world, i, group);
   }
   for (auto& r : replicas) r.start();
-  world.run_until(
-      [&] {
-        for (std::size_t i = 0; i < 4; ++i) {
-          const lwg::LwgView* v = world.lwg(i).view_of(group);
-          if (v == nullptr || v->members.size() != 4) return false;
-        }
-        return true;
-      },
-      60'000'000);
+  const std::vector<std::size_t> all = harness::process_range(0, 4);
+  if (!world.run_until([&] { return world.lwg_formed(group, all); },
+                       60'000'000)) {
+    std::fprintf(stderr, "the group never formed\n");
+    return 1;
+  }
 
   std::printf("phase 1: replicated writes while connected\n");
   replicas[0].put("color", "blue");
@@ -205,17 +202,18 @@ int main() {
 
   std::printf("\nphase 3: heal; LWG merge triggers state reconciliation\n");
   world.heal();
-  world.run_until(
+  const bool merged = world.run_until(
       [&] {
-        for (std::size_t i = 0; i < 4; ++i) {
-          const lwg::LwgView* v = world.lwg(i).view_of(group);
-          if (v == nullptr || v->members.size() != 4) return false;
-        }
-        return replicas[0].same_store_as(replicas[2]) &&
+        return world.lwg_formed(group, all) &&
+               replicas[0].same_store_as(replicas[2]) &&
                replicas[1].same_store_as(replicas[3]) &&
                replicas[0].same_store_as(replicas[1]);
       },
       120'000'000);
+  if (!merged) {
+    std::fprintf(stderr, "the group never merged after the heal\n");
+    return 1;
+  }
   for (const auto& r : replicas) r.dump("final");
   std::printf("\nall replicas identical: %s; merge callbacks delivered: "
               "%d/%d replicas\n",

@@ -65,18 +65,19 @@ int main() {
                   10'000'000);
   world.lwg(7).join(bonds, users[7]);
 
-  world.run_until(
+  const std::vector<std::size_t> equity_desk = harness::process_range(0, 7);
+  const bool formed = world.run_until(
       [&] {
         for (LwgId s : equities) {
-          for (std::size_t e = 0; e < 7; ++e) {
-            const lwg::LwgView* v = world.lwg(e).view_of(s);
-            if (v == nullptr || v->members.size() != 7) return false;
-          }
+          if (!world.lwg_formed(s, equity_desk)) return false;
         }
-        const lwg::LwgView* v = world.lwg(7).view_of(bonds);
-        return v != nullptr && v->members.size() == 2;
+        return world.lwg_formed(bonds, {0, 7});
       },
       60'000'000);
+  if (!formed) {
+    std::fprintf(stderr, "a subject group never formed\n");
+    return 1;
+  }
 
   std::printf("subjects: %zu equities (engines 0-6) + 1 bonds (engines 0,7)\n",
               equities.size());

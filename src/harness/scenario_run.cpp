@@ -12,15 +12,6 @@
 #include "lwg/lwg_user.hpp"
 
 namespace plwg::harness {
-namespace {
-
-class NullUser : public lwg::LwgUser {
- public:
-  void on_lwg_view(LwgId, const lwg::LwgView&) override {}
-  void on_lwg_data(LwgId, ProcessId, std::span<const std::uint8_t>) override {}
-};
-
-}  // namespace
 
 ScenarioResult run_scenario(const Scenario& scenario, std::uint64_t seed) {
   ScenarioResult result;
@@ -37,21 +28,9 @@ ScenarioResult run_scenario(const Scenario& scenario, std::uint64_t seed) {
   const std::size_t n = world.num_processes();
 
   // Form one LWG over every process before any fault fires.
-  std::vector<NullUser> users(n);
+  lwg::NoopUser user;
   const LwgId id{1};
-  world.lwg(0).join(id, users[0]);
-  world.run_until([&] { return world.lwg(0).view_of(id) != nullptr; },
-                  20'000'000);
-  for (std::size_t i = 1; i < n; ++i) world.lwg(i).join(id, users[i]);
-  result.formed = world.run_until(
-      [&] {
-        for (std::size_t i = 0; i < n; ++i) {
-          const lwg::LwgView* v = world.lwg(i).view_of(id);
-          if (v == nullptr || v->members.size() != n) return false;
-        }
-        return true;
-      },
-      60'000'000);
+  result.formed = world.form_lwg(id, process_range(0, n), user);
   if (!result.formed) {
     result.failure = "group never formed before fault injection";
     result.digest = world.trace_digest();

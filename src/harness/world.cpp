@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <numeric>
 #include <sstream>
 #include <string_view>
 
@@ -303,6 +304,42 @@ bool SimWorld::run_until(const std::function<bool()>& pred,
     engine_.run_until(std::min(deadline, engine_.now() + kStep));
   }
   return pred();
+}
+
+std::vector<std::size_t> process_range(std::size_t first, std::size_t count) {
+  std::vector<std::size_t> out(count);
+  std::iota(out.begin(), out.end(), first);
+  return out;
+}
+
+bool SimWorld::lwg_formed(LwgId id,
+                          const std::vector<std::size_t>& members) const {
+  MemberSet want;
+  for (std::size_t i : members) want.insert(pid(i));
+  for (std::size_t i : members) {
+    const lwg::LwgView* v = processes_[i].lwg->view_of(id);
+    if (v == nullptr || v->members != want) return false;
+  }
+  return true;
+}
+
+bool SimWorld::form_lwg(LwgId id, const std::vector<std::size_t>& members,
+                        const UserOf& user_of) {
+  PLWG_ASSERT(!members.empty());
+  const std::size_t founder = members.front();
+  lwg(founder).join(id, user_of(founder));
+  run_until([&] { return lwg(founder).view_of(id) != nullptr; },
+            kFormBudgetUs);
+  for (std::size_t k = 1; k < members.size(); ++k) {
+    lwg(members[k]).join(id, user_of(members[k]));
+  }
+  return run_until([&] { return lwg_formed(id, members); }, kFormBudgetUs);
+}
+
+bool SimWorld::form_lwg(LwgId id, const std::vector<std::size_t>& members,
+                        lwg::LwgUser& user) {
+  return form_lwg(id, members,
+                  [&](std::size_t) -> lwg::LwgUser& { return user; });
 }
 
 void SimWorld::partition(const std::vector<std::vector<std::size_t>>& classes,

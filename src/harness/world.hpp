@@ -1,7 +1,9 @@
 // SimWorld: wires a complete simulated deployment — N application processes
 // (each a NodeRuntime + VsyncHost + NamingAgent + LwgService) plus M
 // dedicated name-server nodes on one simulated network — and exposes the
-// knobs the experiments turn: partitions, crashes, restarts, and time.
+// knobs the experiments turn: partitions, crashes, restarts, and time. It
+// also forms LWGs (form_lwg) and tells when one has converged (lwg_formed),
+// the starting point of every experiment.
 //
 // Tests, benchmarks, and examples all build on this harness.
 #pragma once
@@ -54,6 +56,10 @@ struct WorldConfig {
   bool oracle = true;
 };
 
+/// The process indexes first, first+1, ..., first+count-1.
+[[nodiscard]] std::vector<std::size_t> process_range(std::size_t first,
+                                                     std::size_t count);
+
 class SimWorld {
  public:
   explicit SimWorld(WorldConfig config);
@@ -89,6 +95,27 @@ class SimWorld {
   void run_for(Duration us);
   /// Step until `pred()` holds or `timeout_us` elapses; returns success.
   bool run_until(const std::function<bool()>& pred, Duration timeout_us);
+
+  // --- LWG formation ------------------------------------------------------
+  /// Simulated budget of each of form_lwg's two waits. run_until returns at
+  /// the first 10 ms probe where its predicate holds, so the budget only
+  /// matters when formation fails.
+  static constexpr Duration kFormBudgetUs = 120'000'000;
+  /// The user process `i` joins with.
+  using UserOf = std::function<lwg::LwgUser&(std::size_t)>;
+
+  /// True when every process in `members` (process indexes) holds a view of
+  /// `id` whose member set is exactly the pids of `members`.
+  [[nodiscard]] bool lwg_formed(LwgId id,
+                                const std::vector<std::size_t>& members) const;
+  /// Form `id` over `members`: members[0] founds it (and so picks its
+  /// mapping), the harness waits for the founder's view, the others join in
+  /// list order, and it then waits for lwg_formed. Returns lwg_formed.
+  bool form_lwg(LwgId id, const std::vector<std::size_t>& members,
+                const UserOf& user_of);
+  /// As above, every member joining with the same `user`.
+  bool form_lwg(LwgId id, const std::vector<std::size_t>& members,
+                lwg::LwgUser& user);
 
   /// Partition the world: each inner vector lists *process indexes*; every
   /// process must appear exactly once. Name servers are assigned to the

@@ -40,6 +40,14 @@ class LwgUser {
   }
 };
 
+/// A user that ignores every upcall: for members whose deliveries nobody
+/// reads (formation in benches, scenarios and tests).
+class NoopUser final : public LwgUser {
+ public:
+  void on_lwg_view(LwgId, const LwgView&) override {}
+  void on_lwg_data(LwgId, ProcessId, std::span<const std::uint8_t>) override {}
+};
+
 /// The downcall half, common to the dynamic service and the baselines.
 class GroupService {
  public:

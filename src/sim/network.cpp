@@ -18,22 +18,6 @@ constexpr Duration kLanPropagationUs = 50;
 constexpr std::size_t kHeaderBytes = 46;
 }  // namespace
 
-void NetworkStats::accumulate(const NetworkStats& other) {
-  frames_sent += other.frames_sent;
-  messages_sent += other.messages_sent;
-  piggybacked_acks += other.piggybacked_acks;
-  deliveries += other.deliveries;
-  bytes_sent += other.bytes_sent;
-  bytes_on_wire += other.bytes_on_wire;
-  drops += other.drops;
-  link_blocked += other.link_blocked;
-  stale_epoch_drops += other.stale_epoch_drops;
-  bus_busy_us += other.bus_busy_us;
-  stalls += other.stalls;
-  stall_deferred_sends += other.stall_deferred_sends;
-  stall_us += other.stall_us;
-}
-
 std::string NetworkStats::debug_dump() const {
   char ratio[32];
   std::snprintf(ratio, sizeof(ratio), "%.2f", amortization_ratio());
@@ -71,9 +55,10 @@ Network::Network(Engine& engine, NetworkConfig config)
 }
 
 void Network::assert_idle(const char* what) const {
-  (void)what;
-  PLWG_ASSERT_MSG(!engine_.running(),
-                  "topology mutation while the engine is running");
+  if (!engine_.running()) return;
+  const std::string msg =
+      std::string(what) + "() called while the engine is running";
+  assert_fail("!engine_.running()", __FILE__, __LINE__, msg.c_str());
 }
 
 NodeId Network::add_node(NetHandler& handler) {
@@ -92,12 +77,11 @@ Duration Network::transmission_time(std::size_t payload_bytes,
   return static_cast<Duration>(seconds * 1e6) + 1;  // at least 1us
 }
 
-Time Network::occupy_bus(SiteCtx& ctx, std::int64_t key, Time earliest,
-                         Duration tx_time) {
-  Time& bus_free = ctx.bus_free_at[key];
+Time Network::occupy_bus(std::int64_t key, Time earliest, Duration tx_time) {
+  Time& bus_free = bus_free_at_[key];
   const Time tx_start = std::max(earliest, bus_free);
   const Time tx_end = tx_start + tx_time;
-  ctx.stats.bus_busy_us += tx_time;
+  stats_.bus_busy_us += tx_time;
   bus_free = tx_end;
   return tx_end;
 }
@@ -107,9 +91,9 @@ void Network::multicast(NodeId from, std::span<const NodeId> dests,
   PLWG_ASSERT(from.valid() && from.value() < nodes_.size());
   NodeState& sender = nodes_[from.value()];
   if (sender.crashed) return;
-  // All sender-side queue/RNG/stat state lives in the sender's site; this
-  // call runs either inside that site's events or while the engine is
-  // idle.
+  // The sender's site owns the RNG, packet ids and digest this send
+  // touches; this call runs either inside that site's events or while the
+  // engine is idle.
   SiteCtx& ctx = sites_[sender.site];
   Simulator& sim = *ctx.sim;
 
@@ -120,7 +104,7 @@ void Network::multicast(NodeId from, std::span<const NodeId> dests,
   // of the stall simply parks the send again. Everything here is the
   // sender's site's state, so determinism is unaffected.
   if (sender.stalled_until > sim.now()) {
-    ctx.stats.stall_deferred_sends++;
+    stats_.stall_deferred_sends++;
     std::vector<NodeId> parked_dests(dests.begin(), dests.end());
     sim.schedule_at(sender.stalled_until,
                     [this, from, parked_dests = std::move(parked_dests),
@@ -130,9 +114,9 @@ void Network::multicast(NodeId from, std::span<const NodeId> dests,
     return;
   }
 
-  ctx.stats.frames_sent++;
-  ctx.stats.bytes_sent += data.size();
-  ctx.stats.bytes_on_wire += data.size() + kHeaderBytes;
+  stats_.frames_sent++;
+  stats_.bytes_sent += data.size();
+  stats_.bytes_on_wire += data.size() + kHeaderBytes;
   // Frame identity is minted per site (high bits = site) — a global
   // counter would be the one cross-site write on every send path.
   const std::uint64_t packet_id =
@@ -143,8 +127,8 @@ void Network::multicast(NodeId from, std::span<const NodeId> dests,
 
   // Shared-bus occupancy on the sender's LAN.
   const Duration lan_tx = transmission_time(data.size(), config_.bandwidth_bps);
-  const Time tx_end = occupy_bus(
-      ctx, bus_key(sender.partition, sender.segment), sim.now(), lan_tx);
+  const Time tx_end =
+      occupy_bus(bus_key(sender.partition, sender.segment), sim.now(), lan_tx);
 
   auto shared = std::make_shared<const std::vector<std::uint8_t>>(
       std::move(data));
@@ -168,14 +152,14 @@ void Network::multicast(NodeId from, std::span<const NodeId> dests,
     // Directed-link fault: the one-way check that partitions cannot express.
     const LinkFault* lf = link_fault(from, to);
     if (lf != nullptr && lf->blocked) {
-      ctx.stats.link_blocked++;
+      stats_.link_blocked++;
       continue;
     }
     const double drop_p = (lf != nullptr && lf->drop_probability >= 0)
                               ? lf->drop_probability
                               : config_.drop_probability;
     if (drop_p > 0 && ctx.rng.next_bool(drop_p)) {
-      ctx.stats.drops++;
+      stats_.drops++;
       continue;
     }
     if (receiver.segment == sender.segment) {
@@ -188,8 +172,8 @@ void Network::multicast(NodeId from, std::span<const NodeId> dests,
 
   // Backbone hop: occupy the source segment's WAN uplink when the packet
   // leaves the source bus, then each destination LAN's bus when it comes
-  // off the backbone. The uplink is sender-site state; the destination-bus
-  // hop crosses sites and is the one place Engine::post is needed. Its
+  // off the backbone. The uplink hop runs on the sender's site; the
+  // destination-bus hop crosses sites and is the one place Engine::post is needed. Its
   // timestamp is >= now + uplink tx (>=1us) + backbone propagation — never
   // inside the engine's lookahead sub-window. Every cross-site hop goes
   // through the engine's outbox, which injects it at the sub-window's end
@@ -205,10 +189,9 @@ void Network::multicast(NodeId from, std::span<const NodeId> dests,
     // A frame whose destinations were cut away while it sat on the source
     // bus was on the wire when the partition happened — it is lost.
     const int cur_partition = nodes_[from.value()].partition;
-    SiteCtx& sctx = sites_[nodes_[from.value()].site];
-    Time& uplink_free =
-        sctx.uplink_free_at[bus_key(partition, src_segment)];
-    const Time wan_start = std::max(sctx.sim->now(), uplink_free);
+    Time& uplink_free = uplink_free_at_[bus_key(partition, src_segment)];
+    const Time wan_start =
+        std::max(sites_[nodes_[from.value()].site].sim->now(), uplink_free);
     const Time wan_end =
         wan_start + transmission_time(bytes, wan_.bandwidth_bps);
     uplink_free = wan_end;
@@ -236,11 +219,10 @@ void Network::segment_arrival(
     NodeId from, int partition, int segment, Duration lan_tx,
     const std::shared_ptr<const std::vector<std::uint8_t>>& shared,
     const std::vector<NodeId>& nodes) {
-  // Runs in the destination segment's site: its bus queue and fault RNG
-  // are local here.
+  // Runs in the destination segment's site, whose fault RNG it draws.
   SiteCtx& ctx = sites_[site_of_segment(segment)];
   const Time seg_done =
-      occupy_bus(ctx, bus_key(partition, segment), ctx.sim->now(), lan_tx);
+      occupy_bus(bus_key(partition, segment), ctx.sim->now(), lan_tx);
   for (NodeId to : nodes) {
     // Same wire-loss rule as the backbone edge: a re-cut while the frame
     // crossed the backbone drops it at the destination LAN.
@@ -329,7 +311,7 @@ void Network::deliver(NodeId from, NodeId to,
     NodeState& receiver = nodes_[to.value()];
     SiteCtx& ctx = sites_[receiver.site];
     if (receiver.epoch != epoch) {
-      ctx.stats.stale_epoch_drops++;
+      stats_.stale_epoch_drops++;
       return;
     }
     if (receiver.crashed) return;  // dead incarnation: no CPU to occupy
@@ -349,11 +331,11 @@ void Network::deliver(NodeId from, NodeId to,
       NodeState& r = nodes_[to.value()];
       SiteCtx& c = sites_[r.site];
       if (r.epoch != epoch) {
-        c.stats.stale_epoch_drops++;
+        stats_.stale_epoch_drops++;
         return;
       }
       if (r.crashed) return;
-      c.stats.deliveries++;
+      stats_.deliveries++;
       c.digest.record_delivery(c.sim->now(), from, to, data->size());
       if (config_.digest_payloads) {
         c.digest.fold_bytes(std::span<const std::uint8_t>(*data));
@@ -364,10 +346,8 @@ void Network::deliver(NodeId from, NodeId to,
 }
 
 void Network::clear_queues() {
-  for (SiteCtx& ctx : sites_) {
-    ctx.bus_free_at.clear();
-    ctx.uplink_free_at.clear();
-  }
+  bus_free_at_.clear();
+  uplink_free_at_.clear();
 }
 
 void Network::set_partitions(const std::vector<std::vector<NodeId>>& classes) {
@@ -494,8 +474,8 @@ void Network::stall_node(NodeId n, Duration duration_us) {
   // The frozen process drains no inbound packets either: its receive CPU is
   // occupied until the stall ends, and any backlog queues behind that.
   node.cpu_free_at = std::max(node.cpu_free_at, node.stalled_until);
-  ctx.stats.stalls++;
-  ctx.stats.stall_us += duration_us;
+  stats_.stalls++;
+  stats_.stall_us += duration_us;
   PLWG_INFO("net", "node ", n, " stalled for ", duration_us, "us (until ",
             node.stalled_until, ")");
 }
@@ -572,22 +552,9 @@ Duration Network::scale_delay(NodeId n, Duration delay) const {
       1, static_cast<Duration>(static_cast<double>(delay) / rate));
 }
 
-const NetworkStats& Network::stats() const {
-  agg_stats_ = {};
-  for (const SiteCtx& ctx : sites_) agg_stats_.accumulate(ctx.stats);
-  return agg_stats_;
-}
-
-void Network::reset_stats() {
-  for (SiteCtx& ctx : sites_) ctx.stats = {};
-  agg_stats_ = {};
-}
-
-void Network::note_frame(NodeId from, std::size_t messages,
-                         std::size_t piggybacked) {
-  SiteCtx& ctx = ctx_of(from);
-  ctx.stats.messages_sent += messages;
-  ctx.stats.piggybacked_acks += piggybacked;
+void Network::note_frame(std::size_t messages, std::size_t piggybacked) {
+  stats_.messages_sent += messages;
+  stats_.piggybacked_acks += piggybacked;
 }
 
 std::uint64_t Network::trace_digest() const {

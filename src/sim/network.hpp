@@ -16,17 +16,18 @@
 // partition" (paper Sect. 4) is simulated the same way, only shorter-lived.
 //
 // Sites: the network is built over a sim::Engine; each LAN segment maps to
-// an engine *site* (segment i -> site i mod N) and all of the segment's
-// mutable simulation state — bus queue, WAN uplink queue, fault RNG, stats,
-// trace digest — lives in that site's SiteCtx, touched only by the site's
-// own events. The only cross-site interaction is the backbone hop of an
-// inter-segment packet, posted through Engine::post and injected at a
-// sub-window boundary; its timestamp is at least the backbone propagation
-// delay in the future, which is exactly the engine's lookahead. A
-// consequence of per-site ownership is that the WAN uplink queue is keyed
-// per (partition, source segment) instead of one global backbone queue:
-// each segment's uplink serializes independently, like per-port router
-// queues, so no site ever waits on another site's queue head.
+// an engine *site* (segment i -> site i mod N). Per-site state is the
+// determinism state only — the site's fault RNG stream, its packet-id
+// counter and its trace digest (SiteCtx) — so digests depend on the site
+// layout and nothing else. Stats and the bus and uplink queues are
+// world-wide: one NetworkStats, and one table per queue kind keyed by
+// (partition, segment), whose keys no two sites share. The only cross-site
+// interaction is the backbone hop of an inter-segment packet, posted
+// through Engine::post and injected at a sub-window boundary; its timestamp
+// is at least the backbone propagation delay in the future, which is
+// exactly the engine's lookahead. The WAN uplink queue is keyed per
+// (partition, source segment) instead of one global backbone queue: each
+// segment's uplink serializes independently, like per-port router queues.
 #pragma once
 
 #include <cstdint>
@@ -115,8 +116,6 @@ struct NetworkStats {
                             : static_cast<double>(messages_sent) /
                                   static_cast<double>(frames_sent);
   }
-  /// Fold `other` into this — aggregation-time only, never hot path.
-  void accumulate(const NetworkStats& other);
   /// Human-readable one-stop summary for logs and test failure output.
   [[nodiscard]] std::string debug_dump() const;
 };
@@ -202,8 +201,8 @@ class Network {
   /// lost — but its event loop stops: inbound packets queue behind its CPU
   /// (cpu_free_at is pushed to the stall end) and outbound sends are parked
   /// and burst out when the stall lifts. Timers fire late for the same
-  /// reason. All state touched is the node's own site's, so digests stay
-  /// byte-identical. Engine idle only, like crash().
+  /// reason. Only the node's own state and the stall counters change, so
+  /// digests stay byte-identical. Engine idle only, like crash().
   void stall_node(NodeId n, Duration duration_us);
   /// Multiply `n`'s per-packet receive cost and charge_cpu() charges by
   /// `factor` (>1 = degraded CPU, e.g. a thermally throttled or oversold
@@ -235,10 +234,10 @@ class Network {
   /// Called from the node's own site (the transport runs there).
   void charge_cpu(NodeId n, Duration cost_us);
 
-  /// Aggregated view over every site's counters. Refreshed on each call;
-  /// read it while the engine is idle.
-  [[nodiscard]] const NetworkStats& stats() const;
-  void reset_stats();
+  /// The world's counters, live: a held reference sees later traffic, so
+  /// copy it to keep a baseline.
+  [[nodiscard]] const NetworkStats& stats() const { return stats_; }
+  void reset_stats() { stats_ = {}; }
 
   /// Combined trace digest over all sites in site-index order, folding in
   /// each site's executed-event count. Read while idle.
@@ -248,8 +247,8 @@ class Network {
   /// `messages` sub-messages rode it, `piggybacked` of which were stability
   /// traffic (acks/heartbeats) that would otherwise have been standalone
   /// frames. The network itself counts frames; only the transport knows
-  /// what is inside them. Counted on the sending node's site.
-  void note_frame(NodeId from, std::size_t messages, std::size_t piggybacked);
+  /// what is inside them.
+  void note_frame(std::size_t messages, std::size_t piggybacked);
 
   [[nodiscard]] const NetworkConfig& config() const { return config_; }
   /// The event loop that runs this node's events; node-local timers must be
@@ -278,24 +277,15 @@ class Network {
     double clock_rate = 1.0;  // local clock speed (scale_delay)
   };
 
-  /// Everything a site mutates while running its events. One per engine
-  /// site, touched only by that site's events and aggregated (stats,
-  /// digest) while the engine is idle. This is the determinism unit.
+  /// The state that feeds a site's digest: its event loop, fault RNG
+  /// stream, packet-id counter and trace digest. One per engine site,
+  /// touched only by that site's events; this is the determinism unit.
   struct SiteCtx {
     Simulator* sim = nullptr;
     Rng rng{0};
-    NetworkStats stats;
     TraceDigest digest;
     std::uint64_t next_packet_id = 0;  // per-site minting, no global counter
-    // Bus queue heads per (partition class, segment) for segments owned by
-    // this site; WAN uplink heads per (partition class, source segment).
-    std::unordered_map<std::int64_t, Time> bus_free_at;
-    std::unordered_map<std::int64_t, Time> uplink_free_at;
   };
-
-  [[nodiscard]] SiteCtx& ctx_of(NodeId n) {
-    return sites_[nodes_[n.value()].site];
-  }
 
   [[nodiscard]] Duration transmission_time(std::size_t payload_bytes,
                                            double bandwidth_bps) const;
@@ -322,14 +312,13 @@ class Network {
   [[nodiscard]] static std::int64_t bus_key(int partition, int segment) {
     return (static_cast<std::int64_t>(partition) << 20) | segment;
   }
-  /// Occupies a bus owned by `ctx` from `earliest`; returns transmission
-  /// end.
-  static Time occupy_bus(SiteCtx& ctx, std::int64_t key, Time earliest,
-                         Duration tx_time);
+  /// Occupies bus `key` from `earliest`; returns transmission end.
+  Time occupy_bus(std::int64_t key, Time earliest, Duration tx_time);
   [[nodiscard]] std::size_t site_of_segment(int segment) const {
     return static_cast<std::size_t>(segment) % sites_.size();
   }
-  /// Topology mutations are only legal while no window is running.
+  /// Topology mutations are only legal while no window is running; a call
+  /// made from a running event aborts with a message naming `what`.
   void assert_idle(const char* what) const;
   void clear_queues();
 
@@ -347,7 +336,11 @@ class Network {
   std::unordered_map<std::uint64_t, LinkFault> link_faults_;
   std::vector<NodeState> nodes_;
   std::vector<SiteCtx> sites_;
-  mutable NetworkStats agg_stats_;  // refreshed by stats()
+  NetworkStats stats_;
+  /// Bus queue heads per bus_key(partition class, segment); WAN uplink
+  /// heads per bus_key(partition class, source segment).
+  std::unordered_map<std::int64_t, Time> bus_free_at_;
+  std::unordered_map<std::int64_t, Time> uplink_free_at_;
 };
 
 }  // namespace plwg::sim

@@ -160,7 +160,7 @@ void NodeRuntime::emit_frame(std::span<const NodeId> group,
   // of its own — that is the piggyback win the stats report.
   const std::uint64_t piggybacked = batch.count > 1 ? batch.acks : 0;
   stats_.piggybacked_acks += piggybacked;
-  net_.note_frame(id_, batch.count, piggybacked);
+  net_.note_frame(batch.count, piggybacked);
   net_.multicast(id_, group, std::move(frame));
 }
 

@@ -120,5 +120,63 @@ TEST(SimWorld, CrashStopsAProcess) {
   EXPECT_FALSE(world.network().crashed(world.node(0)));
 }
 
+MemberSet pids(const SimWorld& world, const std::vector<std::size_t>& members) {
+  MemberSet out;
+  for (std::size_t i : members) out.insert(world.pid(i));
+  return out;
+}
+
+TEST(SimWorldFormation, FormLwgConvergesEveryListedProcess) {
+  WorldConfig cfg;
+  cfg.num_processes = 4;
+  SimWorld world(cfg);
+  lwg::NoopUser user;
+  const LwgId id{1};
+  const std::vector<std::size_t> all = process_range(0, 4);
+  ASSERT_TRUE(world.form_lwg(id, all, user));
+  EXPECT_TRUE(world.lwg_formed(id, all));
+  for (std::size_t i : all) {
+    const lwg::LwgView* v = world.lwg(i).view_of(id);
+    ASSERT_NE(v, nullptr) << "process " << i;
+    EXPECT_EQ(v->members, pids(world, all)) << "process " << i;
+  }
+}
+
+TEST(SimWorldFormation, FormLwgFailsWhenAMemberIsCutOffFromTheFounder) {
+  WorldConfig cfg;
+  cfg.num_processes = 4;
+  SimWorld world(cfg);
+  world.partition({{0, 1, 2}, {3}});
+  lwg::NoopUser user;
+  const LwgId id{1};
+  const Time start = world.simulator().now();
+  EXPECT_FALSE(world.form_lwg(id, process_range(0, 4), user));
+  // The founder's wait ends early; the convergence wait spends its budget.
+  EXPECT_GE(world.simulator().now(), start + SimWorld::kFormBudgetUs);
+  EXPECT_TRUE(world.lwg_formed(id, {0, 1, 2}));
+}
+
+TEST(SimWorldFormation, LwgFormedRejectsAViewOfAnotherMemberSet) {
+  WorldConfig cfg;
+  cfg.num_processes = 4;
+  cfg.num_name_servers = 2;
+  SimWorld world(cfg);
+  lwg::NoopUser user;
+  const LwgId id{1};
+  const std::vector<std::size_t> all = process_range(0, 4);
+  ASSERT_TRUE(world.form_lwg(id, all, user));
+  // Every listed process holds a view, but of all four.
+  EXPECT_FALSE(world.lwg_formed(id, {0, 1, 2}));
+
+  world.partition({{0, 1}, {2, 3}}, {0, 1});
+  ASSERT_TRUE(world.run_until(
+      [&] {
+        return world.lwg_formed(id, {0, 1}) && world.lwg_formed(id, {2, 3});
+      },
+      60'000'000));
+  // Each side holds a view of its own half, not of all four.
+  EXPECT_FALSE(world.lwg_formed(id, all));
+}
+
 }  // namespace
 }  // namespace plwg::harness

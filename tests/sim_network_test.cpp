@@ -281,5 +281,12 @@ TEST_F(NetFixture, LinkJitterOverrideDelaysOnlyThatDirection) {
   EXPECT_TRUE(any_later);
 }
 
+TEST_F(NetFixture, TopologyMutationFromARunningEventNamesTheCall) {
+  build(2);
+  sim.schedule_after(10, [&] { net->crash(nodes[1]); });
+  EXPECT_DEATH(engine.run_until(1'000),
+               "crash\\(\\) called while the engine is running");
+}
+
 }  // namespace
 }  // namespace plwg::sim
