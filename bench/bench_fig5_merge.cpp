@@ -7,6 +7,10 @@
 // every member has one merged view, and how many HWG view installations the
 // merge cost. The strawman column extrapolates a per-LWG flush design
 // (m x the single-group cost), which is what the shared flush avoids.
+//
+// The claim is also a gate: the bench exits non-zero when any m times out
+// or its merge installs more than kMaxHwgViews HWG views at p0 — one for the
+// HWG merge itself and one for the flush that merges the LWG views.
 #include <cstdio>
 #include <iostream>
 
@@ -16,6 +20,8 @@
 
 namespace plwg::bench {
 namespace {
+
+constexpr std::uint64_t kMaxHwgViews = 2;
 
 struct RunResult {
   Duration merge_time_us = -1;
@@ -82,8 +88,10 @@ int main() {
   metrics::Table table({"m-lwgs-on-hwg", "merge-time-ms", "hwg-views-installed",
                         "per-lwg-flush-strawman-ms"});
   double base_ms = 0;
+  bool claim_holds = true;
   for (std::size_t m : {1, 2, 4, 8, 16}) {
     const RunResult r = run_one(m);
+    if (r.merge_time_us < 0 || r.hwg_views > kMaxHwgViews) claim_holds = false;
     const double ms = static_cast<double>(r.merge_time_us) / 1000.0;
     if (m == 1) base_ms = ms;
     table.add_row({std::to_string(m),
@@ -94,5 +102,11 @@ int main() {
   table.print(std::cout);
   std::printf("\nshape check: merge-time and hwg-views stay ~flat in m, the "
               "strawman grows linearly.\n");
+  if (!claim_holds) {
+    std::printf("FAIL: a merge timed out or installed more than %llu HWG "
+                "views\n",
+                static_cast<unsigned long long>(kMaxHwgViews));
+    return 1;
+  }
   return 0;
 }

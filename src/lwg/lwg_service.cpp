@@ -240,16 +240,26 @@ void LwgService::finalize_leave(LwgId lwg) {
   // The shrink rule will notice HWGs left without local LWGs.
 }
 
+LwgViewInfo LwgService::view_info(const LocalGroup& lg) {
+  LwgViewInfo info{lg.lwg, lg.view, {}};
+  info.ancestors.assign(lg.ancestors.begin(), lg.ancestors.end());
+  return info;
+}
+
 std::vector<LwgViewInfo> LwgService::local_views_on(HwgId gid) const {
   std::vector<LwgViewInfo> out;
   for (const auto& [lwg, lg] : groups_) {
     if (lg.has_view && lg.hwg == gid && !lg.switching) {
-      LwgViewInfo info{lwg, lg.view, {}};
-      info.ancestors.assign(lg.ancestors.begin(), lg.ancestors.end());
-      out.push_back(std::move(info));
+      out.push_back(view_info(lg));
     }
   }
   return out;
+}
+
+void LwgService::announce(HwgId gid, const std::vector<LwgViewInfo>& views) {
+  Encoder& body = scratch_body();
+  AnnounceMsg{views}.encode(body);
+  send_lwg_msg(gid, LwgMsgType::kAnnounce, body);
 }
 
 // --- HWG upcalls --------------------------------------------------------------
@@ -293,9 +303,6 @@ void LwgService::on_data(HwgId gid, ProcessId src,
       (void)MergeViewsMsg::decode(dec);
       handle_merge_views(gid);
       break;
-    case LwgMsgType::kAllViews:
-      handle_all_views(gid, AllViewsMsg::decode(dec));
-      break;
     case LwgMsgType::kAnnounce:
       handle_announce(gid, AnnounceMsg::decode(dec));
       break;
@@ -313,16 +320,10 @@ void LwgService::on_view(HwgId gid, const vsync::View& view) {
   // Local peer discovery (reconciliation Step 3): on every HWG view change
   // each member announces its mapped LWG views, so concurrent views that
   // arrive on this HWG — via an HWG merge *or* via a Step 2 switch — are
-  // discovered even when the groups are quiescent.
-  {
-    const std::vector<LwgViewInfo> mine = local_views_on(gid);
-    if (!mine.empty()) {
-      AnnounceMsg msg{mine};
-      Encoder& body = scratch_body();
-      msg.encode(body);
-      send_lwg_msg(gid, LwgMsgType::kAnnounce, body);
-    }
-  }
+  // discovered even when the groups are quiescent. They are also the set
+  // the flush ending this view merges (Fig. 5).
+  const std::vector<LwgViewInfo> mine = local_views_on(gid);
+  if (!mine.empty()) announce(gid, mine);
   // Progress joins and switches that were waiting for this HWG view.
   for (auto& [lwg, lg] : groups_) {
     if (lg.phase == Phase::kJoiningHwg && lg.hwg == gid) {
@@ -398,20 +399,6 @@ void LwgService::tick() {
           finalize_leave(id);  // give up waiting for the excluding view
         }
         break;
-    }
-  }
-
-  // Merge-round watchdog: a MERGE-VIEWS round whose flush got lost (the
-  // coordinator was mid-change when it tried to force it, or the request
-  // raced a partition) would latch merge_requested and suppress discovery
-  // forever; re-issue the request after a grace period.
-  for (auto& [gid, hs] : hwgs_) {
-    if (hs.merge_requested && vsync_.is_member(gid) &&
-        now - hs.merge_requested_since > kMergeGatherUs + 3'000'000) {
-      hs.merge_requested_since = now;
-      Encoder& body = scratch_body();
-      MergeViewsMsg{}.encode(body);
-      send_lwg_msg(gid, LwgMsgType::kMergeViews, body);
     }
   }
 

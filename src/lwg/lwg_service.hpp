@@ -125,11 +125,11 @@ class LwgService : public GroupService,
   static constexpr Duration kHwgJoinGiveUpUs = 5'000'000;
   /// Period of the service-internal retry/housekeeping tick.
   static constexpr Duration kTickUs = 200'000;
-  /// Gather window between the first MERGE-VIEWS and the HWG flush it
-  /// forces: long enough for every member's ALL-VIEWS to be sequenced into
-  /// the flushing view, so one round (one flush) merges everything — the
-  /// resource-sharing point of paper Sect. 6.4. Stragglers only cost an
-  /// extra round, so this is a performance constant, not a correctness one.
+  /// Gather window between the first MERGE-VIEWS of an HWG view and the
+  /// flush it forces: room for ANNOUNCEs still in flight (across a slow
+  /// uplink) to join the flushing view, so one flush merges everything —
+  /// the resource-sharing point of paper Sect. 6.4. A late ANNOUNCE only
+  /// costs the next view's flush: a performance constant, not correctness.
   static constexpr Duration kMergeGatherUs = 50'000;
   /// How long a naming-service row may keep listing this process as member
   /// of an LWG view it does not hold before the process disavows the row
@@ -195,15 +195,16 @@ class LwgService : public GroupService,
     HwgId gid;
     /// Forward pointers left behind by switches (paper Sect. 3.1).
     std::map<LwgId, std::pair<HwgId, MemberSet>> forwards;
-    /// Merge-views round state (paper Fig. 5): AV_p(hwg), with each
-    /// collected view's advertised ancestry.
+    /// Merge-views state of the current HWG view (paper Fig. 5): AV_p(hwg),
+    /// from its ANNOUNCEs, with each collected view's advertised ancestry.
     struct CollectedView {
       LwgView view;
       std::set<ViewId> ancestors;
     };
-    bool merge_requested = false;
-    Time merge_requested_since = 0;
+    bool merge_requested = false;  // MERGE-VIEWS sent or seen in this view
     std::map<LwgId, std::map<ViewId, CollectedView>> all_views;
+    /// HWG view whose flush this process (its coordinator) has scheduled.
+    ViewId flush_scheduled_in;
     Time no_local_lwg_since = -1;  // shrink rule timer
   };
 
@@ -235,7 +236,10 @@ class LwgService : public GroupService,
   /// membership.
   [[nodiscard]] bool can_send(const LocalGroup& lg) const;
   void drain_queued_sends(LocalGroup& lg);
+  [[nodiscard]] static LwgViewInfo view_info(const LocalGroup& lg);
   [[nodiscard]] std::vector<LwgViewInfo> local_views_on(HwgId gid) const;
+  /// Multicast ANNOUNCE(views) on `gid` (reconciliation Steps 3-4).
+  void announce(HwgId gid, const std::vector<LwgViewInfo>& views);
   [[nodiscard]] names::MappingEntry make_entry(const LocalGroup& lg,
                                                std::uint64_t stamp) const;
   void ns_register(LocalGroup& lg, const std::vector<ViewId>& predecessors);
@@ -273,7 +277,6 @@ class LwgService : public GroupService,
   // -- lwg_service_merge.cpp: hwg view changes + merge-views (Fig. 5) --
   void trigger_merge_views(HwgId gid);
   void handle_merge_views(HwgId gid);
-  void handle_all_views(HwgId gid, const AllViewsMsg& msg);
   void handle_announce(HwgId gid, const AnnounceMsg& msg);
   void process_pending_merges(HwgId gid, const vsync::View& new_hwg_view);
   void handle_hwg_membership_change(HwgId gid, const vsync::View& new_view);

@@ -154,10 +154,7 @@ void LwgService::establish_new_mapping(LocalGroup& lg, bool force) {
           // the same HWG through another name server is discovered (local
           // peer discovery, Step 3).
           if (g->has_view && vsync_.is_member(g->hwg)) {
-            AnnounceMsg announce{{LwgViewInfo{g->lwg, g->view, {}}}};
-            Encoder& body = scratch_body();
-            announce.encode(body);
-            send_lwg_msg(g->hwg, LwgMsgType::kAnnounce, body);
+            announce(g->hwg, {LwgViewInfo{g->lwg, g->view, {}}});
           }
         } else {
           adopt_mapping(*g, *winner);
@@ -293,6 +290,13 @@ void LwgService::maybe_install_next_view(LocalGroup& lg) {
 }
 
 void LwgService::handle_view(HwgId gid, const ViewMsg& msg) {
+  // Every holder of a predecessor on this HWG moves on with this ordered
+  // VIEW: the flush ending the HWG view must not merge what they announced.
+  HwgState& hs = hwg_state(gid);
+  auto collected = hs.all_views.find(msg.lwg);
+  if (collected != hs.all_views.end()) {
+    for (const ViewId& p : msg.predecessors) collected->second.erase(p);
+  }
   LocalGroup* lg = find_group(msg.lwg);
   if (lg == nullptr) return;
   const LwgView& view = msg.view;
@@ -361,7 +365,13 @@ void LwgService::handle_view(HwgId gid, const ViewMsg& msg) {
       std::find(msg.predecessors.begin(), msg.predecessors.end(),
                 lg->view.id) != msg.predecessors.end();
   if (succeeds_ours) {
+    const bool switched_here = lg->switching.has_value();
     install_lwg_view(*lg, view, msg.predecessors);
+    // A view switched onto this HWG (Step 2) is in no ANNOUNCE of the HWG
+    // view yet; announce it so this view's flush can merge it.
+    if (switched_here && view.coordinator() == self()) {
+      announce(gid, {view_info(*lg)});
+    }
     return;
   }
   if (lg->ancestors.contains(view.id)) return;  // stale holder re-publish

@@ -1,12 +1,13 @@
 // LwgService partition healing: HWG view-change handling, local peer
 // discovery, and the merge-views protocol of paper Fig. 5.
 //
-// The merge is decentralized and deterministic: during the flushing view,
-// every member multicasts ALL-VIEWS (its mapped LWG views); virtual
-// synchrony guarantees everyone that installs the next HWG view collected
-// the identical set, so each member independently computes the same merged
-// LWG views. Stragglers whose ALL-VIEWS slipped past the flush cut simply
-// cause another (cheap) round.
+// The merge is decentralized and deterministic: the ANNOUNCEs ordered in an
+// HWG view are the collected set, and MERGE-VIEWS only asks the HWG
+// coordinator to force the flush that ends the view. Virtual synchrony
+// guarantees everyone that installs the next HWG view collected the
+// identical set, so each member independently computes the same merged
+// LWG views. A view that misses the set (an ANNOUNCE past the flush cut, a
+// VIEW installed inside the view) is announced again in the next view.
 #include "lwg/lwg_service.hpp"
 #include "util/assert.hpp"
 #include "util/log.hpp"
@@ -45,9 +46,8 @@ std::uint32_t hash_constituents(const std::vector<ViewId>& ids,
 
 void LwgService::trigger_merge_views(HwgId gid) {
   HwgState& hs = hwg_state(gid);
-  if (hs.merge_requested) return;  // a round is already running
+  if (hs.merge_requested) return;  // this view's flush is already requested
   hs.merge_requested = true;
-  hs.merge_requested_since = vsync_.node().now();
   stats_.merges_triggered++;
   PLWG_DEBUG("lwg", "p", self(), " triggers MERGE-VIEWS on hwg ", gid);
   Encoder& body = scratch_body();
@@ -57,58 +57,41 @@ void LwgService::trigger_merge_views(HwgId gid) {
 
 void LwgService::handle_merge_views(HwgId gid) {
   HwgState& hs = hwg_state(gid);
-  hs.merge_requested = true;  // suppress duplicate triggers this round
-  hs.merge_requested_since = vsync_.node().now();
-  // Fig. 5 line 109: answer with our mapped views, even if we map none
-  // (an empty ALL-VIEWS still tells everyone we took part).
-  AllViewsMsg msg{local_views_on(gid)};
-  Encoder& body = scratch_body();
-  msg.encode(body);
-  send_lwg_msg(gid, LwgMsgType::kAllViews, body);
-  // Fig. 5 lines 110-111: the HWG coordinator forces the flush; repeated
-  // MERGE-VIEWS before the next view are ignored by the vsync layer. A
-  // short gather window first lets every member's ALL-VIEWS reach the
-  // sequencer, so one flush collects them all.
+  hs.merge_requested = true;  // suppress duplicate triggers this view
+  // Fig. 5 lines 110-111: the HWG coordinator forces the flush that ends
+  // this view, once per view; repeated MERGE-VIEWS add nothing. A short
+  // gather window first lets ANNOUNCEs still in flight reach the sequencer.
+  // A timer that outlives its view must not flush the next one.
   const vsync::View* hv = vsync_.view_of(gid);
-  if (hv != nullptr && hv->coordinator() == self()) {
-    vsync_.node().after(kMergeGatherUs,
-                        [this, gid] { vsync_.force_flush(gid); });
+  if (hv == nullptr || hv->coordinator() != self() ||
+      hs.flush_scheduled_in == hv->id) {
+    return;
   }
+  hs.flush_scheduled_in = hv->id;
+  vsync_.node().after(kMergeGatherUs, [this, gid, vid = hv->id] {
+    const vsync::View* current = vsync_.view_of(gid);
+    if (current != nullptr && current->id == vid) vsync_.force_flush(gid);
+  });
 }
 
-void LwgService::handle_all_views(HwgId gid, const AllViewsMsg& msg) {
+void LwgService::handle_announce(HwgId gid, const AnnounceMsg& msg) {
   HwgState& hs = hwg_state(gid);
-  bool straggler_evidence = false;
+  bool concurrent = false;
   for (const LwgViewInfo& info : msg.views) {
     HwgState::CollectedView collected;
     collected.view = info.view;
     collected.ancestors.insert(info.ancestors.begin(), info.ancestors.end());
     hs.all_views[info.lwg][info.view.id] = std::move(collected);
-    // A late ALL-VIEWS (after the flush that should have covered it) can
-    // reveal a concurrent view of one of our groups; start another round.
-    // The *trigger* may use local ancestry (a local heuristic); the merge
+    // Step 3 discovery: a concurrent view of a local group on this HWG. The
+    // *trigger* may use local ancestry (a local heuristic); the merge
     // decision itself uses only the collected evidence.
     LocalGroup* lg = find_group(info.lwg);
     if (lg != nullptr && lg->has_view && lg->hwg == gid &&
         info.view.id != lg->view.id && !lg->ancestors.contains(info.view.id)) {
-      straggler_evidence = true;
+      concurrent = true;
     }
   }
-  if (straggler_evidence && !hs.merge_requested) {
-    trigger_merge_views(gid);
-  }
-}
-
-void LwgService::handle_announce(HwgId gid, const AnnounceMsg& msg) {
-  for (const LwgViewInfo& info : msg.views) {
-    LocalGroup* lg = find_group(info.lwg);
-    if (lg == nullptr || !lg->has_view || lg->hwg != gid) continue;
-    if (info.view.id == lg->view.id) continue;
-    if (lg->ancestors.contains(info.view.id)) continue;
-    // Concurrent view of a local group on this HWG (Step 3 discovery).
-    trigger_merge_views(gid);
-    return;
-  }
+  if (concurrent) trigger_merge_views(gid);
 }
 
 void LwgService::process_pending_merges(HwgId gid,
@@ -194,7 +177,7 @@ void LwgService::process_pending_merges(HwgId gid,
     // no later direct-predecessor registration would ever close, and the
     // orphaned row would stay alive forever (Table 4 GC relies on the
     // chain being complete). Every member advertised its full ancestor set
-    // in ALL-VIEWS, so the union is the same at every merger.
+    // in its ANNOUNCE, so the union is the same at every merger.
     std::vector<ViewId> obsolete = constituents;
     obsolete.insert(obsolete.end(), superseded.begin(), superseded.end());
     // Install first: anything the application multicasts from the merge

@@ -48,8 +48,8 @@ struct LwgView {
 
 std::ostream& operator<<(std::ostream& os, const LwgView& view);
 
-/// Compact (lwg, view) record used by the merge-views exchange
-/// (paper Fig. 5's ALL-VIEWS / MAPPED-VIEWS payloads). It carries the
+/// Compact (lwg, view) record carried by ANNOUNCE, the merge-views payload
+/// (paper Fig. 5's ALL-VIEWS / MAPPED-VIEWS). It carries the
 /// holder's view *ancestry* so every collector can decide supersession
 /// canonically — from the collected evidence alone, not from local state
 /// that may differ between a straggler and already-merged members.

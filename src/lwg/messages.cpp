@@ -127,13 +127,13 @@ RedirectMsg RedirectMsg::decode(Decoder& dec) {
   return m;
 }
 
-void AllViewsMsg::encode(Encoder& enc) const {
+void AnnounceMsg::encode(Encoder& enc) const {
   enc.put_u32(static_cast<std::uint32_t>(views.size()));
   for (const LwgViewInfo& v : views) v.encode(enc);
 }
 
-AllViewsMsg AllViewsMsg::decode(Decoder& dec) {
-  AllViewsMsg m;
+AnnounceMsg AnnounceMsg::decode(Decoder& dec) {
+  AnnounceMsg m;
   const std::uint32_t n = dec.get_count(12);
   m.views.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) {

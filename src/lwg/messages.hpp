@@ -25,9 +25,8 @@ enum class LwgMsgType : std::uint8_t {
   kSwitchReady, // member arrived on the target HWG
   kSwitched,    // forward pointer for stale joiners on the old HWG
   kRedirect,    // tells a stale joiner where the LWG went
-  kMergeViews,  // paper Fig. 5: request an HWG-wide LWG view merge
-  kAllViews,    // paper Fig. 5: a member's mapped LWG views (V_p)
-  kAnnounce,    // local peer discovery after an HWG merge
+  kMergeViews,  // paper Fig. 5: request the HWG flush that merges
+  kAnnounce = 11,  // a member's mapped LWG views (V_p); 10 was ALL-VIEWS
 };
 
 struct DataMsg {
@@ -144,18 +143,19 @@ struct MergeViewsMsg {
   static MergeViewsMsg decode(Decoder&) { return {}; }
 };
 
-struct AllViewsMsg {
+/// The ANNOUNCEs ordered in an HWG view serve both local peer discovery
+/// (Step 3) and, as the collected set AV_p(hwg), the merge of the flush
+/// that ends the view (Fig. 5, lines 109-114).
+struct AnnounceMsg {
   std::vector<LwgViewInfo> views;
 
   void encode(Encoder& enc) const;
-  static AllViewsMsg decode(Decoder& dec);
+  static AnnounceMsg decode(Decoder& dec);
   [[nodiscard]] std::size_t encoded_size_hint() const {
     std::size_t n = 4;
     for (const LwgViewInfo& v : views) n += v.encoded_size_hint();
     return n;
   }
 };
-
-using AnnounceMsg = AllViewsMsg;  // same payload, discovery semantics
 
 }  // namespace plwg::lwg

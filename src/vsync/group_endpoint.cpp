@@ -202,9 +202,11 @@ void GroupEndpoint::note_heard(ProcessId p) {
   // coordinator, so nobody ever turns its suspicion into a view change. It
   // then refuses to NACK-repair from or route sends through the "dead"
   // sequencer forever: a silent livelock with a perfectly consistent view.
-  // An in-flight flush is unaffected: proposals snapshot the survivor set at
-  // initiation, so clearing the flag here cannot change an open proposal.
-  if (suspected_.contains(p)) {
+  // Only an active member rehabilitates: mid-flush, clearing the suspicion
+  // can hand acting coordination back to the suspect, which never heard of
+  // the flush, and the flushing members wedge forever. The view change
+  // settles the suspicion (the suspect merges back later).
+  if (state_ == State::kActive && suspected_.contains(p)) {
     suspected_.erase(p);
     PLWG_DEBUG("vsync", "p", self(), " g", gid_, " rehabilitates ", p);
     flush_pending_sends();

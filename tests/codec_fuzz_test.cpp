@@ -57,7 +57,7 @@ TEST(CodecFuzz, LwgMessagesSurviveGarbage) {
   fuzz_decode<lwg::SwitchReadyMsg>(25);
   fuzz_decode<lwg::SwitchedMsg>(26);
   fuzz_decode<lwg::RedirectMsg>(27);
-  fuzz_decode<lwg::AllViewsMsg>(28);
+  fuzz_decode<lwg::AnnounceMsg>(28);
 }
 
 // The memcpy fast paths and the zero-copy view must agree byte-for-byte
@@ -257,8 +257,8 @@ TEST(CodecRoundTrip, LwgSwitch) {
   EXPECT_EQ(copy.contacts, msg.contacts);
 }
 
-TEST(CodecRoundTrip, LwgAllViews) {
-  lwg::AllViewsMsg msg;
+TEST(CodecRoundTrip, LwgAnnounce) {
+  lwg::AnnounceMsg msg;
   lwg::LwgView v;
   v.id = vid(4, 4, 4);
   v.members = MemberSet{ProcessId{4}, ProcessId{5}};
@@ -267,7 +267,7 @@ TEST(CodecRoundTrip, LwgAllViews) {
   Encoder enc;
   msg.encode(enc);
   Decoder dec(enc.bytes());
-  const auto copy = lwg::AllViewsMsg::decode(dec);
+  const auto copy = lwg::AnnounceMsg::decode(dec);
   dec.expect_done();
   ASSERT_EQ(copy.views.size(), 1u);
   EXPECT_EQ(copy.views[0].lwg, LwgId{7});

@@ -76,6 +76,53 @@ TEST_F(LwgPartitionTest, HealMergesLwgViewsViaSingleHwg) {
       [&] { return user(3).total_delivered(id) > before; }, 10'000'000));
 }
 
+// A VIEW ordered in the HWG view whose flush merges moves its
+// predecessor's holders on, so the merge must not fold the view they
+// announced when that HWG view installed. p1 leaves right after the HWG
+// merges, turning {0,1} into {0} inside that view; folding the stale
+// {0,1} with {2,3} would hand p2 and p3 a view that lists p1, who left,
+// and p0, who holds another view.
+TEST_F(LwgPartitionTest, LeaveInsideTheMergingHwgViewIsHonoured) {
+  build(config(4));
+  const LwgId id{1};
+  form_lwg(id, {0, 1, 2, 3});
+  const std::optional<HwgId> hwg = lwg(0).hwg_of(id);
+  ASSERT_TRUE(hwg.has_value());
+  world().partition({{0, 1}, {2, 3}}, {0, 1});
+  ASSERT_TRUE(run_until(
+      [&] {
+        return lwg_converged(id, {0, 1}, members_of({0, 1})) &&
+               lwg_converged(id, {2, 3}, members_of({2, 3}));
+      },
+      30'000'000));
+  world().heal();
+  // 1 ms probes: leave while the merging HWG view is still open.
+  bool merged = false;
+  for (int i = 0; i < 60'000 && !merged; ++i) {
+    run_for(1'000);
+    const vsync::View* v = world().vsync(1).view_of(*hwg);
+    merged = v != nullptr && v->members.size() == 4;
+  }
+  ASSERT_TRUE(merged) << "the HWG never merged";
+  std::vector<std::size_t> seen;
+  for (std::size_t i : {0, 2, 3}) seen.push_back(user(i).log(id).epochs.size());
+  lwg(1).leave(id);
+
+  ASSERT_TRUE(run_until(
+      [&] { return lwg_converged(id, {0, 2, 3}, members_of({0, 2, 3})); },
+      60'000'000));
+  std::size_t k = 0;
+  for (std::size_t i : {0, 2, 3}) {
+    const auto& epochs = user(i).log(id).epochs;
+    for (std::size_t e = seen[k]; e < epochs.size(); ++e) {
+      EXPECT_FALSE(epochs[e].view.members.contains(pid(1)))
+          << "p" << i << " installed " << epochs[e].view.id.to_string()
+          << " after p1 left";
+    }
+    ++k;
+  }
+}
+
 TEST_F(LwgPartitionTest, MergedLwgViewIdenticalEverywhere) {
   build(config(4));
   const LwgId id{1};

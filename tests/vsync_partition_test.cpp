@@ -99,6 +99,44 @@ TEST_F(VsyncPartitionTest, HealMergesViews) {
   EXPECT_GE(merged->predecessors.size(), 2u);
 }
 
+// Regression: a heal that lands while the suspecting side is mid-flush
+// must not orphan that flush. One-way cuts make 1 and 3 stop hearing 0 and
+// 2 while 0 and 4 still hear everyone. p1, acting coordinator of {1,3,4}
+// once it suspects 0, starts a flush that excludes 0 and 2; p3 accepts it,
+// p4 (which trusts 0) rejects it, so it waits for a retry. The cuts heal
+// inside that wait. When hearing 0 again cleared the flushing members'
+// suspicion, p1 stopped being the acting coordinator, its flush restart
+// returned early, and p1 and p3 stayed flushing forever while 0, 2 and 4
+// never learned of it.
+TEST_F(VsyncPartitionTest, HealMidFlushDoesNotOrphanTheFlush) {
+  const HwgId gid = form_group(5);
+  for (std::size_t from : {0, 2}) {
+    for (std::size_t to : {1, 3}) {
+      net_->set_link_fault(node(from), node(to),
+                           sim::LinkFault{.blocked = true});
+    }
+  }
+  auto flushing = [&](std::size_t i) {
+    const GroupEndpoint* ep = host(i).endpoint(gid);
+    return ep != nullptr && ep->state() != GroupEndpoint::State::kActive;
+  };
+  ASSERT_TRUE(run_until([&] { return flushing(1) && flushing(3); },
+                        10'000'000))
+      << "p1 never started the flush that excludes 0";
+  ASSERT_FALSE(flushing(0));
+  run_for(100'000);  // p4's rejection is in; p1 waits to retry
+  net_->clear_link_faults();
+
+  const std::vector<std::size_t> all{0, 1, 2, 3, 4};
+  EXPECT_TRUE(run_until(
+      [&] {
+        return converged(gid, all, members_of({0, 1, 2, 3, 4})) &&
+               std::ranges::none_of(all, flushing);
+      },
+      60'000'000));
+  for (std::size_t i : all) EXPECT_FALSE(flushing(i)) << "p" << i;
+}
+
 TEST_F(VsyncPartitionTest, MergedGroupCarriesTraffic) {
   const HwgId gid = form_group(4);
   split({{0, 1}, {2, 3}});
