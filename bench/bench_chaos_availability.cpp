@@ -16,10 +16,8 @@
 // per configuration: group availability under the churn and the
 // mean-time-to-rejoin (MTTR) — restart until the reborn process holds a
 // view of its group again.
-#include <algorithm>
 #include <cstdio>
 #include <iostream>
-#include <map>
 
 #include "harness/chaos.hpp"
 #include "harness/scenario.hpp"
@@ -111,52 +109,23 @@ CrashChurnResult run_crash_churn(std::uint64_t seed,
   constexpr Duration kRun = 120'000'000;
   constexpr Duration kSample = 100'000;
   std::uint64_t samples = 0, avail = 0;
-  std::size_t log_seen = 0;
-  std::map<std::size_t, Time> awaiting_rejoin;  // index -> restarted_at
-  double mttr_sum_us = 0;
-  std::size_t rejoins = 0;
-
-  const auto poll = [&](Time now) {
-    for (std::size_t i = log_seen; i < chaos.restart_log().size(); ++i) {
-      const harness::RestartEvent& ev = chaos.restart_log()[i];
-      awaiting_rejoin[ev.index] = ev.restarted_at;
-    }
-    log_seen = chaos.restart_log().size();
-    for (auto it = awaiting_rejoin.begin(); it != awaiting_rejoin.end();) {
-      const auto& down = chaos.crashed();
-      if (std::find(down.begin(), down.end(), it->first) != down.end()) {
-        it = awaiting_rejoin.erase(it);  // crashed again before rejoining
-        continue;
-      }
-      const lwg::LwgView* v = world.lwg(it->first).view_of(id);
-      if (v != nullptr) {
-        mttr_sum_us += static_cast<double>(now - it->second);
-        ++rejoins;
-        it = awaiting_rejoin.erase(it);
-      } else {
-        ++it;
-      }
-    }
-  };
+  harness::RejoinTracker rejoins(world, chaos, id);
 
   const Time end = world.simulator().now() + kRun;
   while (world.simulator().now() < end) {
     chaos.run_for(kSample);
-    const Time now = world.simulator().now();
-    poll(now);
+    rejoins.poll();
     for (std::size_t i = 0; i < kProcs; ++i) {
       ++samples;
-      const auto& down = chaos.crashed();
-      if (std::find(down.begin(), down.end(), i) != down.end()) continue;
+      if (chaos.is_crashed(i)) continue;
       if (world.lwg(i).view_of(id) != nullptr) ++avail;
     }
   }
   chaos.quiesce();
   // Let the stragglers finish rejoining so MTTR covers every cycle.
-  while (!awaiting_rejoin.empty() &&
-         world.simulator().now() < end + 120'000'000) {
+  while (rejoins.awaiting() && world.simulator().now() < end + 120'000'000) {
     world.run_for(kSample);
-    poll(world.simulator().now());
+    rejoins.poll();
   }
 
   CrashChurnResult out;
@@ -171,9 +140,8 @@ CrashChurnResult run_crash_churn(std::uint64_t seed,
   out.mean_downtime_ms =
       out.restarts == 0 ? 0 : downtime_sum / 1e3 /
                                   static_cast<double>(out.restarts);
-  out.rejoins = rejoins;
-  out.mean_mttr_ms =
-      rejoins == 0 ? 0 : mttr_sum_us / 1e3 / static_cast<double>(rejoins);
+  out.rejoins = rejoins.rejoins();
+  out.mean_mttr_ms = rejoins.mean_rejoin_ms();
   return out;
 }
 

@@ -486,4 +486,29 @@ void ChaosMonkey::inject() {
                           100'000);
 }
 
+void RejoinTracker::poll() {
+  const auto& log = chaos_.restart_log();
+  for (; log_seen_ < log.size(); ++log_seen_) {
+    awaiting_[log[log_seen_].index] = log[log_seen_].restarted_at;
+  }
+  const Time now = world_.simulator().now();
+  for (auto it = awaiting_.begin(); it != awaiting_.end();) {
+    if (chaos_.is_crashed(it->first)) {
+      it = awaiting_.erase(it);  // crashed again before rejoining
+    } else if (world_.lwg(it->first).view_of(id_) != nullptr) {
+      rejoin_sum_us_ += static_cast<double>(now - it->second);
+      ++rejoins_;
+      it = awaiting_.erase(it);
+    } else {
+      ++it;
+    }
+  }
+}
+
+double RejoinTracker::mean_rejoin_ms() const {
+  return rejoins_ == 0
+             ? 0
+             : rejoin_sum_us_ / 1e3 / static_cast<double>(rejoins_);
+}
+
 }  // namespace plwg::harness

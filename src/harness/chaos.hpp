@@ -103,6 +103,8 @@ class ChaosMonkey {
   [[nodiscard]] const std::vector<std::size_t>& crashed() const {
     return crashed_;
   }
+  /// True while process `index` is down.
+  [[nodiscard]] bool is_crashed(std::size_t index) const;
   /// Completed crash–restart cycles, in restart order.
   [[nodiscard]] const std::vector<RestartEvent>& restart_log() const {
     return restart_log_;
@@ -174,7 +176,6 @@ class ChaosMonkey {
   void fire_due_restarts();
   [[nodiscard]] Time earliest_pending() const;
   [[nodiscard]] Time next_action_time() const;
-  [[nodiscard]] bool is_crashed(std::size_t index) const;
 
   SimWorld& world_;
   ChaosConfig config_;
@@ -192,6 +193,33 @@ class ChaosMonkey {
   std::vector<std::size_t> crashed_;
   std::vector<PendingRestart> pending_restarts_;
   std::vector<RestartEvent> restart_log_;
+};
+
+/// Restart-to-rejoin latency (MTTR) of one LWG under a ChaosMonkey. Each
+/// poll() picks up the restarts logged since the last one and counts a
+/// restarted process as rejoined once it holds a view of the group again; a
+/// process that crashes again before rejoining is dropped uncounted.
+class RejoinTracker {
+ public:
+  RejoinTracker(SimWorld& world, const ChaosMonkey& chaos, LwgId id)
+      : world_(world), chaos_(chaos), id_(id) {}
+
+  void poll();
+
+  [[nodiscard]] std::size_t rejoins() const { return rejoins_; }
+  /// Mean restart-to-rejoin time over the counted rejoins (0 if none).
+  [[nodiscard]] double mean_rejoin_ms() const;
+  /// Restarted processes not yet back in a view.
+  [[nodiscard]] bool awaiting() const { return !awaiting_.empty(); }
+
+ private:
+  SimWorld& world_;
+  const ChaosMonkey& chaos_;
+  LwgId id_;
+  std::size_t log_seen_ = 0;
+  std::map<std::size_t, Time> awaiting_;  // index -> restarted_at
+  double rejoin_sum_us_ = 0;
+  std::size_t rejoins_ = 0;
 };
 
 }  // namespace plwg::harness

@@ -4,7 +4,6 @@
 // application traffic and 100 ms availability sampling, quiesce, converge,
 // and report availability / MTTR / oracle verdict.
 #include <algorithm>
-#include <map>
 
 #include "harness/chaos.hpp"
 #include "harness/scenario.hpp"
@@ -49,52 +48,22 @@ ScenarioResult run_scenario(const Scenario& scenario, std::uint64_t seed) {
   // exercised across every fault shape.
   constexpr Duration kSample = 100'000;
   std::uint64_t samples = 0, available = 0;
-  std::size_t log_seen = 0, sender = 0;
-  std::map<std::size_t, Time> awaiting_rejoin;  // index -> restarted_at
-  double rejoin_sum_us = 0;
-
-  const auto poll_rejoins = [&](Time now) {
-    for (std::size_t i = log_seen; i < chaos.restart_log().size(); ++i) {
-      const RestartEvent& ev = chaos.restart_log()[i];
-      awaiting_rejoin[ev.index] = ev.restarted_at;
-    }
-    log_seen = chaos.restart_log().size();
-    for (auto it = awaiting_rejoin.begin(); it != awaiting_rejoin.end();) {
-      if (std::find(chaos.crashed().begin(), chaos.crashed().end(),
-                    it->first) != chaos.crashed().end()) {
-        it = awaiting_rejoin.erase(it);  // crashed again before rejoining
-        continue;
-      }
-      if (world.lwg(it->first).view_of(id) != nullptr) {
-        rejoin_sum_us += static_cast<double>(now - it->second);
-        result.rejoins++;
-        it = awaiting_rejoin.erase(it);
-      } else {
-        ++it;
-      }
-    }
-  };
+  std::size_t sender = 0;
+  RejoinTracker rejoins(world, chaos, id);
 
   const Time fault_end = world.simulator().now() + scenario.run_us;
   while (world.simulator().now() < fault_end) {
     chaos.run_for(std::min<Duration>(kSample,
                                      fault_end - world.simulator().now()));
-    const Time now = world.simulator().now();
-    poll_rejoins(now);
+    rejoins.poll();
     for (std::size_t i = 0; i < n; ++i) {
-      if (std::find(chaos.crashed().begin(), chaos.crashed().end(), i) !=
-          chaos.crashed().end()) {
-        continue;
-      }
+      if (chaos.is_crashed(i)) continue;
       ++samples;
       if (world.lwg(i).view_of(id) != nullptr) ++available;
     }
     for (std::size_t tries = 0; tries < n; ++tries) {
       const std::size_t s = sender++ % n;
-      if (std::find(chaos.crashed().begin(), chaos.crashed().end(), s) !=
-          chaos.crashed().end()) {
-        continue;
-      }
+      if (chaos.is_crashed(s)) continue;
       if (world.lwg(s).view_of(id) != nullptr) {
         world.lwg(s).send(id, {0xAD, static_cast<std::uint8_t>(s)});
       }
@@ -127,16 +96,14 @@ ScenarioResult run_scenario(const Scenario& scenario, std::uint64_t seed) {
       world.oracle().record_liveness_failure(result.failure);
     }
   }
-  poll_rejoins(world.simulator().now());
+  rejoins.poll();
 
   result.partitions = chaos.partitions_injected();
   result.crashes = chaos.crashes_injected();
   result.restarts = chaos.restarts_fired();
   result.link_faults = chaos.link_faults_injected();
-  result.mean_rejoin_ms =
-      result.rejoins == 0
-          ? 0
-          : rejoin_sum_us / 1e3 / static_cast<double>(result.rejoins);
+  result.rejoins = rejoins.rejoins();
+  result.mean_rejoin_ms = rejoins.mean_rejoin_ms();
 
   if (world.oracle_enabled()) {
     result.oracle_clean = world.oracle().clean();

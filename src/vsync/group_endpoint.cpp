@@ -4,21 +4,17 @@
 // in group_endpoint_merge.cpp.
 #include "vsync/group_endpoint.hpp"
 
+#include <algorithm>
+
 #include "util/assert.hpp"
 #include "util/backoff.hpp"
 #include "util/log.hpp"
-#include "vsync/failure_detector.hpp"
 #include "vsync/vsync_host.hpp"
 
 namespace plwg::vsync {
 
 GroupEndpoint::GroupEndpoint(VsyncHost& host, HwgId gid, GroupUser& user)
-    : host_(host),
-      gid_(gid),
-      user_(user),
-      detector_(make_failure_detector(host.config())) {}
-
-GroupEndpoint::~GroupEndpoint() = default;
+    : host_(host), gid_(gid), user_(user) {}
 
 std::uint64_t GroupEndpoint::backoff_salt() const {
   return (static_cast<std::uint64_t>(self().value()) << 32) ^ gid_.value();
@@ -166,9 +162,7 @@ void GroupEndpoint::reset_view_state() {
   stable_upto_ = 0;
   trimmed_upto_ = 0;
   suspected_ = MemberSet{};
-  last_heard_.clear();
-  const Time t = now();
-  for (ProcessId p : view_.members.members()) last_heard_[p] = t;
+  last_heard_.assign(view_.members.size(), now());
   part_flush_.reset();
   flush_op_.reset();
   merge_follow_.reset();
@@ -189,11 +183,11 @@ void GroupEndpoint::become_defunct() {
 }
 
 void GroupEndpoint::note_heard(ProcessId p) {
-  if (!has_view_ || !view_.members.contains(p)) return;
-  // The adaptive detector learns the peer's cadence from these arrivals;
-  // the fixed detector ignores them (last_heard_ alone decides).
-  detector_->heard(p, now());
-  last_heard_[p] = now();
+  if (!has_view_) return;
+  const auto& members = view_.members.members();
+  const auto it = std::lower_bound(members.begin(), members.end(), p);
+  if (it == members.end() || *it != p) return;
+  last_heard_[static_cast<std::size_t>(it - members.begin())] = now();
   // Rehabilitation: live shared-view traffic from a suspect restores trust.
   // Suspicion used to be sticky until a view change reset it, which is fine
   // when the suspecter ends up acting coordinator (it excludes the suspect)
@@ -217,11 +211,11 @@ void GroupEndpoint::update_suspicions() {
   if (!has_view_) return;
   const Time t = now();
   bool changed = false;
-  for (ProcessId p : view_.members.members()) {
+  const auto& members = view_.members.members();
+  for (std::size_t i = 0; i < members.size(); ++i) {
+    const ProcessId p = members[i];
     if (p == self() || suspected_.contains(p)) continue;
-    auto it = last_heard_.find(p);
-    const Time heard = (it == last_heard_.end()) ? state_since_ : it->second;
-    if (detector_->suspect(p, t, heard)) {
+    if (config().suspects(t - last_heard_[i])) {
       suspected_.insert(p);
       changed = true;
       PLWG_DEBUG("vsync", "p", self(), " g", gid_, " suspects ", p);

@@ -33,10 +33,8 @@
 #include <cstdint>
 #include <deque>
 #include <map>
-#include <memory>
 #include <optional>
 #include <set>
-#include <unordered_map>
 #include <vector>
 
 #include "sim/simulator.hpp"
@@ -50,7 +48,6 @@
 
 namespace plwg::vsync {
 
-class FailureDetector;
 class VsyncHost;
 
 class GroupEndpoint {
@@ -75,7 +72,6 @@ class GroupEndpoint {
   };
 
   GroupEndpoint(VsyncHost& host, HwgId gid, GroupUser& user);
-  ~GroupEndpoint();
   GroupEndpoint(const GroupEndpoint&) = delete;
   GroupEndpoint& operator=(const GroupEndpoint&) = delete;
 
@@ -301,11 +297,11 @@ class GroupEndpoint {
   // into the next view if the origin survives.
   std::deque<SendReqMsg> resequence_queue_;
 
-  // Failure detection. The detector decides WHEN silence becomes suspicion
-  // (policy, see failure_detector.hpp); last_heard_/suspected_ remain the
-  // endpoint's record of WHAT it has heard and concluded.
-  std::unique_ptr<FailureDetector> detector_;
-  std::unordered_map<ProcessId, Time> last_heard_;
+  // Failure detection: a view member is suspected once its silence exceeds
+  // suspect_timeout_us (VsyncConfig::suspects). last_heard_[i] is when
+  // view_.members rank i was last heard; reset_view_state sizes it, so every
+  // member of the installed view has an entry.
+  std::vector<Time> last_heard_;
   MemberSet suspected_;
   Time last_heartbeat_sent_ = -1;
   Time last_nack_check_ = 0;

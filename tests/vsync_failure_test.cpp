@@ -10,8 +10,9 @@ namespace {
 class VsyncFailureTest : public VsyncFixture {
  protected:
   /// Builds `total` processes and forms a group over the first `n`.
-  HwgId form_group(std::size_t n, std::size_t total = 0) {
-    build(total == 0 ? n : total);
+  HwgId form_group(std::size_t n, std::size_t total = 0,
+                   VsyncConfig vs_cfg = {}) {
+    build(total == 0 ? n : total, {}, vs_cfg);
     const HwgId gid = host(0).allocate_group_id();
     host(0).create_group(gid, user(0));
     std::vector<std::size_t> all{0};
@@ -26,6 +27,28 @@ class VsyncFailureTest : public VsyncFixture {
     return gid;
   }
 };
+
+TEST(VsyncConfigTest, SuspectsOnlySilenceStrictlyLongerThanTheTimeout) {
+  constexpr VsyncConfig cfg{.suspect_timeout_us = 1'000'000};
+  // Silence of exactly the timeout is tolerated; one microsecond more is not.
+  EXPECT_FALSE(cfg.suspects(1'000'000));
+  EXPECT_TRUE(cfg.suspects(1'000'001));
+}
+
+TEST_F(VsyncFailureTest, SuspectTimeoutSetsWhenACrashedMemberIsExcluded) {
+  VsyncConfig cfg;
+  cfg.suspect_timeout_us = 3'000'000;
+  const HwgId gid = form_group(4, 0, cfg);
+  const Time crashed_at = sim_.now();
+  net_->crash(node(3));
+  // Well past the default 1 s timeout the crashed member is still in view...
+  sim_.run_until(crashed_at + 2'500'000);
+  ASSERT_NE(host(0).view_of(gid), nullptr);
+  EXPECT_TRUE(host(0).view_of(gid)->members.contains(pid(3)));
+  // ...and soon after the configured 3 s it is gone at every survivor.
+  sim_.run_until(crashed_at + 4'500'000);
+  EXPECT_TRUE(converged(gid, {0, 1, 2}, members_of({0, 1, 2})));
+}
 
 TEST_F(VsyncFailureTest, CrashedMemberIsExcluded) {
   const HwgId gid = form_group(4);
