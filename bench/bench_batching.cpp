@@ -7,9 +7,8 @@
 // messages_sent. The reduction factor is therefore messages-per-frame over
 // the measurement window, and the acceptance bar is a >= 2x reduction.
 //
-// Sweeping max_linger_us shows the latency/coalescing trade: 0 merges only
-// within an event-loop round (zero added latency); positive lingers let
-// batches accumulate across rounds.
+// The transport flushes at the end of each event-loop round, so a frame
+// merges exactly what one round produced (the linger-us column is 0).
 #include <cstdio>
 #include <iostream>
 #include <map>
@@ -27,10 +26,8 @@ struct Result {
   double piggyback_share = 0;     // acks that rode a data frame / messages
 };
 
-Result run_one(lwg::MappingMode mode, std::size_t n, Duration linger_us) {
-  transport::TransportConfig tc;
-  tc.max_linger_us = linger_us;
-  Fig2World f = build_fig2_world(mode, n, tc);
+Result run_one(lwg::MappingMode mode, std::size_t n) {
+  Fig2World f = build_fig2_world(mode, n);
   constexpr int kWindow = 8;
   constexpr std::size_t kBytes = 64;
   constexpr Duration kMeasure = 5'000'000;
@@ -38,8 +35,7 @@ Result run_one(lwg::MappingMode mode, std::size_t n, Duration linger_us) {
 
   std::map<LwgId, std::uint64_t> sent;
   // The refill runs as a simulation event — the way a real application's
-  // sends happen — so the messages one round produces coalesce even with
-  // zero linger.
+  // sends happen — so the messages one round produces coalesce.
   auto pump = [&] {
     f.world->simulator().schedule_after(0, [&] {
       const std::uint64_t prog_a = f.users[1]->delivered / n;
@@ -111,19 +107,15 @@ int main() {
                         "reduction-x", "piggybacked-ack-share"});
   for (lwg::MappingMode mode :
        {lwg::MappingMode::kStaticSingle, lwg::MappingMode::kDynamic}) {
-    for (Duration linger : {0, 500, 2'000}) {
-      const Result r = run_one(mode, 8, linger);
-      table.add_row({mode_name(mode), std::to_string(linger),
-                     metrics::Table::fmt(r.rate, 1),
-                     metrics::Table::fmt(r.frames_per_msg, 3),
-                     metrics::Table::fmt(r.baseline_frames_per_msg, 3),
-                     metrics::Table::fmt(r.msgs_per_frame, 2),
-                     metrics::Table::fmt(r.piggyback_share, 3)});
-    }
+    const Result r = run_one(mode, 8);
+    table.add_row({mode_name(mode), "0", metrics::Table::fmt(r.rate, 1),
+                   metrics::Table::fmt(r.frames_per_msg, 3),
+                   metrics::Table::fmt(r.baseline_frames_per_msg, 3),
+                   metrics::Table::fmt(r.msgs_per_frame, 2),
+                   metrics::Table::fmt(r.piggyback_share, 3)});
   }
   table.print(std::cout);
   std::printf("\nshape check: reduction-x >= 2 (each frame amortizes its "
-              "header and per-packet CPU cost over >= 2 protocol messages); "
-              "longer lingers trade delivery latency for fewer frames.\n");
+              "header and per-packet CPU cost over >= 2 protocol messages).\n");
   return 0;
 }

@@ -107,8 +107,8 @@ void BM_CodecEncodeOrderedWire(benchmark::State& state) {
   std::size_t encoded = 0;
   for (auto _ : state) {
     Encoder enc;
-    enc.reserve(wire.encoded_size_hint());
-    wire.encode(enc);
+    enc.reserve(encoded_size(wire));
+    enc.put(wire);
     encoded = enc.size();
     benchmark::DoNotOptimize(enc.bytes().data());
   }
@@ -120,10 +120,10 @@ BENCHMARK(BM_CodecEncodeOrderedWire)->Arg(64)->Arg(1024);
 void BM_CodecDecodeOrderedWire(benchmark::State& state) {
   const auto wire = make_wire(static_cast<std::size_t>(state.range(0)));
   Encoder enc;
-  wire.encode(enc);
+  enc.put(wire);
   for (auto _ : state) {
     Decoder dec(enc.bytes());
-    auto decoded = vsync::OrderedMsgWire::decode(dec);
+    auto decoded = dec.get<vsync::OrderedMsgWire>();
     benchmark::DoNotOptimize(decoded.msg.payload.data());
   }
   state.SetBytesProcessed(state.iterations() *
@@ -132,17 +132,16 @@ void BM_CodecDecodeOrderedWire(benchmark::State& state) {
 BENCHMARK(BM_CodecDecodeOrderedWire)->Arg(64)->Arg(1024);
 
 // LWG data-path decode as the receive path performs it before the user
-// upcall: DataMsgView leaves the payload a view of the packet buffer.
+// upcall: the payload stays a view of the packet buffer.
 void BM_CodecDecodeDataMsg(benchmark::State& state) {
-  lwg::DataMsg msg;
-  msg.lwg = LwgId{7};
-  msg.lwg_view = vsync::ViewId{ProcessId{3}, 9};
-  msg.payload.assign(static_cast<std::size_t>(state.range(0)), 0xEF);
+  const std::vector<std::uint8_t> payload(
+      static_cast<std::size_t>(state.range(0)), 0xEF);
+  const lwg::DataMsg msg{LwgId{7}, vsync::ViewId{ProcessId{3}, 9}, payload};
   Encoder enc;
-  msg.encode(enc);
+  enc.put(msg);
   for (auto _ : state) {
     Decoder dec(enc.bytes());
-    const auto decoded = lwg::DataMsgView::decode(dec);
+    const auto decoded = dec.get<lwg::DataMsg>();
     benchmark::DoNotOptimize(decoded.payload.data());
   }
   state.SetBytesProcessed(state.iterations() *
@@ -157,8 +156,8 @@ void BM_CodecEncodeFlushAck(benchmark::State& state) {
   std::size_t encoded = 0;
   for (auto _ : state) {
     Encoder enc;
-    enc.reserve(msg.encoded_size_hint());
-    msg.encode(enc);
+    enc.reserve(encoded_size(msg));
+    enc.put(msg);
     encoded = enc.size();
     benchmark::DoNotOptimize(enc.bytes().data());
   }
@@ -170,10 +169,10 @@ BENCHMARK(BM_CodecEncodeFlushAck);
 void BM_CodecDecodeFlushAck(benchmark::State& state) {
   const auto msg = make_flush_ack(512);
   Encoder enc;
-  msg.encode(enc);
+  enc.put(msg);
   for (auto _ : state) {
     Decoder dec(enc.bytes());
-    auto decoded = vsync::FlushAckMsg::decode(dec);
+    auto decoded = dec.get<vsync::FlushAckMsg>();
     benchmark::DoNotOptimize(decoded.have.data());
   }
   state.SetBytesProcessed(state.iterations() *

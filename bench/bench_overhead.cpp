@@ -20,13 +20,11 @@ MemberSet members(std::uint32_t n) {
 }
 
 std::size_t lwg_data_size(std::size_t payload) {
-  lwg::DataMsg msg;
-  msg.lwg = LwgId{1};
-  msg.lwg_view = vsync::ViewId{ProcessId{0}, 1};
-  msg.payload.assign(payload, 0);
+  const std::vector<std::uint8_t> bytes(payload, 0);
+  const lwg::DataMsg msg{LwgId{1}, vsync::ViewId{ProcessId{0}, 1}, bytes};
   Encoder enc;
   enc.put_u8(1);  // LwgMsgType
-  msg.encode(enc);
+  enc.put(msg);
   return enc.size();
 }
 
@@ -37,7 +35,7 @@ std::size_t vsync_ordered_size(std::size_t inner) {
   Encoder enc;
   enc.put_id(HwgId{1});
   enc.put_u8(static_cast<std::uint8_t>(vsync::MsgType::kOrdered));
-  wire.encode(enc);
+  enc.put(wire);
   return enc.size() + 1;  // + transport port byte
 }
 
@@ -46,7 +44,7 @@ std::size_t framed_size(const Msg& msg, vsync::MsgType type) {
   Encoder enc;
   enc.put_id(HwgId{1});
   enc.put_u8(static_cast<std::uint8_t>(type));
-  msg.encode(enc);
+  enc.put(msg);
   return enc.size() + 1;
 }
 
@@ -114,7 +112,7 @@ int main() {
     m.entry.hwg_members = members(8);
     Encoder enc;
     enc.put_u8(1);
-    m.encode(enc);
+    enc.put(m);
     ctrl.add_row({"ns.set (4-member lwg)", std::to_string(enc.size() + 1)});
   }
   ctrl.print(std::cout);

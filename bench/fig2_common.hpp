@@ -62,11 +62,9 @@ struct Fig2World {
 };
 
 /// The Fig. 2 world's configuration for `mode`, oracle off.
-inline harness::WorldConfig fig2_config(
-    lwg::MappingMode mode, transport::TransportConfig transport = {}) {
+inline harness::WorldConfig fig2_config(lwg::MappingMode mode) {
   harness::WorldConfig cfg;
   cfg.oracle = false;  // measuring the protocol, not checking it
-  cfg.transport = transport;
   cfg.num_processes = kProcesses;
   cfg.num_name_servers = 1;
   cfg.net.bandwidth_bps = 10e6;        // the paper's 10 Mbps Ethernet
@@ -120,9 +118,8 @@ inline Fig2World build_fig2_world(const harness::WorldConfig& cfg,
   return f;
 }
 
-inline Fig2World build_fig2_world(lwg::MappingMode mode, std::size_t n,
-                                  transport::TransportConfig transport = {}) {
-  return build_fig2_world(fig2_config(mode, transport), n);
+inline Fig2World build_fig2_world(lwg::MappingMode mode, std::size_t n) {
+  return build_fig2_world(fig2_config(mode), n);
 }
 
 /// Encodes a latency-probe payload of at least `bytes` total.

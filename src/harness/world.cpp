@@ -46,12 +46,12 @@ SimWorld::SimWorld(WorldConfig config)
   processes_.resize(config_.num_processes);
   stores_.resize(config_.num_processes);
   for (auto& p : processes_) {
-    p.runtime = std::make_unique<transport::NodeRuntime>(*net_, config_.transport);
+    p.runtime = std::make_unique<transport::NodeRuntime>(*net_);
   }
   servers_.resize(replicated ? 0 : config_.num_name_servers);
   server_stores_.resize(servers_.size());
   for (auto& s : servers_) {
-    s.runtime = std::make_unique<transport::NodeRuntime>(*net_, config_.transport);
+    s.runtime = std::make_unique<transport::NodeRuntime>(*net_);
   }
 
   if (replicated) {
@@ -391,7 +391,7 @@ void SimWorld::restart(std::size_t i) {
   p.vsync.reset();
   stores_[i].incarnation++;
   p.runtime = std::make_unique<transport::NodeRuntime>(
-      *net_, nid, stores_[i].incarnation, config_.transport);
+      *net_, nid, stores_[i].incarnation);
   crashed_[i] = false;
   build_process(i, std::move(disk));
   // Recovery: replay the restart script. Each join re-resolves the LWG
@@ -426,7 +426,7 @@ void SimWorld::restart_server(std::size_t j) {
   s.naming.reset();
   server_stores_[j].incarnation++;
   s.runtime = std::make_unique<transport::NodeRuntime>(
-      *net_, nid, server_stores_[j].incarnation, config_.transport);
+      *net_, nid, server_stores_[j].incarnation);
   server_crashed_[j] = false;
   build_server(j, std::move(disk));
   PLWG_INFO("world", "name server ", j, " restarted as incarnation ",

@@ -39,7 +39,6 @@ struct WorldConfig {
   std::size_t num_name_servers = 1;
   NamingMode naming_mode = NamingMode::kDedicatedServers;
   sim::NetworkConfig net;
-  transport::TransportConfig transport;
   vsync::VsyncConfig vsync;
   lwg::LwgConfig lwg;
   /// Multi-LAN topology: segments[k] lists the *process indexes* on LAN k

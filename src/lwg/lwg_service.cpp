@@ -59,7 +59,7 @@ void LwgService::leave(LwgId lwg) {
   }
   set_phase(*lg, Phase::kLeaving);
   Encoder& body = scratch_body();
-  LeaveMsg{lwg, self()}.encode(body);
+  body.put(LeaveMsg{lwg, self()});
   send_lwg_msg(lg->hwg, LwgMsgType::kLeave, body);
 }
 
@@ -75,10 +75,10 @@ void LwgService::send(LwgId lwg, std::vector<std::uint8_t> data) {
     return;
   }
   stats_.data_sent++;
-  DataMsg msg{lwg, lg->view.id, std::move(data)};
+  DataMsg msg{lwg, lg->view.id, data};
   Encoder& body = scratch_body();
-  body.reserve(msg.encoded_size_hint());
-  msg.encode(body);
+  body.reserve(encoded_size(msg));
+  body.put(msg);
   send_lwg_msg(lg->hwg, LwgMsgType::kData, body);
 }
 
@@ -226,9 +226,9 @@ void LwgService::drain_queued_sends(LocalGroup& lg) {
     std::vector<std::uint8_t> data = std::move(lg.queued_sends.front());
     lg.queued_sends.pop_front();
     stats_.data_sent++;
-    DataMsg msg{lg.lwg, lg.view.id, std::move(data)};
+    DataMsg msg{lg.lwg, lg.view.id, data};
     Encoder& body = scratch_body();
-    msg.encode(body);
+    body.put(msg);
     send_lwg_msg(lg.hwg, LwgMsgType::kData, body);
   }
 }
@@ -258,7 +258,7 @@ std::vector<LwgViewInfo> LwgService::local_views_on(HwgId gid) const {
 
 void LwgService::announce(HwgId gid, const std::vector<LwgViewInfo>& views) {
   Encoder& body = scratch_body();
-  AnnounceMsg{views}.encode(body);
+  body.put(AnnounceMsg{views});
   send_lwg_msg(gid, LwgMsgType::kAnnounce, body);
 }
 
@@ -270,41 +270,61 @@ void LwgService::on_stop(HwgId gid) {
   vsync_.stop_ok(gid);
 }
 
+// The HWG has already delivered (and counted) the message by the time it
+// reaches this layer, so a malformed one is this layer's to count and drop:
+// a throw would unwind through the HWG delivery loop instead.
+template <class Msg>
+std::optional<Msg> LwgService::decode(Decoder& dec) {
+  try {
+    return dec.get_exact<Msg>();
+  } catch (const CodecError& e) {
+    stats_.decode_errors++;
+    PLWG_WARN("lwg", "p", self(), " dropped a malformed LWG message: ",
+              e.what());
+    return std::nullopt;
+  }
+}
+
 void LwgService::on_data(HwgId gid, ProcessId src,
                          std::span<const std::uint8_t> data) {
-  Decoder dec(data);
-  const auto type = static_cast<LwgMsgType>(dec.get_u8());
-  switch (type) {
+  if (data.empty()) {
+    stats_.decode_errors++;
+    return;
+  }
+  Decoder dec(data.subspan(1));
+  switch (static_cast<LwgMsgType>(data[0])) {
     case LwgMsgType::kData:
-      handle_data(gid, src, DataMsgView::decode(dec));
+      if (auto m = decode<DataMsg>(dec)) handle_data(gid, src, *m);
       break;
     case LwgMsgType::kJoin:
-      handle_join(gid, JoinMsg::decode(dec));
+      if (auto m = decode<JoinMsg>(dec)) handle_join(gid, *m);
       break;
     case LwgMsgType::kLeave:
-      handle_leave(gid, LeaveMsg::decode(dec));
+      if (auto m = decode<LeaveMsg>(dec)) handle_leave(gid, *m);
       break;
     case LwgMsgType::kView:
-      handle_view(gid, ViewMsg::decode(dec));
+      if (auto m = decode<ViewMsg>(dec)) handle_view(gid, *m);
       break;
     case LwgMsgType::kSwitch:
-      handle_switch(gid, SwitchMsg::decode(dec));
+      if (auto m = decode<SwitchMsg>(dec)) handle_switch(gid, *m);
       break;
     case LwgMsgType::kSwitchReady:
-      handle_switch_ready(gid, SwitchReadyMsg::decode(dec));
+      if (auto m = decode<SwitchReadyMsg>(dec)) handle_switch_ready(gid, *m);
       break;
     case LwgMsgType::kSwitched:
-      handle_switched(gid, SwitchedMsg::decode(dec));
+      if (auto m = decode<SwitchedMsg>(dec)) handle_switched(gid, *m);
       break;
     case LwgMsgType::kRedirect:
-      handle_redirect(gid, RedirectMsg::decode(dec));
+      if (auto m = decode<RedirectMsg>(dec)) handle_redirect(gid, *m);
       break;
     case LwgMsgType::kMergeViews:
-      (void)MergeViewsMsg::decode(dec);
-      handle_merge_views(gid);
+      if (decode<MergeViewsMsg>(dec)) handle_merge_views(gid);
       break;
     case LwgMsgType::kAnnounce:
-      handle_announce(gid, AnnounceMsg::decode(dec));
+      if (auto m = decode<AnnounceMsg>(dec)) handle_announce(gid, *m);
+      break;
+    default:  // unknown message type
+      stats_.decode_errors++;
       break;
   }
 }

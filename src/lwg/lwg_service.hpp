@@ -65,6 +65,7 @@ class LwgService : public GroupService,
     std::uint64_t conflict_callbacks = 0;
     std::uint64_t hwgs_created = 0;
     std::uint64_t hwgs_left = 0;        // shrink rule departures
+    std::uint64_t decode_errors = 0;    // malformed LWG messages dropped
   };
 
   /// `store` persists the view-id counter and the set of joined LWGs
@@ -267,8 +268,12 @@ class LwgService : public GroupService,
   void handle_switch_ready(HwgId gid, const SwitchReadyMsg& msg);
   void handle_switched(HwgId gid, const SwitchedMsg& msg);
   void handle_redirect(HwgId gid, const RedirectMsg& msg);
-  void handle_data(HwgId gid, ProcessId src, const DataMsgView& msg);
-  void resend_missed_view_copy(const DataMsgView& msg);
+  /// Decodes one whole LWG message; a malformed one is counted in
+  /// stats_.decode_errors and yields nullopt.
+  template <class Msg>
+  std::optional<Msg> decode(Decoder& dec);
+  void handle_data(HwgId gid, ProcessId src, const DataMsg& msg);
+  void resend_missed_view_copy(const DataMsg& msg);
   void maybe_send_switch_ready(LocalGroup& lg);
   /// Coordinator: fold pending adds/removes into the next LWG view if no
   /// view installation is already in flight.

@@ -191,7 +191,7 @@ void LwgService::announce_join(LocalGroup& lg) {
   set_phase(lg, Phase::kAnnounced);
   lg.announce_attempts++;
   Encoder& body = scratch_body();
-  JoinMsg{lg.lwg, self()}.encode(body);
+  body.put(JoinMsg{lg.lwg, self()});
   send_lwg_msg(lg.hwg, LwgMsgType::kJoin, body);
 }
 
@@ -208,7 +208,7 @@ void LwgService::handle_join(HwgId gid, const JoinMsg& msg) {
     RedirectMsg redirect{msg.lwg, msg.joiner, fwd->second.first,
                          fwd->second.second};
     Encoder& body = scratch_body();
-    redirect.encode(body);
+    body.put(redirect);
     send_lwg_msg(gid, LwgMsgType::kRedirect, body);
     return;
   }
@@ -234,7 +234,7 @@ void LwgService::handle_join(HwgId gid, const JoinMsg& msg) {
       lg->inflight_since = vsync_.node().now();
       ViewMsg vm{lg->lwg, view, {lg->view.id}};
       Encoder& body = scratch_body();
-      vm.encode(body);
+      body.put(vm);
       send_lwg_msg(gid, LwgMsgType::kView, body);
     }
     return;
@@ -285,7 +285,7 @@ void LwgService::maybe_install_next_view(LocalGroup& lg) {
   lg.inflight_since = vsync_.node().now();
   ViewMsg vm{lg.lwg, view, {lg.view.id}};
   Encoder& body = scratch_body();
-  vm.encode(body);
+  body.put(vm);
   send_lwg_msg(lg.hwg, LwgMsgType::kView, body);
 }
 
@@ -392,7 +392,7 @@ void LwgService::start_switch(LocalGroup& lg, HwgId to_hwg,
   lg.collect = SwitchCollect{to_hwg, contacts, lg.view.id, MemberSet{}};
   SwitchMsg msg{lg.lwg, lg.view.id, to_hwg, contacts};
   Encoder& body = scratch_body();
-  msg.encode(body);
+  body.put(msg);
   send_lwg_msg(lg.hwg, LwgMsgType::kSwitch, body);
 }
 
@@ -425,7 +425,7 @@ void LwgService::maybe_send_switch_ready(LocalGroup& lg) {
   if (vsync_.view_of(target) == nullptr) return;  // still joining
   SwitchReadyMsg ready{lg.lwg, lg.switching->lwg_view, self()};
   Encoder& body = scratch_body();
-  ready.encode(body);
+  body.put(ready);
   send_lwg_msg(target, LwgMsgType::kSwitchReady, body);
 }
 
@@ -445,12 +445,12 @@ void LwgService::handle_switch_ready(HwgId gid, const SwitchReadyMsg& msg) {
   next.hwg = c.to_hwg;
   ViewMsg vm{lg->lwg, next, {lg->view.id}};
   Encoder vbody;
-  vm.encode(vbody);
+  vbody.put(vm);
   send_lwg_msg(c.to_hwg, LwgMsgType::kView, vbody);
 
   SwitchedMsg switched{lg->lwg, c.to_hwg, next.members};
   Encoder sbody;
-  switched.encode(sbody);
+  sbody.put(switched);
   const HwgId old_hwg = lg->hwg;
   if (old_hwg != c.to_hwg && vsync_.is_member(old_hwg)) {
     send_lwg_msg(old_hwg, LwgMsgType::kSwitched, sbody);
@@ -486,7 +486,7 @@ void LwgService::abort_switch(LocalGroup& lg) {
 // Takes the zero-copy view: the payload span aliases the delivered packet
 // buffer, which the network keeps alive for the whole upcall, so DATA
 // reaches the user with no intermediate copy.
-void LwgService::handle_data(HwgId gid, ProcessId src, const DataMsgView& msg) {
+void LwgService::handle_data(HwgId gid, ProcessId src, const DataMsg& msg) {
   LocalGroup* lg = find_group(msg.lwg);
   if (lg == nullptr || !lg->has_view || lg->hwg != gid) {
     if (lg != nullptr && lg->has_view && src == self()) {
@@ -528,7 +528,7 @@ void LwgService::handle_data(HwgId gid, ProcessId src, const DataMsgView& msg) {
 // view: delivery becomes at-least-once across view changes instead of
 // silently lossy, and the copy chases the membership until one delivery
 // lands in the view that is current when it arrives.
-void LwgService::resend_missed_view_copy(const DataMsgView& msg) {
+void LwgService::resend_missed_view_copy(const DataMsg& msg) {
   stats_.data_resent++;
   PLWG_DEBUG("lwg", "p", self(), " re-sending own DATA for lwg ", msg.lwg,
              " stamped with superseded view ", msg.lwg_view.to_string());

@@ -51,7 +51,7 @@ void LwgService::trigger_merge_views(HwgId gid) {
   stats_.merges_triggered++;
   PLWG_DEBUG("lwg", "p", self(), " triggers MERGE-VIEWS on hwg ", gid);
   Encoder& body = scratch_body();
-  MergeViewsMsg{}.encode(body);
+  body.put(MergeViewsMsg{});
   send_lwg_msg(gid, LwgMsgType::kMergeViews, body);
 }
 
@@ -208,7 +208,7 @@ void LwgService::handle_hwg_membership_change(HwgId gid,
     next.hwg = gid;
     ViewMsg vm{lwg, next, {lg.view.id}};
     Encoder& body = scratch_body();
-    vm.encode(body);
+    body.put(vm);
     send_lwg_msg(gid, LwgMsgType::kView, body);
   }
 }

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <ostream>
+#include <tuple>
 #include <vector>
 
 #include "util/codec.hpp"
@@ -26,22 +27,8 @@ struct LwgView {
   /// Deterministic LWG coordinator: smallest member.
   [[nodiscard]] ProcessId coordinator() const { return members.min_member(); }
 
-  void encode(Encoder& enc) const {
-    id.encode(enc);
-    members.encode(enc);
-    enc.put_id(hwg);
-  }
-  /// Exact encode() output size, for Encoder::reserve().
-  [[nodiscard]] std::size_t encoded_size_hint() const {
-    return ViewId::kEncodedSize + members.encoded_size() + 8;
-  }
-  static LwgView decode(Decoder& dec) {
-    LwgView v;
-    v.id = ViewId::decode(dec);
-    v.members = MemberSet::decode(dec);
-    v.hwg = dec.get_id<HwgId>();
-    return v;
-  }
+  static constexpr auto kFields =
+      std::tuple{&LwgView::id, &LwgView::members, &LwgView::hwg};
 
   friend bool operator==(const LwgView&, const LwgView&) = default;
 };
@@ -58,27 +45,8 @@ struct LwgViewInfo {
   LwgView view;
   std::vector<ViewId> ancestors;
 
-  void encode(Encoder& enc) const {
-    enc.put_id(lwg);
-    view.encode(enc);
-    enc.put_u32(static_cast<std::uint32_t>(ancestors.size()));
-    for (const ViewId& a : ancestors) a.encode(enc);
-  }
-  [[nodiscard]] std::size_t encoded_size_hint() const {
-    return 8 + view.encoded_size_hint() + 4 +
-           ViewId::kEncodedSize * ancestors.size();
-  }
-  static LwgViewInfo decode(Decoder& dec) {
-    LwgViewInfo info;
-    info.lwg = dec.get_id<LwgId>();
-    info.view = LwgView::decode(dec);
-    const std::uint32_t n = dec.get_count(12);
-    info.ancestors.reserve(n);
-    for (std::uint32_t i = 0; i < n; ++i) {
-      info.ancestors.push_back(ViewId::decode(dec));
-    }
-    return info;
-  }
+  static constexpr auto kFields = std::tuple{
+      &LwgViewInfo::lwg, &LwgViewInfo::view, &LwgViewInfo::ancestors};
 };
 
 }  // namespace plwg::lwg

@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <span>
+#include <tuple>
 #include <vector>
 
 #include "lwg/lwg_view.hpp"
@@ -29,50 +30,33 @@ enum class LwgMsgType : std::uint8_t {
   kAnnounce = 11,  // a member's mapped LWG views (V_p); 10 was ALL-VIEWS
 };
 
+/// DATA. `payload` is a span so one type serves both sides: the sender
+/// points it at the bytes being sent, and the receive path decodes it as a
+/// view of the delivered packet buffer (valid only for the duration of the
+/// delivery upcall), so the user sees the wire bytes with no intermediate
+/// copy.
 struct DataMsg {
   LwgId lwg;
   ViewId lwg_view;  // delivery is filtered per LWG view (paper Sect. 5.1)
-  std::vector<std::uint8_t> payload;
-
-  void encode(Encoder& enc) const;
-  static DataMsg decode(Decoder& dec);
-  [[nodiscard]] std::size_t encoded_size_hint() const {
-    return 8 + ViewId::kEncodedSize + 4 + payload.size();
-  }
-};
-
-/// Zero-copy decode of a DataMsg: `payload` aliases the Decoder's input
-/// buffer and is valid only for the duration of the delivery upcall. The
-/// hot DATA receive path uses this so the user sees the wire bytes with no
-/// intermediate vector copy.
-struct DataMsgView {
-  LwgId lwg;
-  ViewId lwg_view;
   std::span<const std::uint8_t> payload;
 
-  static DataMsgView decode(Decoder& dec);
+  static constexpr auto kFields =
+      std::tuple{&DataMsg::lwg, &DataMsg::lwg_view, &DataMsg::payload};
 };
 
 struct JoinMsg {
   LwgId lwg;
   ProcessId joiner;
 
-  void encode(Encoder& enc) const;
-  static JoinMsg decode(Decoder& dec);
-  [[nodiscard]] std::size_t encoded_size_hint() const {
-    return 12;
-  }
+  static constexpr auto kFields = std::tuple{&JoinMsg::lwg, &JoinMsg::joiner};
 };
 
 struct LeaveMsg {
   LwgId lwg;
   ProcessId leaver;
 
-  void encode(Encoder& enc) const;
-  static LeaveMsg decode(Decoder& dec);
-  [[nodiscard]] std::size_t encoded_size_hint() const {
-    return 12;
-  }
+  static constexpr auto kFields =
+      std::tuple{&LeaveMsg::lwg, &LeaveMsg::leaver};
 };
 
 struct ViewMsg {
@@ -80,12 +64,8 @@ struct ViewMsg {
   LwgView view;
   std::vector<ViewId> predecessors;
 
-  void encode(Encoder& enc) const;
-  static ViewMsg decode(Decoder& dec);
-  [[nodiscard]] std::size_t encoded_size_hint() const {
-    return 8 + view.encoded_size_hint() + 4 +
-           ViewId::kEncodedSize * predecessors.size();
-  }
+  static constexpr auto kFields =
+      std::tuple{&ViewMsg::lwg, &ViewMsg::view, &ViewMsg::predecessors};
 };
 
 struct SwitchMsg {
@@ -94,11 +74,9 @@ struct SwitchMsg {
   HwgId to_hwg;
   MemberSet contacts;  // processes to join the target HWG through
 
-  void encode(Encoder& enc) const;
-  static SwitchMsg decode(Decoder& dec);
-  [[nodiscard]] std::size_t encoded_size_hint() const {
-    return 8 + ViewId::kEncodedSize + 8 + contacts.encoded_size();
-  }
+  static constexpr auto kFields =
+      std::tuple{&SwitchMsg::lwg, &SwitchMsg::lwg_view, &SwitchMsg::to_hwg,
+                 &SwitchMsg::contacts};
 };
 
 struct SwitchReadyMsg {
@@ -106,11 +84,9 @@ struct SwitchReadyMsg {
   ViewId lwg_view;  // the old view the member is switching from
   ProcessId member;
 
-  void encode(Encoder& enc) const;
-  static SwitchReadyMsg decode(Decoder& dec);
-  [[nodiscard]] std::size_t encoded_size_hint() const {
-    return 8 + ViewId::kEncodedSize + 4;
-  }
+  static constexpr auto kFields =
+      std::tuple{&SwitchReadyMsg::lwg, &SwitchReadyMsg::lwg_view,
+                 &SwitchReadyMsg::member};
 };
 
 struct SwitchedMsg {
@@ -118,11 +94,8 @@ struct SwitchedMsg {
   HwgId to_hwg;
   MemberSet contacts;
 
-  void encode(Encoder& enc) const;
-  static SwitchedMsg decode(Decoder& dec);
-  [[nodiscard]] std::size_t encoded_size_hint() const {
-    return 16 + contacts.encoded_size();
-  }
+  static constexpr auto kFields = std::tuple{
+      &SwitchedMsg::lwg, &SwitchedMsg::to_hwg, &SwitchedMsg::contacts};
 };
 
 struct RedirectMsg {
@@ -131,16 +104,13 @@ struct RedirectMsg {
   HwgId to_hwg;
   MemberSet contacts;
 
-  void encode(Encoder& enc) const;
-  static RedirectMsg decode(Decoder& dec);
-  [[nodiscard]] std::size_t encoded_size_hint() const {
-    return 20 + contacts.encoded_size();
-  }
+  static constexpr auto kFields =
+      std::tuple{&RedirectMsg::lwg, &RedirectMsg::joiner, &RedirectMsg::to_hwg,
+                 &RedirectMsg::contacts};
 };
 
 struct MergeViewsMsg {
-  void encode(Encoder&) const {}
-  static MergeViewsMsg decode(Decoder&) { return {}; }
+  static constexpr auto kFields = std::tuple{};
 };
 
 /// The ANNOUNCEs ordered in an HWG view serve both local peer discovery
@@ -149,13 +119,7 @@ struct MergeViewsMsg {
 struct AnnounceMsg {
   std::vector<LwgViewInfo> views;
 
-  void encode(Encoder& enc) const;
-  static AnnounceMsg decode(Decoder& dec);
-  [[nodiscard]] std::size_t encoded_size_hint() const {
-    std::size_t n = 4;
-    for (const LwgViewInfo& v : views) n += v.encoded_size_hint();
-    return n;
-  }
+  static constexpr auto kFields = std::tuple{&AnnounceMsg::views};
 };
 
 }  // namespace plwg::lwg

@@ -4,26 +4,6 @@
 
 namespace plwg::names {
 
-void MappingEntry::encode(Encoder& enc) const {
-  lwg_view.encode(enc);
-  lwg_members.encode(enc);
-  enc.put_id(hwg);
-  hwg_view.encode(enc);
-  hwg_members.encode(enc);
-  enc.put_u64(stamp);
-}
-
-MappingEntry MappingEntry::decode(Decoder& dec) {
-  MappingEntry e;
-  e.lwg_view = ViewId::decode(dec);
-  e.lwg_members = MemberSet::decode(dec);
-  e.hwg = dec.get_id<HwgId>();
-  e.hwg_view = ViewId::decode(dec);
-  e.hwg_members = MemberSet::decode(dec);
-  e.stamp = dec.get_u64();
-  return e;
-}
-
 std::ostream& operator<<(std::ostream& os, const MappingEntry& entry) {
   return os << "lwg" << entry.lwg_view << entry.lwg_members << " -> hwg#"
             << entry.hwg << entry.hwg_view;
@@ -113,23 +93,25 @@ void LwgRecord::gc() {
 
 void LwgRecord::encode(Encoder& enc) const {
   enc.put_u32(static_cast<std::uint32_t>(entries.size()));
-  for (const auto& [view, entry] : entries) entry.encode(enc);
-  enc.put_u32(static_cast<std::uint32_t>(superseded.size()));
-  for (const ViewId& v : superseded) v.encode(enc);
+  for (const auto& [view, entry] : entries) enc.put(entry);
+  enc.put(superseded);
 }
 
 LwgRecord LwgRecord::decode(Decoder& dec) {
   LwgRecord rec;
-  const std::uint32_t n = dec.get_count(24);
+  const std::uint32_t n = dec.get_count(min_encoded_size<MappingEntry>());
   for (std::uint32_t i = 0; i < n; ++i) {
-    MappingEntry e = MappingEntry::decode(dec);
-    rec.entries.emplace(e.lwg_view, e);
+    MappingEntry e = dec.get<MappingEntry>();
+    rec.entries.emplace(e.lwg_view, std::move(e));
   }
-  const std::uint32_t m = dec.get_count(12);
-  for (std::uint32_t i = 0; i < m; ++i) {
-    rec.superseded.insert(ViewId::decode(dec));
-  }
+  rec.superseded = dec.get<std::set<ViewId>>();
   return rec;
+}
+
+std::size_t LwgRecord::encoded_size() const {
+  std::size_t n = plwg::encoded_size(superseded) + 4;
+  for (const auto& [view, entry] : entries) n += plwg::encoded_size(entry);
+  return n;
 }
 
 bool Database::merge_from(const Database& other) {
@@ -138,24 +120,6 @@ bool Database::merge_from(const Database& other) {
     changed |= records[lwg].merge_from(rec);
   }
   return changed;
-}
-
-void Database::encode(Encoder& enc) const {
-  enc.put_u32(static_cast<std::uint32_t>(records.size()));
-  for (const auto& [lwg, rec] : records) {
-    enc.put_id(lwg);
-    rec.encode(enc);
-  }
-}
-
-Database Database::decode(Decoder& dec) {
-  Database db;
-  const std::uint32_t n = dec.get_count(8);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    const auto lwg = dec.get_id<LwgId>();
-    db.records.emplace(lwg, LwgRecord::decode(dec));
-  }
-  return db;
 }
 
 std::string Database::dump() const {

@@ -13,6 +13,7 @@
 #include <ostream>
 #include <set>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "util/codec.hpp"
@@ -37,12 +38,10 @@ struct MappingEntry {
   /// Reconciliation keeps the higher stamp for the same lwg_view.
   std::uint64_t stamp = 0;
 
-  void encode(Encoder& enc) const;
-  static MappingEntry decode(Decoder& dec);
-  /// Exact encode() output size, for Encoder::reserve().
-  [[nodiscard]] std::size_t encoded_size() const {
-    return 40 + lwg_members.encoded_size() + hwg_members.encoded_size();
-  }
+  static constexpr auto kFields =
+      std::tuple{&MappingEntry::lwg_view, &MappingEntry::lwg_members,
+                 &MappingEntry::hwg, &MappingEntry::hwg_view,
+                 &MappingEntry::hwg_members, &MappingEntry::stamp};
 
   friend bool operator==(const MappingEntry&, const MappingEntry&) = default;
 };
@@ -74,13 +73,14 @@ struct LwgRecord {
   /// GC. Returns true if anything changed.
   bool apply(const MappingEntry& entry, const std::vector<ViewId>& predecessors);
 
+  // Hand-written codec (util/codec.hpp): `entries` goes on the wire as a
+  // list of its values, each keyed again by its lwg_view on decode.
   void encode(Encoder& enc) const;
   static LwgRecord decode(Decoder& dec);
-  [[nodiscard]] std::size_t encoded_size() const {
-    std::size_t n = 8 + 12 * superseded.size();
-    for (const auto& [view, entry] : entries) n += entry.encoded_size();
-    return n;
-  }
+  [[nodiscard]] std::size_t encoded_size() const;
+  static constexpr std::size_t kMinEncodedSize =
+      min_encoded_size<std::vector<MappingEntry>>() +
+      min_encoded_size<std::set<ViewId>>();
 
  private:
   void gc();
@@ -92,12 +92,9 @@ struct Database {
 
   bool merge_from(const Database& other);
 
-  void encode(Encoder& enc) const;
-  static Database decode(Decoder& dec);
+  static constexpr auto kFields = std::tuple{&Database::records};
   [[nodiscard]] std::size_t encoded_size() const {
-    std::size_t n = 4;
-    for (const auto& [lwg, rec] : records) n += 8 + rec.encoded_size();
-    return n;
+    return plwg::encoded_size(*this);
   }
 
   /// Human-readable dump in the style of the paper's Tables 3/4.

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <tuple>
 #include <vector>
 
 #include "names/mapping.hpp"
@@ -31,23 +32,17 @@ struct SetReqMsg {
   MappingEntry entry;
   std::vector<ViewId> predecessors;
 
-  void encode(Encoder& enc) const;
-  static SetReqMsg decode(Decoder& dec);
-  [[nodiscard]] std::size_t encoded_size_hint() const {
-    return 16 + entry.encoded_size() + 4 +
-           12 * predecessors.size();
-  }
+  static constexpr auto kFields =
+      std::tuple{&SetReqMsg::req_id, &SetReqMsg::lwg, &SetReqMsg::entry,
+                 &SetReqMsg::predecessors};
 };
 
 struct ReadReqMsg {
   std::uint64_t req_id = 0;
   LwgId lwg;
 
-  void encode(Encoder& enc) const;
-  static ReadReqMsg decode(Decoder& dec);
-  [[nodiscard]] std::size_t encoded_size_hint() const {
-    return 16;
-  }
+  static constexpr auto kFields =
+      std::tuple{&ReadReqMsg::req_id, &ReadReqMsg::lwg};
 };
 
 struct TestSetReqMsg {
@@ -55,19 +50,14 @@ struct TestSetReqMsg {
   LwgId lwg;
   MappingEntry entry;
 
-  void encode(Encoder& enc) const;
-  static TestSetReqMsg decode(Decoder& dec);
-  [[nodiscard]] std::size_t encoded_size_hint() const {
-    return 16 + entry.encoded_size();
-  }
+  static constexpr auto kFields = std::tuple{
+      &TestSetReqMsg::req_id, &TestSetReqMsg::lwg, &TestSetReqMsg::entry};
 };
 
 struct AckMsg {
   std::uint64_t req_id = 0;
 
-  void encode(Encoder& enc) const { enc.put_u64(req_id); }
-  static AckMsg decode(Decoder& dec) { return {dec.get_u64()}; }
-  [[nodiscard]] std::size_t encoded_size_hint() const { return 8; }
+  static constexpr auto kFields = std::tuple{&AckMsg::req_id};
 };
 
 struct MappingsMsg {
@@ -75,26 +65,16 @@ struct MappingsMsg {
   LwgId lwg;
   std::vector<MappingEntry> entries;
 
-  void encode(Encoder& enc) const;
-  static MappingsMsg decode(Decoder& dec);
-  [[nodiscard]] std::size_t encoded_size_hint() const {
-    std::size_t n = 16 + 4;
-    for (const MappingEntry& e : entries) n += e.encoded_size();
-    return n;
-  }
+  static constexpr auto kFields = std::tuple{
+      &MappingsMsg::req_id, &MappingsMsg::lwg, &MappingsMsg::entries};
 };
 
 struct MultipleMappingsMsg {
   LwgId lwg;
   std::vector<MappingEntry> entries;  // all alive mappings for the LWG
 
-  void encode(Encoder& enc) const;
-  static MultipleMappingsMsg decode(Decoder& dec);
-  [[nodiscard]] std::size_t encoded_size_hint() const {
-    std::size_t n = 8 + 4;
-    for (const MappingEntry& e : entries) n += e.encoded_size();
-    return n;
-  }
+  static constexpr auto kFields =
+      std::tuple{&MultipleMappingsMsg::lwg, &MultipleMappingsMsg::entries};
 };
 
 struct SyncMsg {
@@ -105,19 +85,7 @@ struct SyncMsg {
   bool full = true;
   Database db;
 
-  void encode(Encoder& enc) const {
-    enc.put_u8(full ? 1 : 0);
-    db.encode(enc);
-  }
-  static SyncMsg decode(Decoder& dec) {
-    SyncMsg m;
-    m.full = dec.get_u8() != 0;
-    m.db = Database::decode(dec);
-    return m;
-  }
-  [[nodiscard]] std::size_t encoded_size_hint() const {
-    return 1 + db.encoded_size();
-  }
+  static constexpr auto kFields = std::tuple{&SyncMsg::full, &SyncMsg::db};
 };
 
 }  // namespace plwg::names

@@ -48,12 +48,12 @@ constexpr std::size_t kMaxEntriesPerFrame = 0xFFFF;
 
 }  // namespace
 
-NodeRuntime::NodeRuntime(sim::Network& net, TransportConfig config)
-    : net_(net), config_(config), id_(net.add_node(*this)) {}
+NodeRuntime::NodeRuntime(sim::Network& net)
+    : net_(net), id_(net.add_node(*this)) {}
 
 NodeRuntime::NodeRuntime(sim::Network& net, NodeId reuse,
-                         std::uint32_t incarnation, TransportConfig config)
-    : net_(net), config_(config), id_(reuse), incarnation_(incarnation) {
+                         std::uint32_t incarnation)
+    : net_(net), id_(reuse), incarnation_(incarnation) {
   net_.restart(reuse, *this);
 }
 
@@ -114,18 +114,18 @@ void NodeRuntime::stage(Port port, NodeId to, const Encoder& payload,
 
 void NodeRuntime::schedule_flush() {
   if (flush_scheduled_) return;
-  if (!simulator().in_event() && config_.max_linger_us == 0) {
-    // Driver/test code calling send() directly, no lingering configured:
-    // keep the old synchronous one-message-one-frame behavior.
+  if (!simulator().in_event()) {
+    // Driver/test code calling send() directly: keep the synchronous
+    // one-message-one-frame behavior.
     flush_now();
     return;
   }
   flush_scheduled_ = true;
-  // With max_linger_us == 0 this fires at the *same simulated time*, after
-  // every event already queued for this instant — i.e. at the end of the
-  // current round, adding zero latency. The `after` guard keeps a flush
-  // scheduled by a now-dead incarnation from ever touching its successor.
-  flush_timer_ = after(config_.max_linger_us, [this] {
+  // This fires at the *same simulated time*, after every event already
+  // queued for this instant — i.e. at the end of the current round, adding
+  // zero latency. The `after` guard keeps a flush scheduled by a now-dead
+  // incarnation from ever touching its successor.
+  flush_timer_ = after(0, [this] {
     flush_scheduled_ = false;
     flush_now();
   });

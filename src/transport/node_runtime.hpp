@@ -5,8 +5,8 @@
 // Outgoing messages are not sent one frame each. They are staged per
 // destination node and flushed as ONE multi-message frame per destination at
 // the end of the current event-loop round (or immediately when invoked from
-// outside the event loop, or after at most `max_linger_us` when lingering is
-// configured, or early once the frame would pass kMaxBatchBytes). Per-frame
+// outside the event loop, or early once the frame would pass
+// kMaxBatchBytes). Per-frame
 // costs — the 46B wire header, the bus occupancy, and above all the
 // receiver's per-packet CPU charge — are paid once per frame instead of once
 // per protocol message, which is where the LWG service's amortization story
@@ -60,16 +60,6 @@ enum class MsgClass : std::uint8_t { kData = 0, kAck = 1 };
 /// size (a staged message larger than the cap still goes out, alone).
 inline constexpr std::size_t kMaxBatchBytes = 16 * 1024;
 
-/// Knobs for the coalescing layer.
-struct TransportConfig {
-  /// How long a staged message may linger waiting for frame-mates. 0 means
-  /// "end of the current event-loop round": the flush fires at the same
-  /// simulated time it was staged, adding zero latency while still merging
-  /// everything the round produced. Positive values trade latency for
-  /// cross-round coalescing.
-  Duration max_linger_us = 0;
-};
-
 /// Implemented by each service attached to a port.
 class PortHandler {
  public:
@@ -109,19 +99,17 @@ class NodeRuntime : public sim::NetHandler {
     std::uint64_t backpressure_held = 0;
   };
 
-  explicit NodeRuntime(sim::Network& net, TransportConfig config = {});
+  explicit NodeRuntime(sim::Network& net);
   /// Rebind a rebuilt host stack to an existing (crashed) node as a fresh
   /// incarnation: the node revives with the same NodeId, and every frame it
   /// sends from now on is tagged with `incarnation`.
-  NodeRuntime(sim::Network& net, NodeId reuse, std::uint32_t incarnation,
-              TransportConfig config = {});
+  NodeRuntime(sim::Network& net, NodeId reuse, std::uint32_t incarnation);
   NodeRuntime(const NodeRuntime&) = delete;
   NodeRuntime& operator=(const NodeRuntime&) = delete;
 
   [[nodiscard]] NodeId id() const { return id_; }
   [[nodiscard]] std::uint32_t incarnation() const { return incarnation_; }
   [[nodiscard]] const Stats& stats() const { return stats_; }
-  [[nodiscard]] const TransportConfig& config() const { return config_; }
   [[nodiscard]] ProcessId process_id() const { return process_of(id_); }
   [[nodiscard]] sim::Network& network() { return net_; }
   /// The event loop running this node's site: node-local timers must live
@@ -133,9 +121,9 @@ class NodeRuntime : public sim::NetHandler {
   void register_port(Port port, PortHandler& handler);
 
   /// Stage a message for `to`; it rides the destination's next frame flush.
-  /// When called from outside the event loop with max_linger_us == 0 the
-  /// flush is immediate (one message, one frame) — driver code that calls
-  /// send() directly keeps synchronous semantics.
+  /// When called from outside the event loop the flush is immediate (one
+  /// message, one frame) — driver code that calls send() directly keeps
+  /// synchronous semantics.
   void send(Port port, NodeId to, const Encoder& payload,
             MsgClass cls = MsgClass::kData);
   void multicast(Port port, std::span<const NodeId> dests,
@@ -221,7 +209,6 @@ class NodeRuntime : public sim::NetHandler {
   void clear_batch(Batch& batch);
 
   sim::Network& net_;
-  TransportConfig config_;
   NodeId id_;
   std::uint32_t incarnation_ = 0;
   std::array<PortHandler*, kPortCount> handlers_{};

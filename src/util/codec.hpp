@@ -10,15 +10,34 @@
 // hosts (the byte-shift fallback keeps big-endian hosts correct), and the
 // Encoder supports capacity pre-reservation plus clear-and-reuse so hot
 // send paths serialize into one recycled buffer.
+//
+// Wire types declare their fields once, in wire order:
+//   static constexpr auto kFields =
+//       std::tuple{&FlushDoneMsg::old_view, &FlushDoneMsg::epoch, ...};
+// and everything else is derived from that list: the encoder
+// (Encoder::put), the decoder (Decoder::get), the exact encoded size
+// (encoded_size, for Encoder::reserve) and the smallest encoding
+// (min_encoded_size, the per-element floor Decoder::get_count checks).
+// A field is a bool, an integer, a StrongId, another wire type, a byte
+// string (std::vector<std::uint8_t> or a zero-copy
+// std::span<const std::uint8_t>), or a std::vector, std::set or std::map of
+// fields; collections are a u32 count followed by the elements (map: key,
+// value). A type whose wire form is not its field list writes the four
+// pieces itself: encode(Encoder&), static decode(Decoder&),
+// encoded_size() and kMinEncodedSize.
 #pragma once
 
 #include <bit>
+#include <concepts>
 #include <cstdint>
 #include <cstring>
+#include <map>
 #include <span>
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <tuple>
+#include <type_traits>
 #include <vector>
 
 #include "util/types.hpp"
@@ -30,6 +49,119 @@ class CodecError : public std::runtime_error {
  public:
   explicit CodecError(const std::string& what) : std::runtime_error(what) {}
 };
+
+class Encoder;
+class Decoder;
+
+namespace codec_detail {
+
+template <class P>
+struct MemberOf;
+template <class C, class M>
+struct MemberOf<M C::*> {
+  using type = M;
+};
+/// The type of the field a pointer-to-member of type P points at.
+template <class P>
+using FieldOf = typename MemberOf<P>::type;
+
+template <class T>
+inline constexpr bool kIsStrongId = false;
+template <class Tag, class Rep>
+inline constexpr bool kIsStrongId<StrongId<Tag, Rep>> = true;
+
+template <class T>
+inline constexpr bool kIsMap = false;
+template <class K, class V, class C, class A>
+inline constexpr bool kIsMap<std::map<K, V, C, A>> = true;
+
+template <class T>
+concept FieldList = requires { T::kFields; };
+template <class T>
+concept HandWritten = requires(const T& v, Encoder& enc, Decoder& dec) {
+  v.encode(enc);
+  { T::decode(dec) } -> std::same_as<T>;
+};
+template <class T>
+concept Bytes = std::same_as<T, std::vector<std::uint8_t>> ||
+                std::same_as<T, std::span<const std::uint8_t>>;
+template <class T>
+concept Scalar = std::integral<T> || kIsStrongId<T>;
+
+/// Calls `f(v.*field)` for every field of `v`, in wire order.
+template <class T, class V, class F>
+void for_each_field(V& v, F&& f) {
+  std::apply([&](auto... field) { (f(v.*field), ...); }, T::kFields);
+}
+
+}  // namespace codec_detail
+
+/// Bytes in the smallest encoding of a T: the floor Decoder::get_count
+/// checks per collection element.
+template <class T>
+constexpr std::size_t min_encoded_size() {
+  using namespace codec_detail;
+  if constexpr (FieldList<T>) {
+    return std::apply(
+        [](auto... field) {
+          return (std::size_t{0} + ... +
+                  min_encoded_size<FieldOf<decltype(field)>>());
+        },
+        T::kFields);
+  } else if constexpr (HandWritten<T>) {
+    return T::kMinEncodedSize;
+  } else if constexpr (std::integral<T>) {
+    return sizeof(T);
+  } else if constexpr (kIsStrongId<T>) {
+    return sizeof(typename T::rep_type);
+  } else {
+    return 4;  // a byte string or collection: its u32 length
+  }
+}
+
+/// True when every value of T encodes to min_encoded_size<T>() bytes.
+template <class T>
+constexpr bool fixed_size() {
+  using namespace codec_detail;
+  if constexpr (FieldList<T>) {
+    return std::apply(
+        [](auto... field) {
+          return (true && ... && fixed_size<FieldOf<decltype(field)>>());
+        },
+        T::kFields);
+  } else {
+    return Scalar<T>;
+  }
+}
+
+/// Exact size of `v`'s encoding, for Encoder::reserve().
+template <class T>
+std::size_t encoded_size(const T& v) {
+  using namespace codec_detail;
+  if constexpr (fixed_size<T>()) {
+    return min_encoded_size<T>();
+  } else if constexpr (FieldList<T>) {
+    std::size_t n = 0;
+    for_each_field<T>(v, [&n](const auto& f) { n += encoded_size(f); });
+    return n;
+  } else if constexpr (HandWritten<T>) {
+    return v.encoded_size();
+  } else if constexpr (Bytes<T>) {
+    return 4 + v.size();
+  } else if constexpr (kIsMap<T>) {
+    std::size_t n = 4;
+    for (const auto& [key, value] : v) {
+      n += encoded_size(key) + encoded_size(value);
+    }
+    return n;
+  } else {
+    using E = typename T::value_type;
+    if constexpr (fixed_size<E>()) return 4 + v.size() * min_encoded_size<E>();
+    std::size_t n = 4;
+    for (const E& e : v) n += encoded_size(e);
+    return n;
+  }
+}
 
 class Encoder {
  public:
@@ -76,8 +208,39 @@ class Encoder {
     }
   }
 
-  /// Pre-size the buffer (pair with the messages' encoded_size_hint()) so a
-  /// whole message serializes without intermediate reallocation.
+  /// Appends `v` in its wire form (see the field-list notes at the top).
+  template <class T>
+  void put(const T& v) {
+    using namespace codec_detail;
+    if constexpr (FieldList<T>) {
+      for_each_field<T>(v, [this](const auto& f) { put(f); });
+    } else if constexpr (HandWritten<T>) {
+      v.encode(*this);
+    } else if constexpr (std::same_as<T, bool>) {
+      put_bool(v);
+    } else if constexpr (std::integral<T>) {
+      put_le(static_cast<std::make_unsigned_t<T>>(v));
+    } else if constexpr (kIsStrongId<T>) {
+      put_id(v);
+    } else if constexpr (Bytes<T>) {
+      put_bytes(v);
+    } else {
+      put_u32(static_cast<std::uint32_t>(v.size()));
+      if constexpr (std::same_as<T, std::vector<std::uint64_t>>) {
+        put_u64_span(v);
+      } else if constexpr (kIsMap<T>) {
+        for (const auto& [key, value] : v) {
+          put(key);
+          put(value);
+        }
+      } else {
+        for (const auto& e : v) put(e);
+      }
+    }
+  }
+
+  /// Pre-size the buffer (pair with encoded_size()) so a whole message
+  /// serializes without intermediate reallocation.
   void reserve(std::size_t n) { buf_.reserve(n); }
   /// Reusable-buffer mode: drop the contents but keep the capacity, so a
   /// long-lived scratch Encoder serializes every message allocation-free
@@ -147,6 +310,67 @@ class Decoder {
   /// `min_element_bytes` skips validation (for genuinely zero-size
   /// elements); callers then bound the loop themselves.
   [[nodiscard]] std::uint32_t get_count(std::size_t min_element_bytes = 1);
+
+  /// Reads a T in its wire form (see the field-list notes at the top). A
+  /// std::span<const std::uint8_t> field aliases the input buffer, like
+  /// get_bytes_view().
+  template <class T>
+  [[nodiscard]] T get() {
+    using namespace codec_detail;
+    if constexpr (FieldList<T>) {
+      T v{};
+      for_each_field<T>(v, [this](auto& f) {
+        f = get<std::remove_reference_t<decltype(f)>>();
+      });
+      return v;
+    } else if constexpr (HandWritten<T>) {
+      return T::decode(*this);
+    } else if constexpr (std::same_as<T, bool>) {
+      return get_bool();
+    } else if constexpr (std::integral<T>) {
+      return static_cast<T>(get_le<std::make_unsigned_t<T>>());
+    } else if constexpr (kIsStrongId<T>) {
+      return get_id<T>();
+    } else if constexpr (std::same_as<T, std::vector<std::uint8_t>>) {
+      return get_bytes();
+    } else if constexpr (std::same_as<T, std::span<const std::uint8_t>>) {
+      return get_bytes_view();
+    } else if constexpr (std::same_as<T, std::vector<std::uint64_t>>) {
+      std::vector<std::uint64_t> out(get_count(sizeof(std::uint64_t)));
+      get_u64_span(out);
+      return out;
+    } else if constexpr (kIsMap<T>) {
+      using K = typename T::key_type;
+      using V = typename T::mapped_type;
+      const std::uint32_t n =
+          get_count(min_encoded_size<K>() + min_encoded_size<V>());
+      T out;
+      for (std::uint32_t i = 0; i < n; ++i) {
+        K key = get<K>();
+        out.emplace_hint(out.end(), std::move(key), get<V>());
+      }
+      return out;
+    } else {
+      using E = typename T::value_type;
+      static_assert(min_encoded_size<E>() > 0,
+                    "a collection element must occupy at least one byte");
+      const std::uint32_t n = get_count(min_encoded_size<E>());
+      T out;
+      if constexpr (requires { out.reserve(n); }) out.reserve(n);
+      for (std::uint32_t i = 0; i < n; ++i) out.insert(out.end(), get<E>());
+      return out;
+    }
+  }
+
+  /// get<T>() for a whole entry: throws CodecError unless the T used up
+  /// every remaining byte. Top-level message decodes use this, so a
+  /// message followed by junk is refused rather than acted on.
+  template <class T>
+  [[nodiscard]] T get_exact() {
+    T v = get<T>();
+    expect_done();
+    return v;
+  }
 
   [[nodiscard]] std::size_t remaining() const { return data_.size() - pos_; }
   [[nodiscard]] bool done() const { return remaining() == 0; }

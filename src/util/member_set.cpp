@@ -106,21 +106,6 @@ bool MemberSet::is_close_to(const MemberSet& other, double k_c) const {
   return gap <= static_cast<double>(other.size()) / k_c;
 }
 
-void MemberSet::encode(Encoder& enc) const {
-  enc.put_u32(static_cast<std::uint32_t>(members_.size()));
-  for (ProcessId p : members_) enc.put_id(p);
-}
-
-MemberSet MemberSet::decode(Decoder& dec) {
-  const std::uint32_t n = dec.get_count(sizeof(std::uint32_t));
-  std::vector<ProcessId> members;
-  members.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    members.push_back(dec.get_id<ProcessId>());
-  }
-  return MemberSet{std::move(members)};
-}
-
 std::string MemberSet::to_string() const {
   std::ostringstream os;
   os << *this;

@@ -51,12 +51,17 @@ class MemberSet {
   /// |other| - |this| <= |other| / k_c.
   [[nodiscard]] bool is_close_to(const MemberSet& other, double k_c) const;
 
-  void encode(Encoder& enc) const;
-  static MemberSet decode(Decoder& dec);
-  /// Exact encode() output size, for Encoder::reserve().
-  [[nodiscard]] std::size_t encoded_size() const {
-    return 4 + 4 * members_.size();
+  // Hand-written codec (util/codec.hpp): the wire form is the member
+  // vector, but decode must go through the sorting constructor.
+  void encode(Encoder& enc) const { enc.put(members_); }
+  static MemberSet decode(Decoder& dec) {
+    return MemberSet{dec.get<std::vector<ProcessId>>()};
   }
+  [[nodiscard]] std::size_t encoded_size() const {
+    return plwg::encoded_size(members_);
+  }
+  static constexpr std::size_t kMinEncodedSize =
+      min_encoded_size<std::vector<ProcessId>>();
 
   friend bool operator==(const MemberSet&, const MemberSet&) = default;
 

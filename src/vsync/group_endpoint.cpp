@@ -82,7 +82,7 @@ void GroupEndpoint::leave() {
     schedule_view_change();
   } else {
     Encoder& body = scratch_body();
-    LeaveReqMsg{self()}.encode(body);
+    body.put(LeaveReqMsg{self()});
     unicast(acting_coordinator(), MsgType::kLeaveReq, body);
   }
 }
@@ -140,7 +140,7 @@ void GroupEndpoint::install_view(const View& view) {
     } else {
       req.view = view_.id;
       Encoder& body = scratch_body();
-      req.encode(body);
+      body.put(req);
       unicast(view_.coordinator(), MsgType::kSendReq, body);
     }
   }
@@ -262,8 +262,8 @@ void GroupEndpoint::on_tick() {
     if (sequencer) update_stability_floor();
     const std::uint64_t high_water = sequencer ? next_order_seq_ - 1 : 0;
     Encoder& body = scratch_body();
-    HeartbeatMsg{view_.id, self(), high_water, delivered_upto_, stable_upto_}
-        .encode(body);
+    body.put(HeartbeatMsg{view_.id, self(), high_water, delivered_upto_,
+                          stable_upto_});
     MemberSet others = view_.members;
     others.erase(self());
     multicast(others, MsgType::kHeartbeat, body);
@@ -277,7 +277,7 @@ void GroupEndpoint::on_tick() {
       (last_leave_req_ < 0 || t - last_leave_req_ >= kJoinRetryUs)) {
     last_leave_req_ = t;
     Encoder& body = scratch_body();
-    LeaveReqMsg{self()}.encode(body);
+    body.put(LeaveReqMsg{self()});
     unicast(acting_coordinator(), MsgType::kLeaveReq, body);
   }
 
@@ -364,8 +364,7 @@ void GroupEndpoint::on_tick() {
        t - last_flush_done_resent_ >= kFlushRetryUs)) {
     last_flush_done_resent_ = t;
     Encoder& body = scratch_body();
-    FlushDoneMsg{part_flush_->old_view, part_flush_->epoch, self()}
-        .encode(body);
+    body.put(FlushDoneMsg{part_flush_->old_view, part_flush_->epoch, self()});
     unicast(part_flush_->initiator, MsgType::kFlushDone, body);
   }
 }
@@ -416,61 +415,61 @@ void GroupEndpoint::on_message(ProcessId from, MsgType type, Decoder& dec) {
   }
   switch (type) {
     case MsgType::kJoinReq:
-      on_join_req(JoinReqMsg::decode(dec));
+      on_join_req(dec.get_exact<JoinReqMsg>());
       break;
     case MsgType::kLeaveReq:
-      on_leave_req(LeaveReqMsg::decode(dec));
+      on_leave_req(dec.get_exact<LeaveReqMsg>());
       break;
     case MsgType::kSendReq:
-      on_send_req(SendReqMsg::decode(dec));
+      on_send_req(dec.get_exact<SendReqMsg>());
       break;
     case MsgType::kOrdered:
-      on_ordered(OrderedMsgWire::decode(dec));
+      on_ordered(dec.get_exact<OrderedMsgWire>());
       break;
     case MsgType::kNack:
-      on_nack(from, NackMsg::decode(dec));
+      on_nack(from, dec.get_exact<NackMsg>());
       break;
     case MsgType::kHeartbeat:
-      on_heartbeat(HeartbeatMsg::decode(dec));
+      on_heartbeat(dec.get_exact<HeartbeatMsg>());
       break;
     case MsgType::kFlushReq:
-      on_flush_req(from, FlushReqMsg::decode(dec));
+      on_flush_req(from, dec.get_exact<FlushReqMsg>());
       break;
     case MsgType::kFlushAck:
-      on_flush_ack(FlushAckMsg::decode(dec));
+      on_flush_ack(dec.get_exact<FlushAckMsg>());
       break;
     case MsgType::kFlushReject:
-      on_flush_reject(FlushRejectMsg::decode(dec));
+      on_flush_reject(dec.get_exact<FlushRejectMsg>());
       break;
     case MsgType::kFetch:
-      on_fetch(from, FetchMsg::decode(dec));
+      on_fetch(from, dec.get_exact<FetchMsg>());
       break;
     case MsgType::kFetchReply:
-      on_fetch_reply(FetchReplyMsg::decode(dec));
+      on_fetch_reply(dec.get_exact<FetchReplyMsg>());
       break;
     case MsgType::kFlushCut:
-      on_flush_cut(FlushCutMsg::decode(dec));
+      on_flush_cut(dec.get_exact<FlushCutMsg>());
       break;
     case MsgType::kFlushDone:
-      on_flush_done(FlushDoneMsg::decode(dec));
+      on_flush_done(dec.get_exact<FlushDoneMsg>());
       break;
     case MsgType::kNewView:
-      on_new_view(NewViewMsg::decode(dec));
+      on_new_view(dec.get_exact<NewViewMsg>());
       break;
     case MsgType::kMergeProbe:
-      on_merge_probe(MergeProbeMsg::decode(dec));
+      on_merge_probe(dec.get_exact<MergeProbeMsg>());
       break;
     case MsgType::kMergeReply:
-      on_merge_reply(MergeReplyMsg::decode(dec));
+      on_merge_reply(dec.get_exact<MergeReplyMsg>());
       break;
     case MsgType::kMergeStart:
-      on_merge_start(from, MergeStartMsg::decode(dec));
+      on_merge_start(from, dec.get_exact<MergeStartMsg>());
       break;
     case MsgType::kMergeFlushed:
-      on_merge_flushed(MergeFlushedMsg::decode(dec));
+      on_merge_flushed(dec.get_exact<MergeFlushedMsg>());
       break;
     case MsgType::kMergeAbort:
-      on_merge_abort(MergeAbortMsg::decode(dec));
+      on_merge_abort(dec.get_exact<MergeAbortMsg>());
       break;
   }
 }

@@ -30,9 +30,8 @@ void GroupEndpoint::submit_send(std::vector<std::uint8_t> payload) {
     return;
   }
   Encoder& body = scratch_body();
-  SendReqMsg{view_.id, self(), smid, unacked_sends_.begin()->first,
-             std::move(payload)}
-      .encode(body);
+  body.put(SendReqMsg{view_.id, self(), smid, unacked_sends_.begin()->first,
+                      std::move(payload)});
   unicast(view_.coordinator(), MsgType::kSendReq, body);
 }
 
@@ -61,9 +60,8 @@ void GroupEndpoint::resend_unacked(bool force) {
                           unacked_sends_.begin()->first);
     } else {
       Encoder& body = scratch_body();
-      SendReqMsg{view_.id, self(), smid, unacked_sends_.begin()->first,
-                 std::vector<std::uint8_t>(send.payload)}
-          .encode(body);
+      body.put(SendReqMsg{view_.id, self(), smid, unacked_sends_.begin()->first,
+                          std::vector<std::uint8_t>(send.payload)});
       unicast(view_.coordinator(), MsgType::kSendReq, body);
     }
   }
@@ -96,8 +94,8 @@ void GroupEndpoint::order_and_multicast(ProcessId origin,
   wire.msg.sender_msg_id = sender_msg_id;
   wire.msg.payload = std::move(payload);
   Encoder& body = scratch_body();
-  body.reserve(wire.encoded_size_hint());
-  wire.encode(body);
+  body.reserve(encoded_size(wire));
+  body.put(wire);
   // Multicast includes self: the sequencer's own copy arrives through the
   // loopback path so delivery is uniform at every member.
   multicast(view_.members, MsgType::kOrdered, body);
@@ -212,7 +210,7 @@ void GroupEndpoint::check_nacks() {
   if (missing.empty()) return;
   stats_.nacks_sent++;
   Encoder& body = scratch_body();
-  NackMsg{view_.id, std::move(missing)}.encode(body);
+  body.put(NackMsg{view_.id, std::move(missing)});
   unicast(view_.coordinator(), MsgType::kNack, body);
 }
 
@@ -227,7 +225,7 @@ void GroupEndpoint::on_nack(ProcessId from, const NackMsg& msg) {
     if (logged == nullptr) continue;
     OrderedMsgWire wire{view_.id, stable_upto_, *logged};
     Encoder& body = scratch_body();
-    wire.encode(body);
+    body.put(wire);
     unicast(from, MsgType::kOrdered, body);
   }
 }

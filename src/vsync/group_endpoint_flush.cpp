@@ -19,7 +19,7 @@ void GroupEndpoint::send_join_req() {
   last_join_req_ = now();
   if (join_attempts_ < 32) join_attempts_++;  // backoff input (on_tick)
   Encoder& body = scratch_body();
-  JoinReqMsg{self()}.encode(body);
+  body.put(JoinReqMsg{self()});
   multicast(join_contacts_, MsgType::kJoinReq, body);
 }
 
@@ -40,7 +40,7 @@ void GroupEndpoint::on_join_req(const JoinReqMsg& msg) {
   }
   if (!is_acting_coordinator()) {
     Encoder& body = scratch_body();
-    msg.encode(body);
+    body.put(msg);
     unicast(acting_coordinator(), MsgType::kJoinReq, body);
     return;
   }
@@ -54,7 +54,7 @@ void GroupEndpoint::on_leave_req(const LeaveReqMsg& msg) {
   if (!has_view_ || !view_.members.contains(msg.leaver)) return;
   if (!is_acting_coordinator()) {
     Encoder& body = scratch_body();
-    msg.encode(body);
+    body.put(msg);
     unicast(acting_coordinator(), MsgType::kLeaveReq, body);
     return;
   }
@@ -103,7 +103,7 @@ void GroupEndpoint::initiate_view_change(bool for_merge) {
              " epoch=", flush_op_->epoch, " proposal=", proposal);
 
   Encoder& body = scratch_body();
-  FlushReqMsg{view_.id, flush_op_->epoch, self(), proposal}.encode(body);
+  body.put(FlushReqMsg{view_.id, flush_op_->epoch, self(), proposal});
   multicast(flush_op_->targets, MsgType::kFlushReq, body);
 }
 
@@ -116,7 +116,7 @@ void GroupEndpoint::on_flush_req(ProcessId from, const FlushReqMsg& msg) {
     if (suspected_.contains(msg.initiator) ||
         msg.initiator != acting_coordinator()) {
       Encoder& body = scratch_body();
-      FlushRejectMsg{msg.old_view, msg.epoch, self(), suspected_}.encode(body);
+      body.put(FlushRejectMsg{msg.old_view, msg.epoch, self(), suspected_});
       unicast(msg.initiator, MsgType::kFlushReject, body);
       return;
     }
@@ -127,7 +127,7 @@ void GroupEndpoint::on_flush_req(ProcessId from, const FlushReqMsg& msg) {
         !suspected_.contains(part_flush_->initiator)) {
       // A larger-pid pretender lost the race; tell it who we believe in.
       Encoder& body = scratch_body();
-      FlushRejectMsg{msg.old_view, msg.epoch, self(), suspected_}.encode(body);
+      body.put(FlushRejectMsg{msg.old_view, msg.epoch, self(), suspected_});
       unicast(msg.initiator, MsgType::kFlushReject, body);
       return;
     }
@@ -165,9 +165,8 @@ void GroupEndpoint::maybe_send_flush_ack() {
   have.reserve(msg_log_.size());
   for (const OrderedMsg& m : msg_log_) have.push_back(m.seq);
   Encoder& body = scratch_body();
-  FlushAckMsg{part_flush_->old_view, part_flush_->epoch, self(),
-              std::move(have)}
-      .encode(body);
+  body.put(FlushAckMsg{part_flush_->old_view, part_flush_->epoch, self(),
+                       std::move(have)});
   unicast(part_flush_->initiator, MsgType::kFlushAck, body);
 }
 
@@ -220,8 +219,7 @@ void GroupEndpoint::flush_acks_maybe_complete() {
   }
   for (auto& [holder, seqs] : per_holder) {
     Encoder& body = scratch_body();
-    FetchMsg{flush_op_->old_view, flush_op_->epoch, std::move(seqs)}.encode(
-        body);
+    body.put(FetchMsg{flush_op_->old_view, flush_op_->epoch, std::move(seqs)});
     unicast(holder, MsgType::kFetch, body);
   }
 }
@@ -235,7 +233,7 @@ void GroupEndpoint::on_fetch(ProcessId from, const FetchMsg& msg) {
     if (const OrderedMsg* m = msg_log_.find(s)) reply.msgs.push_back(*m);
   }
   Encoder& body = scratch_body();
-  reply.encode(body);
+  body.put(reply);
   unicast(from, MsgType::kFetchReply, body);
 }
 
@@ -275,7 +273,7 @@ void GroupEndpoint::send_flush_cut() {
   flush_op_->cut_sent = true;
   flush_op_->started_at = now();  // restart the phase timer for DONE waits
   Encoder& body = scratch_body();
-  cut.encode(body);
+  body.put(cut);
   multicast(flush_op_->targets, MsgType::kFlushCut, body);
 }
 
@@ -296,7 +294,7 @@ void GroupEndpoint::on_flush_cut(const FlushCutMsg& msg) {
   }
   set_state(State::kStopped);
   Encoder& body = scratch_body();
-  FlushDoneMsg{msg.old_view, msg.epoch, self()}.encode(body);
+  body.put(FlushDoneMsg{msg.old_view, msg.epoch, self()});
   unicast(part_flush_->initiator, MsgType::kFlushDone, body);
 }
 
@@ -353,8 +351,8 @@ void GroupEndpoint::install_and_announce(const MemberSet& members,
   v.predecessors = std::move(predecessors);
   NewViewMsg msg{v, departed};
   Encoder& body = scratch_body();
-  body.reserve(msg.encoded_size_hint());
-  msg.encode(body);
+  body.reserve(encoded_size(msg));
+  body.put(msg);
   // Recipients: new members (including joiners), flush survivors (so leavers
   // learn the outcome), all via one multicast. Our own copy arrives by
   // loopback and installs the view locally.
@@ -386,8 +384,8 @@ void GroupEndpoint::answer_stale_flush_done(const FlushDoneMsg& msg) {
   NewViewMsg reply{view_,
                    direct_successor ? departed_ : MemberSet{msg.sender}};
   Encoder& body = scratch_body();
-  body.reserve(reply.encoded_size_hint());
-  reply.encode(body);
+  body.reserve(encoded_size(reply));
+  body.put(reply);
   unicast(msg.sender, MsgType::kNewView, body);
 }
 
@@ -451,9 +449,8 @@ void GroupEndpoint::flush_phase_timeout() {
     flush_op_->retries++;
     if (!flush_op_->cut_sent) {
       Encoder& body = scratch_body();
-      FlushReqMsg{flush_op_->old_view, flush_op_->epoch, self(),
-                  flush_op_->proposal}
-          .encode(body);
+      body.put(FlushReqMsg{flush_op_->old_view, flush_op_->epoch, self(),
+                           flush_op_->proposal});
       multicast(flush_op_->targets, MsgType::kFlushReq, body);
     } else {
       flush_op_->cut_sent = false;

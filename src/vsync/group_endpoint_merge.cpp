@@ -29,12 +29,12 @@ void GroupEndpoint::send_merge_probe() {
     // same-view probe: the coordinator learns the member set and drops the
     // message at the same-view check, and its next probe round reaches
     // peers only we remembered.
-    MergeProbeMsg{view_.id, self(), known_peers_.set_difference(departed_)}
-        .encode(body);
+    body.put(MergeProbeMsg{view_.id, self(),
+                           known_peers_.set_difference(departed_)});
     unicast(acting_coordinator(), MsgType::kMergeProbe, body);
     return;
   }
-  MergeProbeMsg{view_.id, self(), view_.members}.encode(body);
+  body.put(MergeProbeMsg{view_.id, self(), view_.members});
   multicast(targets, MsgType::kMergeProbe, body);
 }
 
@@ -47,7 +47,7 @@ void GroupEndpoint::on_merge_probe(const MergeProbeMsg& msg) {
   if (msg.view == view_.id) return;  // same view: nothing to merge
   if (!is_acting_coordinator()) {
     Encoder& body = scratch_body();
-    msg.encode(body);
+    body.put(msg);
     unicast(acting_coordinator(), MsgType::kMergeProbe, body);
     return;
   }
@@ -59,7 +59,7 @@ void GroupEndpoint::on_merge_probe(const MergeProbeMsg& msg) {
     begin_merge_as_leader(msg);
   } else {
     Encoder& body = scratch_body();
-    MergeReplyMsg{view_.id, self(), view_.members}.encode(body);
+    body.put(MergeReplyMsg{view_.id, self(), view_.members});
     unicast(msg.sender, MsgType::kMergeReply, body);
   }
 }
@@ -90,8 +90,7 @@ void GroupEndpoint::begin_merge_as_leader(const MergeProbeMsg& other) {
              " + ", other.view);
 
   Encoder& body = scratch_body();
-  MergeStartMsg{merge_leader_->epoch, self(), {view_.id, other.view}}.encode(
-      body);
+  body.put(MergeStartMsg{merge_leader_->epoch, self(), {view_.id, other.view}});
   unicast(other.sender, MsgType::kMergeStart, body);
   initiate_view_change(/*for_merge=*/true);
 }
@@ -117,8 +116,8 @@ void GroupEndpoint::merge_self_flush_complete(MemberSet survivors) {
   }
   if (merge_follow_) {
     Encoder& body = scratch_body();
-    MergeFlushedMsg{merge_follow_->epoch, view_.id, self(), survivors}.encode(
-        body);
+    body.put(
+        MergeFlushedMsg{merge_follow_->epoch, view_.id, self(), survivors});
     unicast(merge_follow_->leader, MsgType::kMergeFlushed, body);
     // Remain Stopped; the leader's NEW_VIEW (whose predecessors include our
     // view id) completes the merge. The watchdog re-forms the view if the
@@ -167,7 +166,7 @@ void GroupEndpoint::merge_timeout() {
   for (const MergeParty& party : merge_leader_->parties) {
     if (party.flushed) continue;
     Encoder& body = scratch_body();
-    MergeAbortMsg{merge_leader_->epoch}.encode(body);
+    body.put(MergeAbortMsg{merge_leader_->epoch});
     unicast(party.coordinator, MsgType::kMergeAbort, body);
   }
   const bool self_flushed = merge_leader_->self_flushed;

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <tuple>
 #include <vector>
 
 #include "util/codec.hpp"
@@ -46,28 +47,21 @@ struct OrderedMsg {
   std::uint64_t sender_msg_id = 0;
   std::vector<std::uint8_t> payload;
 
-  void encode(Encoder& enc) const;
-  static OrderedMsg decode(Decoder& dec);
-  /// Exact encode() output size, for Encoder::reserve().
-  [[nodiscard]] std::size_t encoded_size_hint() const {
-    return 24 + payload.size();
-  }
+  static constexpr auto kFields =
+      std::tuple{&OrderedMsg::seq, &OrderedMsg::origin,
+                 &OrderedMsg::sender_msg_id, &OrderedMsg::payload};
 };
 
 struct JoinReqMsg {
   ProcessId joiner;
-  void encode(Encoder& enc) const { enc.put_id(joiner); }
-  static JoinReqMsg decode(Decoder& dec) {
-    return {dec.get_id<ProcessId>()};
-  }
+
+  static constexpr auto kFields = std::tuple{&JoinReqMsg::joiner};
 };
 
 struct LeaveReqMsg {
   ProcessId leaver;
-  void encode(Encoder& enc) const { enc.put_id(leaver); }
-  static LeaveReqMsg decode(Decoder& dec) {
-    return {dec.get_id<ProcessId>()};
-  }
+
+  static constexpr auto kFields = std::tuple{&LeaveReqMsg::leaver};
 };
 
 struct SendReqMsg {
@@ -81,11 +75,10 @@ struct SendReqMsg {
   std::uint64_t first_unacked = 0;
   std::vector<std::uint8_t> payload;
 
-  void encode(Encoder& enc) const;
-  static SendReqMsg decode(Decoder& dec);
-  [[nodiscard]] std::size_t encoded_size_hint() const {
-    return ViewId::kEncodedSize + 24 + payload.size();
-  }
+  static constexpr auto kFields =
+      std::tuple{&SendReqMsg::view, &SendReqMsg::origin,
+                 &SendReqMsg::sender_msg_id, &SendReqMsg::first_unacked,
+                 &SendReqMsg::payload};
 };
 
 struct OrderedMsgWire {
@@ -96,22 +89,16 @@ struct OrderedMsgWire {
   std::uint64_t stable_upto = 0;
   OrderedMsg msg;
 
-  void encode(Encoder& enc) const;
-  static OrderedMsgWire decode(Decoder& dec);
-  [[nodiscard]] std::size_t encoded_size_hint() const {
-    return ViewId::kEncodedSize + 8 + msg.encoded_size_hint();
-  }
+  static constexpr auto kFields =
+      std::tuple{&OrderedMsgWire::view, &OrderedMsgWire::stable_upto,
+                 &OrderedMsgWire::msg};
 };
 
 struct NackMsg {
   ViewId view;
   std::vector<std::uint64_t> missing;
 
-  void encode(Encoder& enc) const;
-  static NackMsg decode(Decoder& dec);
-  [[nodiscard]] std::size_t encoded_size_hint() const {
-    return ViewId::kEncodedSize + 4 + 8 * missing.size();
-  }
+  static constexpr auto kFields = std::tuple{&NackMsg::view, &NackMsg::missing};
 };
 
 struct HeartbeatMsg {
@@ -130,11 +117,10 @@ struct HeartbeatMsg {
   /// every member and safe to trim from retransmission logs.
   std::uint64_t stable_upto = 0;
 
-  void encode(Encoder& enc) const;
-  static HeartbeatMsg decode(Decoder& dec);
-  [[nodiscard]] std::size_t encoded_size_hint() const {
-    return ViewId::kEncodedSize + 28;
-  }
+  static constexpr auto kFields =
+      std::tuple{&HeartbeatMsg::view, &HeartbeatMsg::sender,
+                 &HeartbeatMsg::max_seq, &HeartbeatMsg::delivered_upto,
+                 &HeartbeatMsg::stable_upto};
 };
 
 struct FlushReqMsg {
@@ -143,11 +129,9 @@ struct FlushReqMsg {
   ProcessId initiator;
   MemberSet proposal;  // membership of the view being prepared
 
-  void encode(Encoder& enc) const;
-  static FlushReqMsg decode(Decoder& dec);
-  [[nodiscard]] std::size_t encoded_size_hint() const {
-    return ViewId::kEncodedSize + 8 + proposal.encoded_size();
-  }
+  static constexpr auto kFields =
+      std::tuple{&FlushReqMsg::old_view, &FlushReqMsg::epoch,
+                 &FlushReqMsg::initiator, &FlushReqMsg::proposal};
 };
 
 struct FlushAckMsg {
@@ -156,11 +140,9 @@ struct FlushAckMsg {
   ProcessId sender;
   std::vector<std::uint64_t> have;  // every seq received in old_view
 
-  void encode(Encoder& enc) const;
-  static FlushAckMsg decode(Decoder& dec);
-  [[nodiscard]] std::size_t encoded_size_hint() const {
-    return ViewId::kEncodedSize + 12 + 8 * have.size();
-  }
+  static constexpr auto kFields =
+      std::tuple{&FlushAckMsg::old_view, &FlushAckMsg::epoch,
+                 &FlushAckMsg::sender, &FlushAckMsg::have};
 };
 
 struct FlushRejectMsg {
@@ -169,11 +151,9 @@ struct FlushRejectMsg {
   ProcessId sender;
   MemberSet suspected;  // rejector's suspicion set, to help convergence
 
-  void encode(Encoder& enc) const;
-  static FlushRejectMsg decode(Decoder& dec);
-  [[nodiscard]] std::size_t encoded_size_hint() const {
-    return ViewId::kEncodedSize + 8 + suspected.encoded_size();
-  }
+  static constexpr auto kFields =
+      std::tuple{&FlushRejectMsg::old_view, &FlushRejectMsg::epoch,
+                 &FlushRejectMsg::sender, &FlushRejectMsg::suspected};
 };
 
 struct FetchMsg {
@@ -181,11 +161,8 @@ struct FetchMsg {
   std::uint32_t epoch = 0;
   std::vector<std::uint64_t> seqs;
 
-  void encode(Encoder& enc) const;
-  static FetchMsg decode(Decoder& dec);
-  [[nodiscard]] std::size_t encoded_size_hint() const {
-    return ViewId::kEncodedSize + 8 + 8 * seqs.size();
-  }
+  static constexpr auto kFields =
+      std::tuple{&FetchMsg::old_view, &FetchMsg::epoch, &FetchMsg::seqs};
 };
 
 struct FetchReplyMsg {
@@ -193,13 +170,9 @@ struct FetchReplyMsg {
   std::uint32_t epoch = 0;
   std::vector<OrderedMsg> msgs;
 
-  void encode(Encoder& enc) const;
-  static FetchReplyMsg decode(Decoder& dec);
-  [[nodiscard]] std::size_t encoded_size_hint() const {
-    std::size_t n = ViewId::kEncodedSize + 8;
-    for (const OrderedMsg& m : msgs) n += m.encoded_size_hint();
-    return n;
-  }
+  static constexpr auto kFields =
+      std::tuple{&FetchReplyMsg::old_view, &FetchReplyMsg::epoch,
+                 &FetchReplyMsg::msgs};
 };
 
 struct FlushCutMsg {
@@ -208,13 +181,9 @@ struct FlushCutMsg {
   std::vector<std::uint64_t> cut;    // ordered seqs every survivor delivers
   std::vector<OrderedMsg> retrans;   // contents for anyone missing them
 
-  void encode(Encoder& enc) const;
-  static FlushCutMsg decode(Decoder& dec);
-  [[nodiscard]] std::size_t encoded_size_hint() const {
-    std::size_t n = ViewId::kEncodedSize + 12 + 8 * cut.size();
-    for (const OrderedMsg& m : retrans) n += m.encoded_size_hint();
-    return n;
-  }
+  static constexpr auto kFields =
+      std::tuple{&FlushCutMsg::old_view, &FlushCutMsg::epoch, &FlushCutMsg::cut,
+                 &FlushCutMsg::retrans};
 };
 
 struct FlushDoneMsg {
@@ -222,11 +191,9 @@ struct FlushDoneMsg {
   std::uint32_t epoch = 0;
   ProcessId sender;
 
-  void encode(Encoder& enc) const;
-  static FlushDoneMsg decode(Decoder& dec);
-  [[nodiscard]] std::size_t encoded_size_hint() const {
-    return ViewId::kEncodedSize + 8;
-  }
+  static constexpr auto kFields =
+      std::tuple{&FlushDoneMsg::old_view, &FlushDoneMsg::epoch,
+                 &FlushDoneMsg::sender};
 };
 
 struct NewViewMsg {
@@ -235,19 +202,8 @@ struct NewViewMsg {
   /// probe target set (crash/partition exclusions stay probeable).
   MemberSet departed;
 
-  void encode(Encoder& enc) const {
-    view.encode(enc);
-    departed.encode(enc);
-  }
-  [[nodiscard]] std::size_t encoded_size_hint() const {
-    return view.encoded_size() + departed.encoded_size();
-  }
-  static NewViewMsg decode(Decoder& dec) {
-    NewViewMsg m;
-    m.view = View::decode(dec);
-    m.departed = MemberSet::decode(dec);
-    return m;
-  }
+  static constexpr auto kFields =
+      std::tuple{&NewViewMsg::view, &NewViewMsg::departed};
 };
 
 struct MergeProbeMsg {
@@ -255,11 +211,9 @@ struct MergeProbeMsg {
   ProcessId sender;  // acting coordinator of `view`
   MemberSet members;
 
-  void encode(Encoder& enc) const;
-  static MergeProbeMsg decode(Decoder& dec);
-  [[nodiscard]] std::size_t encoded_size_hint() const {
-    return ViewId::kEncodedSize + 4 + members.encoded_size();
-  }
+  static constexpr auto kFields =
+      std::tuple{&MergeProbeMsg::view, &MergeProbeMsg::sender,
+                 &MergeProbeMsg::members};
 };
 
 using MergeReplyMsg = MergeProbeMsg;  // identical shape, opposite direction
@@ -269,11 +223,9 @@ struct MergeStartMsg {
   ProcessId leader;
   std::vector<ViewId> parties;
 
-  void encode(Encoder& enc) const;
-  static MergeStartMsg decode(Decoder& dec);
-  [[nodiscard]] std::size_t encoded_size_hint() const {
-    return 12 + ViewId::kEncodedSize * parties.size();
-  }
+  static constexpr auto kFields =
+      std::tuple{&MergeStartMsg::merge_epoch, &MergeStartMsg::leader,
+                 &MergeStartMsg::parties};
 };
 
 struct MergeFlushedMsg {
@@ -282,18 +234,15 @@ struct MergeFlushedMsg {
   ProcessId sender;
   MemberSet members;        // its surviving members
 
-  void encode(Encoder& enc) const;
-  static MergeFlushedMsg decode(Decoder& dec);
-  [[nodiscard]] std::size_t encoded_size_hint() const {
-    return 8 + ViewId::kEncodedSize + members.encoded_size();
-  }
+  static constexpr auto kFields =
+      std::tuple{&MergeFlushedMsg::merge_epoch, &MergeFlushedMsg::view,
+                 &MergeFlushedMsg::sender, &MergeFlushedMsg::members};
 };
 
 struct MergeAbortMsg {
   std::uint32_t merge_epoch = 0;
 
-  void encode(Encoder& enc) const { enc.put_u32(merge_epoch); }
-  static MergeAbortMsg decode(Decoder& dec) { return {dec.get_u32()}; }
+  static constexpr auto kFields = std::tuple{&MergeAbortMsg::merge_epoch};
 };
 
 }  // namespace plwg::vsync

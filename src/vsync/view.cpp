@@ -17,25 +17,6 @@ std::ostream& operator<<(std::ostream& os, const ViewId& id) {
   return os << ">";
 }
 
-void View::encode(Encoder& enc) const {
-  id.encode(enc);
-  members.encode(enc);
-  enc.put_u32(static_cast<std::uint32_t>(predecessors.size()));
-  for (const ViewId& p : predecessors) p.encode(enc);
-}
-
-View View::decode(Decoder& dec) {
-  View view;
-  view.id = ViewId::decode(dec);
-  view.members = MemberSet::decode(dec);
-  const std::uint32_t n = dec.get_count(12);
-  view.predecessors.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    view.predecessors.push_back(ViewId::decode(dec));
-  }
-  return view;
-}
-
 std::ostream& operator<<(std::ostream& os, const View& view) {
   return os << view.id << view.members;
 }

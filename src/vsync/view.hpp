@@ -11,6 +11,7 @@
 
 #include <ostream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "util/codec.hpp"
@@ -34,21 +35,8 @@ struct ViewId {
 
   friend constexpr auto operator<=>(const ViewId&, const ViewId&) = default;
 
-  void encode(Encoder& enc) const {
-    enc.put_id(coordinator);
-    enc.put_u32(seq);
-    enc.put_u32(disambig);
-  }
-  static ViewId decode(Decoder& dec) {
-    ViewId id;
-    id.coordinator = dec.get_id<ProcessId>();
-    id.seq = dec.get_u32();
-    id.disambig = dec.get_u32();
-    return id;
-  }
-
-  /// Exact encode() output size (fixed-width), for Encoder::reserve().
-  static constexpr std::size_t kEncodedSize = 12;
+  static constexpr auto kFields =
+      std::tuple{&ViewId::coordinator, &ViewId::seq, &ViewId::disambig};
 
   [[nodiscard]] std::string to_string() const;
 };
@@ -67,13 +55,8 @@ struct View {
   /// Deterministic coordinator rule: smallest process id in the view.
   [[nodiscard]] ProcessId coordinator() const { return members.min_member(); }
 
-  void encode(Encoder& enc) const;
-  static View decode(Decoder& dec);
-  /// Exact encode() output size, for Encoder::reserve().
-  [[nodiscard]] std::size_t encoded_size() const {
-    return ViewId::kEncodedSize + members.encoded_size() + 4 +
-           ViewId::kEncodedSize * predecessors.size();
-  }
+  static constexpr auto kFields =
+      std::tuple{&View::id, &View::members, &View::predecessors};
 
   friend bool operator==(const View&, const View&) = default;
 };

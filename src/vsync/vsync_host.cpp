@@ -160,7 +160,14 @@ void VsyncHost::on_message(NodeId from, Decoder& dec) {
   auto it = endpoints_.find(gid);
   if (it == endpoints_.end()) return;  // not (or no longer) in this group
   dispatching_ = true;
-  it->second->on_message(transport::process_of(from), type, dec);
+  try {
+    it->second->on_message(transport::process_of(from), type, dec);
+  } catch (...) {
+    // A malformed message (counted by the transport) must not leave
+    // sweep_defunct() disabled until the next clean dispatch.
+    dispatching_ = false;
+    throw;
+  }
   dispatching_ = false;
   sweep_defunct();
 }

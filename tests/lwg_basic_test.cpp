@@ -218,5 +218,34 @@ TEST_F(LwgBasicTest, ViewChangeUpcallsCarryGrowingMembership) {
   EXPECT_LT(epochs[0].view.members.size(), epochs.back().view.members.size());
 }
 
+// A malformed LWG message inside a valid HWG delivery is the LWG layer's to
+// count and drop: nothing throws back through the HWG delivery loop (which
+// the transport would count as a vsync decode error), the user never sees
+// it, and the next message is delivered as usual.
+TEST_F(LwgBasicTest, MalformedLwgMessageIsDroppedAndCountedByTheLwgLayer) {
+  build(base_config(3, MappingMode::kDynamic));
+  const LwgId id{1};
+  form_lwg(id, {0, 1, 2});
+  const HwgId gid = *lwg(1).hwg_of(id);
+  // A JOIN cut short after its type byte, ordered on the HWG like any
+  // LWG message, then an ordinary DATA from the same sender.
+  world().vsync(1).send(gid, {static_cast<std::uint8_t>(LwgMsgType::kJoin), 1});
+  lwg(1).send(id, payload(7));
+  ASSERT_TRUE(run_until(
+      [&] {
+        return user(0).total_delivered(id) == 1 &&
+               user(1).total_delivered(id) == 1 &&
+               user(2).total_delivered(id) == 1;
+      },
+      10'000'000));
+  run_for(1'000'000);
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(lwg(i).stats().decode_errors, 1u) << "process " << i;
+    EXPECT_EQ(world().vsync(i).node().stats().decode_errors, 0u)
+        << "process " << i;
+    EXPECT_EQ(user(i).total_delivered(id), 1u) << "process " << i;
+  }
+}
+
 }  // namespace
 }  // namespace plwg::lwg::testing

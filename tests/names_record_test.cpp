@@ -133,9 +133,9 @@ TEST(Database, EncodeDecodeRoundTrip) {
   db.records[LwgId{1}].apply(entry(1, 1, 100), {ViewId{ProcessId{9}, 3}});
   db.records[LwgId{2}].apply(entry(5, 2, 200, {7, 8}, 4), {});
   Encoder enc;
-  db.encode(enc);
+  enc.put(db);
   Decoder dec(enc.bytes());
-  Database copy = Database::decode(dec);
+  Database copy = dec.get<Database>();
   EXPECT_TRUE(dec.done());
   ASSERT_EQ(copy.records.size(), 2u);
   EXPECT_EQ(copy.records[LwgId{1}].entries, db.records[LwgId{1}].entries);

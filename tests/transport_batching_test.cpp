@@ -1,7 +1,7 @@
 // Frame coalescing: same-round staging, multicast frame sharing, piggybacked
-// ack accounting, the size cap and linger knobs — and the fault semantics of
-// batched frames (atomic drop against dead incarnations, whole-batch
-// checksum rejection, partition cuts landing mid-linger).
+// ack accounting and the size cap — and the fault semantics of batched
+// frames (atomic drop against dead incarnations, whole-batch checksum
+// rejection).
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -142,26 +142,6 @@ TEST_F(TransportBatchingTest, SizeCapFlushesEarly) {
   EXPECT_EQ(net_.stats().frames_sent, 2u);
 }
 
-TEST_F(TransportBatchingTest, LingerMergesAcrossRounds) {
-  TransportConfig cfg;
-  cfg.max_linger_us = 2'000;
-  NodeRuntime a(net_, cfg), b(net_);
-  Recorder rec;
-  b.register_port(Port::kApp, rec);
-
-  // Sent 1ms apart: the second rides the first's still-lingering batch.
-  a.send(Port::kApp, b.id(), make_payload(1));
-  EXPECT_EQ(a.staged_messages(), 1u);
-  sim_.schedule_after(1'000, [&] {
-    a.send(Port::kApp, b.id(), make_payload(2));
-  });
-  sim_.run();
-
-  EXPECT_EQ(rec.values, (std::vector<std::uint32_t>{1, 2}));
-  EXPECT_EQ(net_.stats().frames_sent, 1u);
-  EXPECT_EQ(net_.stats().messages_sent, 2u);
-}
-
 TEST_F(TransportBatchingTest, BatchToDeadIncarnationDropsAtomically) {
   NodeRuntime a(net_);
   auto b = std::make_unique<NodeRuntime>(net_);
@@ -216,27 +196,6 @@ TEST_F(TransportBatchingCorruptTest, CorruptedBatchIsRejectedWhole) {
   EXPECT_EQ(net_.stats().frames_sent, 1u);
   EXPECT_TRUE(rec.values.empty());
   EXPECT_EQ(b.stats().malformed_frames, 1u);
-}
-
-TEST_F(TransportBatchingTest, PartitionCutMidLingerLosesTheBatch) {
-  TransportConfig cfg;
-  cfg.max_linger_us = 5'000;
-  NodeRuntime a(net_, cfg), b(net_);
-  Recorder rec;
-  b.register_port(Port::kApp, rec);
-
-  // Staged at t=0, lingering until t=5ms; the partition lands at t=1ms.
-  a.send(Port::kApp, b.id(), make_payload(1));
-  sim_.schedule_after(1'000, [&] {
-    net_.set_partitions({{a.id()}, {b.id()}});
-  });
-  sim_.run_until(sim_.now() + 50'000);
-  EXPECT_TRUE(rec.values.empty());  // flushed into the cut: lost like any loss
-
-  net_.heal();
-  a.send(Port::kApp, b.id(), make_payload(2));
-  sim_.run();
-  EXPECT_EQ(rec.values, (std::vector<std::uint32_t>{2}));
 }
 
 }  // namespace

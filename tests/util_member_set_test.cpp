@@ -65,9 +65,9 @@ TEST(MemberSet, ClosenessPredicateMatchesPaperDefinition) {
 TEST(MemberSet, EncodeDecodeRoundTrip) {
   const MemberSet original = make({10, 20, 30});
   Encoder enc;
-  original.encode(enc);
+  enc.put(original);
   Decoder dec(enc.bytes());
-  EXPECT_EQ(MemberSet::decode(dec), original);
+  EXPECT_EQ(dec.get<MemberSet>(), original);
   EXPECT_TRUE(dec.done());
 }
 

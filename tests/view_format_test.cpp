@@ -93,9 +93,9 @@ TEST(View, EncodeDecodePreservesGenealogy) {
   v.predecessors = {vsync::ViewId{ProcessId{1}, 8},
                     vsync::ViewId{ProcessId{5}, 3, 77}};
   Encoder enc;
-  v.encode(enc);
+  enc.put(v);
   Decoder dec(enc.bytes());
-  const vsync::View copy = vsync::View::decode(dec);
+  const vsync::View copy = dec.get<vsync::View>();
   dec.expect_done();
   EXPECT_EQ(copy, v);
 }

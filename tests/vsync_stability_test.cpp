@@ -132,7 +132,7 @@ class VsyncLogTest : public VsyncFixture {
     wire.msg.sender_msg_id = 1'000 + seq;
     wire.msg.payload = payload(tag);
     Encoder enc;
-    wire.encode(enc);
+    enc.put(wire);
     Decoder dec(enc.bytes());
     ep_->on_message(pid(0), MsgType::kOrdered, dec);
   }
