@@ -19,33 +19,25 @@ MemberSet members(std::uint32_t n) {
   return set;
 }
 
+/// Bytes of `msg` in its vsync packet, plus the transport's port byte.
+template <class Msg>
+std::size_t framed_size(const Msg& msg) {
+  Encoder enc;
+  return vsync::encode_envelope(enc, HwgId{1}, msg).size() + 1;
+}
+
 std::size_t lwg_data_size(std::size_t payload) {
   const std::vector<std::uint8_t> bytes(payload, 0);
-  const lwg::DataMsg msg{LwgId{1}, vsync::ViewId{ProcessId{0}, 1}, bytes};
-  Encoder enc;
-  enc.put_u8(1);  // LwgMsgType
-  enc.put(msg);
-  return enc.size();
+  return lwg::encode_envelope(
+             lwg::DataMsg{LwgId{1}, vsync::ViewId{ProcessId{0}, 1}, bytes})
+      .size();
 }
 
 std::size_t vsync_ordered_size(std::size_t inner) {
   vsync::OrderedMsgWire wire;
   wire.view = vsync::ViewId{ProcessId{0}, 1};
   wire.msg.payload.assign(inner, 0);
-  Encoder enc;
-  enc.put_id(HwgId{1});
-  enc.put_u8(static_cast<std::uint8_t>(vsync::MsgType::kOrdered));
-  enc.put(wire);
-  return enc.size() + 1;  // + transport port byte
-}
-
-template <class Msg>
-std::size_t framed_size(const Msg& msg, vsync::MsgType type) {
-  Encoder enc;
-  enc.put_id(HwgId{1});
-  enc.put_u8(static_cast<std::uint8_t>(type));
-  enc.put(msg);
-  return enc.size() + 1;
+  return framed_size(wire);
 }
 
 }  // namespace
@@ -80,26 +72,26 @@ int main() {
   const vsync::ViewId vid{ProcessId{0}, 3};
   {
     vsync::HeartbeatMsg m{vid, ProcessId{0}, 42};
-    ctrl.add_row({"HEARTBEAT", std::to_string(framed_size(m, vsync::MsgType::kHeartbeat))});
+    ctrl.add_row({"HEARTBEAT", std::to_string(framed_size(m))});
   }
   {
     vsync::FlushReqMsg m{vid, 1, ProcessId{0}, members(8)};
-    ctrl.add_row({"FLUSH_REQ", std::to_string(framed_size(m, vsync::MsgType::kFlushReq))});
+    ctrl.add_row({"FLUSH_REQ", std::to_string(framed_size(m))});
   }
   {
     vsync::FlushAckMsg m{vid, 1, ProcessId{1}, {1, 2, 3, 4, 5, 6, 7, 8}};
-    ctrl.add_row({"FLUSH_ACK (8 msgs)", std::to_string(framed_size(m, vsync::MsgType::kFlushAck))});
+    ctrl.add_row({"FLUSH_ACK (8 msgs)", std::to_string(framed_size(m))});
   }
   {
     vsync::NewViewMsg m;
     m.view.id = vid;
     m.view.members = members(8);
     m.view.predecessors = {vid};
-    ctrl.add_row({"NEW_VIEW", std::to_string(framed_size(m, vsync::MsgType::kNewView))});
+    ctrl.add_row({"NEW_VIEW", std::to_string(framed_size(m))});
   }
   {
     vsync::MergeProbeMsg m{vid, ProcessId{0}, members(8)};
-    ctrl.add_row({"MERGE_PROBE", std::to_string(framed_size(m, vsync::MsgType::kMergeProbe))});
+    ctrl.add_row({"MERGE_PROBE", std::to_string(framed_size(m))});
   }
   {
     names::SetReqMsg m;
@@ -110,10 +102,8 @@ int main() {
     m.entry.hwg = HwgId{1};
     m.entry.hwg_view = vid;
     m.entry.hwg_members = members(8);
-    Encoder enc;
-    enc.put_u8(1);
-    enc.put(m);
-    ctrl.add_row({"ns.set (4-member lwg)", std::to_string(enc.size() + 1)});
+    ctrl.add_row({"ns.set (4-member lwg)",
+                  std::to_string(names::encode_envelope(m).size() + 1)});
   }
   ctrl.print(std::cout);
   return 0;

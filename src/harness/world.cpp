@@ -198,21 +198,6 @@ bool SimWorld::verify_convergence() {
   return convergence_failure().empty();
 }
 
-namespace {
-const char* state_name(vsync::GroupEndpoint::State s) {
-  using State = vsync::GroupEndpoint::State;
-  switch (s) {
-    case State::kJoining: return "joining";
-    case State::kActive: return "active";
-    case State::kStopping: return "stopping";
-    case State::kFlushing: return "flushing";
-    case State::kStopped: return "stopped";
-    case State::kLeft: return "left";
-  }
-  return "?";
-}
-}  // namespace
-
 std::string SimWorld::liveness_report() const {
   std::ostringstream out;
   for (std::size_t i = 0; i < processes_.size(); ++i) {
@@ -225,7 +210,7 @@ std::string SimWorld::liveness_report() const {
       const bool healthy = ep->state() == vsync::GroupEndpoint::State::kActive &&
                            ep->has_view() && ep->suspected().empty();
       out << (healthy ? "  " : "* ") << "process " << i << " hwg "
-          << gid.value() << ": " << state_name(ep->state());
+          << gid.value() << ": " << ep->state();
       if (ep->has_view()) {
         out << ", view of " << ep->view().members.size();
       } else {

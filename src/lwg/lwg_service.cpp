@@ -58,9 +58,7 @@ void LwgService::leave(LwgId lwg) {
     return;
   }
   set_phase(*lg, Phase::kLeaving);
-  Encoder& body = scratch_body();
-  body.put(LeaveMsg{lwg, self()});
-  send_lwg_msg(lg->hwg, LwgMsgType::kLeave, body);
+  send_lwg_msg(lg->hwg, LeaveMsg{lwg, self()});
 }
 
 void LwgService::shutdown() {
@@ -70,16 +68,11 @@ void LwgService::shutdown() {
 void LwgService::send(LwgId lwg, std::vector<std::uint8_t> data) {
   LocalGroup* lg = find_group(lwg);
   PLWG_ASSERT_MSG(lg != nullptr, "send on an LWG we did not join");
-  if (!can_send(*lg)) {
+  if (can_send(*lg)) {
+    send_data(*lg, data);
+  } else {
     lg->queued_sends.push_back(std::move(data));
-    return;
   }
-  stats_.data_sent++;
-  DataMsg msg{lwg, lg->view.id, data};
-  Encoder& body = scratch_body();
-  body.reserve(encoded_size(msg));
-  body.put(msg);
-  send_lwg_msg(lg->hwg, LwgMsgType::kData, body);
 }
 
 const LwgView* LwgService::view_of(LwgId lwg) const {
@@ -122,13 +115,10 @@ LwgService::HwgState& LwgService::hwg_state(HwgId gid) {
   return it->second;
 }
 
-void LwgService::send_lwg_msg(HwgId hwg, LwgMsgType type,
-                              const Encoder& body) {
-  Encoder packet;
-  packet.reserve(1 + body.size());
-  packet.put_u8(static_cast<std::uint8_t>(type));
-  packet.put_raw(body.bytes());
-  vsync_.send(hwg, packet.take());
+void LwgService::send_data(const LocalGroup& lg,
+                           std::span<const std::uint8_t> data) {
+  stats_.data_sent++;
+  send_lwg_msg(lg.hwg, DataMsg{lg.lwg, lg.view.id, data});
 }
 
 ViewId LwgService::mint_view_id() {
@@ -223,13 +213,9 @@ bool LwgService::can_send(const LocalGroup& lg) const {
 
 void LwgService::drain_queued_sends(LocalGroup& lg) {
   while (!lg.queued_sends.empty() && can_send(lg)) {
-    std::vector<std::uint8_t> data = std::move(lg.queued_sends.front());
+    const std::vector<std::uint8_t> data = std::move(lg.queued_sends.front());
     lg.queued_sends.pop_front();
-    stats_.data_sent++;
-    DataMsg msg{lg.lwg, lg.view.id, data};
-    Encoder& body = scratch_body();
-    body.put(msg);
-    send_lwg_msg(lg.hwg, LwgMsgType::kData, body);
+    send_data(lg, data);
   }
 }
 
@@ -257,9 +243,7 @@ std::vector<LwgViewInfo> LwgService::local_views_on(HwgId gid) const {
 }
 
 void LwgService::announce(HwgId gid, const std::vector<LwgViewInfo>& views) {
-  Encoder& body = scratch_body();
-  body.put(AnnounceMsg{views});
-  send_lwg_msg(gid, LwgMsgType::kAnnounce, body);
+  send_lwg_msg(gid, AnnounceMsg{views});
 }
 
 // --- HWG upcalls --------------------------------------------------------------
@@ -293,34 +277,34 @@ void LwgService::on_data(HwgId gid, ProcessId src,
   }
   Decoder dec(data.subspan(1));
   switch (static_cast<LwgMsgType>(data[0])) {
-    case LwgMsgType::kData:
+    case DataMsg::kType:
       if (auto m = decode<DataMsg>(dec)) handle_data(gid, src, *m);
       break;
-    case LwgMsgType::kJoin:
+    case JoinMsg::kType:
       if (auto m = decode<JoinMsg>(dec)) handle_join(gid, *m);
       break;
-    case LwgMsgType::kLeave:
+    case LeaveMsg::kType:
       if (auto m = decode<LeaveMsg>(dec)) handle_leave(gid, *m);
       break;
-    case LwgMsgType::kView:
+    case ViewMsg::kType:
       if (auto m = decode<ViewMsg>(dec)) handle_view(gid, *m);
       break;
-    case LwgMsgType::kSwitch:
+    case SwitchMsg::kType:
       if (auto m = decode<SwitchMsg>(dec)) handle_switch(gid, *m);
       break;
-    case LwgMsgType::kSwitchReady:
+    case SwitchReadyMsg::kType:
       if (auto m = decode<SwitchReadyMsg>(dec)) handle_switch_ready(gid, *m);
       break;
-    case LwgMsgType::kSwitched:
+    case SwitchedMsg::kType:
       if (auto m = decode<SwitchedMsg>(dec)) handle_switched(gid, *m);
       break;
-    case LwgMsgType::kRedirect:
+    case RedirectMsg::kType:
       if (auto m = decode<RedirectMsg>(dec)) handle_redirect(gid, *m);
       break;
-    case LwgMsgType::kMergeViews:
+    case MergeViewsMsg::kType:
       if (decode<MergeViewsMsg>(dec)) handle_merge_views(gid);
       break;
-    case LwgMsgType::kAnnounce:
+    case AnnounceMsg::kType:
       if (auto m = decode<AnnounceMsg>(dec)) handle_announce(gid, *m);
       break;
     default:  // unknown message type

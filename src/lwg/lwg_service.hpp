@@ -32,6 +32,7 @@
 #include <map>
 #include <optional>
 #include <set>
+#include <span>
 #include <vector>
 
 #include "durable/store.hpp"
@@ -213,13 +214,13 @@ class LwgService : public GroupService,
   void set_phase(LocalGroup& lg, Phase phase);
   [[nodiscard]] LocalGroup* find_group(LwgId lwg);
   [[nodiscard]] HwgState& hwg_state(HwgId gid);
-  void send_lwg_msg(HwgId hwg, LwgMsgType type, const Encoder& body);
-  /// Reused body buffer for all LWG protocol sends (see
-  /// GroupEndpoint::scratch_body for the safety argument).
-  Encoder& scratch_body() {
-    body_scratch_.clear();
-    return body_scratch_;
+  /// Multicast `msg` on `hwg`, in its envelope.
+  template <class M>
+  void send_lwg_msg(HwgId hwg, const M& msg) {
+    vsync_.send(hwg, encode_envelope(msg));
   }
+  /// Multicast `data` as DATA of `lg`'s current view (can_send holds).
+  void send_data(const LocalGroup& lg, std::span<const std::uint8_t> data);
   /// Next LWG view id minted here. Its counter lives in the durable store:
   /// it must survive restart (see durable/store.hpp).
   [[nodiscard]] ViewId mint_view_id();
@@ -294,8 +295,6 @@ class LwgService : public GroupService,
   [[nodiscard]] std::size_t lwgs_using_hwg(HwgId gid) const;
 
   vsync::VsyncHost& vsync_;
-
-  Encoder body_scratch_;
   names::NamingAgent& names_;
   LwgConfig config_;
   durable::ProcessStore& store_;  // not owned

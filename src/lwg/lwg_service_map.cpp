@@ -190,9 +190,7 @@ void LwgService::adopt_mapping(LocalGroup& lg,
 void LwgService::announce_join(LocalGroup& lg) {
   set_phase(lg, Phase::kAnnounced);
   lg.announce_attempts++;
-  Encoder& body = scratch_body();
-  body.put(JoinMsg{lg.lwg, self()});
-  send_lwg_msg(lg.hwg, LwgMsgType::kJoin, body);
+  send_lwg_msg(lg.hwg, JoinMsg{lg.lwg, self()});
 }
 
 void LwgService::handle_join(HwgId gid, const JoinMsg& msg) {
@@ -205,11 +203,8 @@ void LwgService::handle_join(HwgId gid, const JoinMsg& msg) {
     if (fwd == hs.forwards.end()) return;
     const vsync::View* hv = vsync_.view_of(gid);
     if (hv == nullptr || hv->coordinator() != self()) return;
-    RedirectMsg redirect{msg.lwg, msg.joiner, fwd->second.first,
-                         fwd->second.second};
-    Encoder& body = scratch_body();
-    body.put(redirect);
-    send_lwg_msg(gid, LwgMsgType::kRedirect, body);
+    send_lwg_msg(gid, RedirectMsg{msg.lwg, msg.joiner, fwd->second.first,
+                                  fwd->second.second});
     return;
   }
   if (lg->view.members.contains(msg.joiner) &&
@@ -232,10 +227,7 @@ void LwgService::handle_join(HwgId gid, const JoinMsg& msg) {
       view.hwg = lg->hwg;
       lg->inflight_view = view.id;
       lg->inflight_since = vsync_.node().now();
-      ViewMsg vm{lg->lwg, view, {lg->view.id}};
-      Encoder& body = scratch_body();
-      body.put(vm);
-      send_lwg_msg(gid, LwgMsgType::kView, body);
+      send_lwg_msg(gid, ViewMsg{lg->lwg, view, {lg->view.id}});
     }
     return;
   }
@@ -283,10 +275,7 @@ void LwgService::maybe_install_next_view(LocalGroup& lg) {
   view.hwg = lg.hwg;
   lg.inflight_view = view.id;
   lg.inflight_since = vsync_.node().now();
-  ViewMsg vm{lg.lwg, view, {lg.view.id}};
-  Encoder& body = scratch_body();
-  body.put(vm);
-  send_lwg_msg(lg.hwg, LwgMsgType::kView, body);
+  send_lwg_msg(lg.hwg, ViewMsg{lg.lwg, view, {lg.view.id}});
 }
 
 void LwgService::handle_view(HwgId gid, const ViewMsg& msg) {
@@ -390,10 +379,7 @@ void LwgService::start_switch(LocalGroup& lg, HwgId to_hwg,
   PLWG_INFO("lwg", "p", self(), " switching lwg ", lg.lwg, " from hwg ",
             lg.hwg, " to hwg ", to_hwg);
   lg.collect = SwitchCollect{to_hwg, contacts, lg.view.id, MemberSet{}};
-  SwitchMsg msg{lg.lwg, lg.view.id, to_hwg, contacts};
-  Encoder& body = scratch_body();
-  body.put(msg);
-  send_lwg_msg(lg.hwg, LwgMsgType::kSwitch, body);
+  send_lwg_msg(lg.hwg, SwitchMsg{lg.lwg, lg.view.id, to_hwg, contacts});
 }
 
 void LwgService::handle_switch(HwgId gid, const SwitchMsg& msg) {
@@ -423,10 +409,7 @@ void LwgService::maybe_send_switch_ready(LocalGroup& lg) {
   if (!lg.switching) return;
   const HwgId target = lg.switching->to_hwg;
   if (vsync_.view_of(target) == nullptr) return;  // still joining
-  SwitchReadyMsg ready{lg.lwg, lg.switching->lwg_view, self()};
-  Encoder& body = scratch_body();
-  body.put(ready);
-  send_lwg_msg(target, LwgMsgType::kSwitchReady, body);
+  send_lwg_msg(target, SwitchReadyMsg{lg.lwg, lg.switching->lwg_view, self()});
 }
 
 void LwgService::handle_switch_ready(HwgId gid, const SwitchReadyMsg& msg) {
@@ -443,17 +426,10 @@ void LwgService::handle_switch_ready(HwgId gid, const SwitchReadyMsg& msg) {
   next.id = mint_view_id();
   next.members = lg->view.members;
   next.hwg = c.to_hwg;
-  ViewMsg vm{lg->lwg, next, {lg->view.id}};
-  Encoder vbody;
-  vbody.put(vm);
-  send_lwg_msg(c.to_hwg, LwgMsgType::kView, vbody);
-
-  SwitchedMsg switched{lg->lwg, c.to_hwg, next.members};
-  Encoder sbody;
-  sbody.put(switched);
+  send_lwg_msg(c.to_hwg, ViewMsg{lg->lwg, next, {lg->view.id}});
   const HwgId old_hwg = lg->hwg;
   if (old_hwg != c.to_hwg && vsync_.is_member(old_hwg)) {
-    send_lwg_msg(old_hwg, LwgMsgType::kSwitched, sbody);
+    send_lwg_msg(old_hwg, SwitchedMsg{lg->lwg, c.to_hwg, next.members});
   }
 }
 

@@ -50,9 +50,7 @@ void LwgService::trigger_merge_views(HwgId gid) {
   hs.merge_requested = true;
   stats_.merges_triggered++;
   PLWG_DEBUG("lwg", "p", self(), " triggers MERGE-VIEWS on hwg ", gid);
-  Encoder& body = scratch_body();
-  body.put(MergeViewsMsg{});
-  send_lwg_msg(gid, LwgMsgType::kMergeViews, body);
+  send_lwg_msg(gid, MergeViewsMsg{});
 }
 
 void LwgService::handle_merge_views(HwgId gid) {
@@ -206,10 +204,7 @@ void LwgService::handle_hwg_membership_change(HwgId gid,
     next.id = mint_view_id();
     next.members = survivors;
     next.hwg = gid;
-    ViewMsg vm{lwg, next, {lg.view.id}};
-    Encoder& body = scratch_body();
-    body.put(vm);
-    send_lwg_msg(gid, LwgMsgType::kView, body);
+    send_lwg_msg(gid, ViewMsg{lwg, next, {lg.view.id}});
   }
 }
 

@@ -2,7 +2,9 @@
 // heavy-weight group's totally-ordered multicast, which doubles as the flush
 // barrier of the LWG protocols: a protocol message is ordered against all
 // DATA on the same HWG, so everything sent in an LWG view is delivered
-// before the view-changing message that closes it.
+// before the view-changing message that closes it. Each payload is one
+// message in its envelope, [u8 M::kType][M's fields] (encode_envelope
+// below); each message declares its tag (kType) next to its field list.
 #pragma once
 
 #include <cstdint>
@@ -17,6 +19,7 @@
 
 namespace plwg::lwg {
 
+/// The wire values of the message tags; each message names its own in kType.
 enum class LwgMsgType : std::uint8_t {
   kData = 1,
   kJoin,        // joiner announces itself on the HWG
@@ -40,6 +43,7 @@ struct DataMsg {
   ViewId lwg_view;  // delivery is filtered per LWG view (paper Sect. 5.1)
   std::span<const std::uint8_t> payload;
 
+  static constexpr LwgMsgType kType = LwgMsgType::kData;
   static constexpr auto kFields =
       std::tuple{&DataMsg::lwg, &DataMsg::lwg_view, &DataMsg::payload};
 };
@@ -48,6 +52,7 @@ struct JoinMsg {
   LwgId lwg;
   ProcessId joiner;
 
+  static constexpr LwgMsgType kType = LwgMsgType::kJoin;
   static constexpr auto kFields = std::tuple{&JoinMsg::lwg, &JoinMsg::joiner};
 };
 
@@ -55,6 +60,7 @@ struct LeaveMsg {
   LwgId lwg;
   ProcessId leaver;
 
+  static constexpr LwgMsgType kType = LwgMsgType::kLeave;
   static constexpr auto kFields =
       std::tuple{&LeaveMsg::lwg, &LeaveMsg::leaver};
 };
@@ -64,6 +70,7 @@ struct ViewMsg {
   LwgView view;
   std::vector<ViewId> predecessors;
 
+  static constexpr LwgMsgType kType = LwgMsgType::kView;
   static constexpr auto kFields =
       std::tuple{&ViewMsg::lwg, &ViewMsg::view, &ViewMsg::predecessors};
 };
@@ -74,6 +81,7 @@ struct SwitchMsg {
   HwgId to_hwg;
   MemberSet contacts;  // processes to join the target HWG through
 
+  static constexpr LwgMsgType kType = LwgMsgType::kSwitch;
   static constexpr auto kFields =
       std::tuple{&SwitchMsg::lwg, &SwitchMsg::lwg_view, &SwitchMsg::to_hwg,
                  &SwitchMsg::contacts};
@@ -84,6 +92,7 @@ struct SwitchReadyMsg {
   ViewId lwg_view;  // the old view the member is switching from
   ProcessId member;
 
+  static constexpr LwgMsgType kType = LwgMsgType::kSwitchReady;
   static constexpr auto kFields =
       std::tuple{&SwitchReadyMsg::lwg, &SwitchReadyMsg::lwg_view,
                  &SwitchReadyMsg::member};
@@ -94,6 +103,7 @@ struct SwitchedMsg {
   HwgId to_hwg;
   MemberSet contacts;
 
+  static constexpr LwgMsgType kType = LwgMsgType::kSwitched;
   static constexpr auto kFields = std::tuple{
       &SwitchedMsg::lwg, &SwitchedMsg::to_hwg, &SwitchedMsg::contacts};
 };
@@ -104,12 +114,14 @@ struct RedirectMsg {
   HwgId to_hwg;
   MemberSet contacts;
 
+  static constexpr LwgMsgType kType = LwgMsgType::kRedirect;
   static constexpr auto kFields =
       std::tuple{&RedirectMsg::lwg, &RedirectMsg::joiner, &RedirectMsg::to_hwg,
                  &RedirectMsg::contacts};
 };
 
 struct MergeViewsMsg {
+  static constexpr LwgMsgType kType = LwgMsgType::kMergeViews;
   static constexpr auto kFields = std::tuple{};
 };
 
@@ -119,7 +131,18 @@ struct MergeViewsMsg {
 struct AnnounceMsg {
   std::vector<LwgViewInfo> views;
 
+  static constexpr LwgMsgType kType = LwgMsgType::kAnnounce;
   static constexpr auto kFields = std::tuple{&AnnounceMsg::views};
 };
+
+/// `msg` as the payload of an HWG multicast: [u8 M::kType][M's fields].
+template <class M>
+std::vector<std::uint8_t> encode_envelope(const M& msg) {
+  Encoder out;
+  out.reserve(1 + encoded_size(msg));
+  out.put_u8(static_cast<std::uint8_t>(M::kType));
+  out.put(msg);
+  return out.take();
+}
 
 }  // namespace plwg::lwg

@@ -5,6 +5,10 @@
 // Server -> client: ACK / MAPPINGS responses and the MULTIPLE-MAPPINGS
 // callback of paper Sect. 6.1.
 // Server <-> server: full-state anti-entropy SYNC.
+//
+// Every packet is one message in its envelope, [u8 M::kType][M's fields]
+// (encode_envelope below); each message declares its tag (kType) next to
+// its field list.
 #pragma once
 
 #include <cstdint>
@@ -16,6 +20,7 @@
 
 namespace plwg::names {
 
+/// The wire values of the message tags; each message names its own in kType.
 enum class NamingMsgType : std::uint8_t {
   kSetReq = 1,
   kReadReq,
@@ -32,6 +37,7 @@ struct SetReqMsg {
   MappingEntry entry;
   std::vector<ViewId> predecessors;
 
+  static constexpr NamingMsgType kType = NamingMsgType::kSetReq;
   static constexpr auto kFields =
       std::tuple{&SetReqMsg::req_id, &SetReqMsg::lwg, &SetReqMsg::entry,
                  &SetReqMsg::predecessors};
@@ -41,6 +47,7 @@ struct ReadReqMsg {
   std::uint64_t req_id = 0;
   LwgId lwg;
 
+  static constexpr NamingMsgType kType = NamingMsgType::kReadReq;
   static constexpr auto kFields =
       std::tuple{&ReadReqMsg::req_id, &ReadReqMsg::lwg};
 };
@@ -50,6 +57,7 @@ struct TestSetReqMsg {
   LwgId lwg;
   MappingEntry entry;
 
+  static constexpr NamingMsgType kType = NamingMsgType::kTestSetReq;
   static constexpr auto kFields = std::tuple{
       &TestSetReqMsg::req_id, &TestSetReqMsg::lwg, &TestSetReqMsg::entry};
 };
@@ -57,6 +65,7 @@ struct TestSetReqMsg {
 struct AckMsg {
   std::uint64_t req_id = 0;
 
+  static constexpr NamingMsgType kType = NamingMsgType::kAck;
   static constexpr auto kFields = std::tuple{&AckMsg::req_id};
 };
 
@@ -65,6 +74,7 @@ struct MappingsMsg {
   LwgId lwg;
   std::vector<MappingEntry> entries;
 
+  static constexpr NamingMsgType kType = NamingMsgType::kMappings;
   static constexpr auto kFields = std::tuple{
       &MappingsMsg::req_id, &MappingsMsg::lwg, &MappingsMsg::entries};
 };
@@ -73,6 +83,7 @@ struct MultipleMappingsMsg {
   LwgId lwg;
   std::vector<MappingEntry> entries;  // all alive mappings for the LWG
 
+  static constexpr NamingMsgType kType = NamingMsgType::kMultipleMappings;
   static constexpr auto kFields =
       std::tuple{&MultipleMappingsMsg::lwg, &MultipleMappingsMsg::entries};
 };
@@ -85,7 +96,18 @@ struct SyncMsg {
   bool full = true;
   Database db;
 
+  static constexpr NamingMsgType kType = NamingMsgType::kSync;
   static constexpr auto kFields = std::tuple{&SyncMsg::full, &SyncMsg::db};
 };
+
+/// `msg` as one Port::kNaming packet: [u8 M::kType][M's fields].
+template <class M>
+Encoder encode_envelope(const M& msg) {
+  Encoder out;
+  out.reserve(1 + encoded_size(msg));
+  out.put_u8(static_cast<std::uint8_t>(M::kType));
+  out.put(msg);
+  return out;
+}
 
 }  // namespace plwg::names

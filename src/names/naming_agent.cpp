@@ -57,58 +57,30 @@ std::string NamingAgent::dump_database() const { return database().dump(); }
 
 void NamingAgent::set(LwgId lwg, const MappingEntry& entry,
                       std::vector<ViewId> predecessors) {
-  const std::uint64_t id = next_req_id_++;
-  PendingRequest req;
-  req.type = NamingMsgType::kSetReq;
-  req.lwg = lwg;
-  req.entry = entry;
-  req.predecessors = std::move(predecessors);
-  auto [it, inserted] = pending_.emplace(id, std::move(req));
-  send_request(id, it->second);
+  start_request(
+      {SetReqMsg{next_req_id_, lwg, entry, std::move(predecessors)}, {}});
 }
 
 void NamingAgent::read(LwgId lwg, ReadCallback cb) {
-  const std::uint64_t id = next_req_id_++;
-  PendingRequest req;
-  req.type = NamingMsgType::kReadReq;
-  req.lwg = lwg;
-  req.callback = std::move(cb);
-  auto [it, inserted] = pending_.emplace(id, std::move(req));
-  send_request(id, it->second);
+  start_request({ReadReqMsg{next_req_id_, lwg}, std::move(cb)});
 }
 
 void NamingAgent::testset(LwgId lwg, const MappingEntry& entry,
                           ReadCallback cb) {
-  const std::uint64_t id = next_req_id_++;
-  PendingRequest req;
-  req.type = NamingMsgType::kTestSetReq;
-  req.lwg = lwg;
-  req.entry = entry;
-  req.callback = std::move(cb);
-  auto [it, inserted] = pending_.emplace(id, std::move(req));
-  send_request(id, it->second);
+  start_request({TestSetReqMsg{next_req_id_, lwg, entry}, std::move(cb)});
 }
 
-void NamingAgent::send_request(std::uint64_t req_id, PendingRequest& req) {
+void NamingAgent::start_request(PendingRequest req) {
+  const std::uint64_t id = next_req_id_++;
+  send_request(pending_.emplace(id, std::move(req)).first->second);
+}
+
+void NamingAgent::send_request(PendingRequest& req) {
   PLWG_ASSERT_MSG(!servers_.empty(), "no name servers configured");
   req.sent_at = node_.now();
   if (req.attempts < 32) req.attempts++;
   const NodeId server = servers_[req.server_index % servers_.size()];
-  Encoder body;
-  switch (req.type) {
-    case NamingMsgType::kSetReq:
-      body.put(SetReqMsg{req_id, req.lwg, *req.entry, req.predecessors});
-      break;
-    case NamingMsgType::kReadReq:
-      body.put(ReadReqMsg{req_id, req.lwg});
-      break;
-    case NamingMsgType::kTestSetReq:
-      body.put(TestSetReqMsg{req_id, req.lwg, *req.entry});
-      break;
-    default:
-      PLWG_ASSERT_MSG(false, "not a request type");
-  }
-  send_msg(server, req.type, body);
+  std::visit([&](const auto& msg) { send_msg(server, msg); }, req.msg);
 }
 
 void NamingAgent::client_on_ack(const AckMsg& msg) {
@@ -119,7 +91,8 @@ void NamingAgent::client_on_mappings(const MappingsMsg& msg) {
   auto it = pending_.find(msg.req_id);
   if (it == pending_.end()) return;
   ReadCallback cb = std::move(it->second.callback);
-  const LwgId lwg = it->second.lwg;
+  const LwgId lwg =
+      std::visit([](const auto& req) { return req.lwg; }, it->second.msg);
   pending_.erase(it);
   if (cb) cb(lwg, msg.entries);
 }
@@ -160,9 +133,7 @@ void NamingAgent::server_on_set(NodeId from, const SetReqMsg& msg) {
     server_->dirty.insert(msg.lwg);
   }
   report_record_diff(msg.lwg, before);
-  Encoder body;
-  body.put(AckMsg{msg.req_id});
-  send_msg(from, NamingMsgType::kAck, body);
+  send_msg(from, AckMsg{msg.req_id});
   server_check_conflicts({&msg.lwg, 1});
 }
 
@@ -176,10 +147,7 @@ void NamingAgent::server_on_read(NodeId from, const ReadReqMsg& msg) {
   if (it != server_->db.records.end()) {
     reply.entries = it->second.alive_entries();
   }
-  Encoder body;
-  body.reserve(encoded_size(reply));
-  body.put(reply);
-  send_msg(from, NamingMsgType::kMappings, body);
+  send_msg(from, reply);
 }
 
 void NamingAgent::server_on_testset(NodeId from, const TestSetReqMsg& msg) {
@@ -195,9 +163,7 @@ void NamingAgent::server_on_testset(NodeId from, const TestSetReqMsg& msg) {
   reply.req_id = msg.req_id;
   reply.lwg = msg.lwg;
   reply.entries = rec.alive_entries();
-  Encoder body;
-  body.put(reply);
-  send_msg(from, NamingMsgType::kMappings, body);
+  send_msg(from, reply);
   server_check_conflicts({&msg.lwg, 1});
 }
 
@@ -235,34 +201,29 @@ void NamingAgent::server_broadcast_sync() {
   if (server_->peers.empty()) return;
   const bool full = server_->sync_round % kFullSyncEvery == 0;
   server_->sync_round++;
-  Encoder body;
+  SyncMsg msg{full, {}};
   if (full) {
     if (server_->db.records.empty()) return;
-    // Lend the database to the message rather than copy it.
-    SyncMsg msg{true, std::move(server_->db)};
-    body.reserve(encoded_size(msg));
-    body.put(msg);
-    server_->db = std::move(msg.db);
+    // Lend the database to the message rather than copy it; the transport
+    // has copied the encoding by the time multicast_msg returns.
+    msg.db = std::move(server_->db);
     stats_.full_syncs_sent++;
   } else {
     // Delta round: ship only the records dirtied since the last sync.
     // Nothing dirty means nothing to say — an idle server costs no frames.
     if (server_->dirty.empty()) return;
-    SyncMsg msg{false, {}};
     for (LwgId lwg : server_->dirty) {
       auto it = server_->db.records.find(lwg);
       if (it != server_->db.records.end()) msg.db.records.emplace(*it);
     }
-    body.reserve(encoded_size(msg));
-    body.put(msg);
     stats_.delta_syncs_sent++;
   }
   server_->dirty.clear();
   stats_.syncs_sent += server_->peers.size();
   // One multicast: every peer's copy is byte-identical, so the transport
   // collapses them into a single wire frame (one bus occupancy).
-  multicast_msg(server_->peers, NamingMsgType::kSync, body,
-                transport::MsgClass::kAck);
+  multicast_msg(server_->peers, msg, transport::MsgClass::kAck);
+  if (full) server_->db = std::move(msg.db);
 }
 
 void NamingAgent::server_check_conflicts(std::span<const LwgId> changed) {
@@ -324,9 +285,6 @@ void NamingAgent::server_send_callback(LwgId lwg, const LwgRecord& rec) {
   MultipleMappingsMsg msg;
   msg.lwg = lwg;
   msg.entries = rec.alive_entries();
-  Encoder body;
-  body.reserve(encoded_size(msg));
-  body.put(msg);
   const MemberSet targets = rec.all_members();
   PLWG_DEBUG("names", "server ", node_.id(), " MULTIPLE-MAPPINGS for lwg ",
              lwg, " to ", targets);
@@ -336,28 +294,7 @@ void NamingAgent::server_send_callback(LwgId lwg, const LwgRecord& rec) {
     callback_targets_.push_back(transport::node_of(p));
   }
   stats_.callbacks_sent += callback_targets_.size();
-  multicast_msg(callback_targets_, NamingMsgType::kMultipleMappings, body,
-                transport::MsgClass::kData);
-}
-
-// --- shared ------------------------------------------------------------------
-
-void NamingAgent::send_msg(NodeId to, NamingMsgType type, const Encoder& body) {
-  Encoder packet;
-  packet.reserve(1 + body.size());
-  packet.put_u8(static_cast<std::uint8_t>(type));
-  packet.put_raw(body.bytes());
-  node_.send(transport::Port::kNaming, to, packet);
-}
-
-void NamingAgent::multicast_msg(std::span<const NodeId> to, NamingMsgType type,
-                                const Encoder& body,
-                                transport::MsgClass cls) {
-  Encoder packet;
-  packet.reserve(1 + body.size());
-  packet.put_u8(static_cast<std::uint8_t>(type));
-  packet.put_raw(body.bytes());
-  node_.multicast(transport::Port::kNaming, to, packet, cls);
+  multicast_msg(callback_targets_, msg, transport::MsgClass::kData);
 }
 
 void NamingAgent::tick() {
@@ -373,7 +310,7 @@ void NamingAgent::tick() {
         (static_cast<std::uint64_t>(node_.id().value()) << 32) ^ id);
     if (now - req.sent_at >= timeout) {
       req.server_index++;
-      send_request(id, req);
+      send_request(req);
     }
   }
   // Server: anti-entropy.
@@ -388,29 +325,29 @@ void NamingAgent::tick() {
 void NamingAgent::on_message(NodeId from, Decoder& dec) {
   const auto type = static_cast<NamingMsgType>(dec.get_u8());
   switch (type) {
-    case NamingMsgType::kSetReq:
+    case SetReqMsg::kType:
       if (server_) server_on_set(from, dec.get_exact<SetReqMsg>());
       break;
-    case NamingMsgType::kReadReq:
+    case ReadReqMsg::kType:
       if (server_) server_on_read(from, dec.get_exact<ReadReqMsg>());
       break;
-    case NamingMsgType::kTestSetReq:
+    case TestSetReqMsg::kType:
       if (server_) server_on_testset(from, dec.get_exact<TestSetReqMsg>());
       break;
-    case NamingMsgType::kAck:
+    case AckMsg::kType:
       client_on_ack(dec.get_exact<AckMsg>());
       break;
-    case NamingMsgType::kMappings:
+    case MappingsMsg::kType:
       client_on_mappings(dec.get_exact<MappingsMsg>());
       break;
-    case NamingMsgType::kMultipleMappings: {
+    case MultipleMappingsMsg::kType: {
       const MultipleMappingsMsg msg = dec.get_exact<MultipleMappingsMsg>();
       if (conflict_listener_) {
         conflict_listener_->on_multiple_mappings(msg.lwg, msg.entries);
       }
       break;
     }
-    case NamingMsgType::kSync:
+    case SyncMsg::kType:
       if (server_) server_on_sync(dec.get_exact<SyncMsg>());
       break;
   }

@@ -19,6 +19,7 @@
 #include <optional>
 #include <set>
 #include <span>
+#include <variant>
 #include <vector>
 
 #include "names/mapping.hpp"
@@ -95,11 +96,9 @@ class NamingAgent : public transport::PortHandler {
 
  private:
   struct PendingRequest {
-    NamingMsgType type;
-    LwgId lwg;
-    std::optional<MappingEntry> entry;
-    std::vector<ViewId> predecessors;
-    ReadCallback callback;      // empty for kSetReq
+    /// The request as sent; its req_id is its key in pending_.
+    std::variant<SetReqMsg, ReadReqMsg, TestSetReqMsg> msg;
+    ReadCallback callback;      // empty for SET
     std::size_t server_index = 0;
     Time sent_at = 0;
     std::uint32_t attempts = 0;  // sends so far (retry-backoff input)
@@ -129,7 +128,10 @@ class NamingAgent : public transport::PortHandler {
   };
 
   void tick();
-  void send_request(std::uint64_t req_id, PendingRequest& req);
+  /// File `req`, whose message carries next_req_id_, in pending_ under that
+  /// id, and send it.
+  void start_request(PendingRequest req);
+  void send_request(PendingRequest& req);
   void client_on_ack(const AckMsg& msg);
   void client_on_mappings(const MappingsMsg& msg);
 
@@ -150,9 +152,16 @@ class NamingAgent : public transport::PortHandler {
   /// records (all of them on the first check), in LwgId order.
   void server_check_conflicts(std::span<const LwgId> changed);
   void server_send_callback(LwgId lwg, const LwgRecord& rec);
-  void send_msg(NodeId to, NamingMsgType type, const Encoder& body);
-  void multicast_msg(std::span<const NodeId> to, NamingMsgType type,
-                     const Encoder& body, transport::MsgClass cls);
+  /// Send `msg` to `to` (or multicast it), in its envelope.
+  template <class M>
+  void send_msg(NodeId to, const M& msg) {
+    node_.send(transport::Port::kNaming, to, encode_envelope(msg));
+  }
+  template <class M>
+  void multicast_msg(std::span<const NodeId> to, const M& msg,
+                     transport::MsgClass cls) {
+    node_.multicast(transport::Port::kNaming, to, encode_envelope(msg), cls);
+  }
 
   transport::NodeRuntime& node_;
   std::vector<NodeId> servers_;

@@ -81,9 +81,7 @@ void GroupEndpoint::leave() {
     pending_leavers_.insert(self());
     schedule_view_change();
   } else {
-    Encoder& body = scratch_body();
-    body.put(LeaveReqMsg{self()});
-    unicast(acting_coordinator(), MsgType::kLeaveReq, body);
+    unicast(acting_coordinator(), LeaveReqMsg{self()});
   }
 }
 
@@ -139,9 +137,7 @@ void GroupEndpoint::install_view(const View& view) {
                           std::move(req.payload), req.first_unacked);
     } else {
       req.view = view_.id;
-      Encoder& body = scratch_body();
-      body.put(req);
-      unicast(view_.coordinator(), MsgType::kSendReq, body);
+      unicast(view_.coordinator(), req);
     }
   }
   if (is_acting_coordinator() &&
@@ -158,7 +154,7 @@ void GroupEndpoint::reset_view_state() {
   delivered_upto_ = 0;
   max_seen_ = 0;
   next_order_seq_ = 1;
-  delivery_floor_.clear();
+  delivery_floor_.assign(view_.members.size(), 0);
   stable_upto_ = 0;
   trimmed_upto_ = 0;
   suspected_ = MemberSet{};
@@ -182,12 +178,18 @@ void GroupEndpoint::become_defunct() {
   merge_follow_.reset();
 }
 
-void GroupEndpoint::note_heard(ProcessId p) {
-  if (!has_view_) return;
+std::optional<std::size_t> GroupEndpoint::rank_of(ProcessId p) const {
   const auto& members = view_.members.members();
   const auto it = std::lower_bound(members.begin(), members.end(), p);
-  if (it == members.end() || *it != p) return;
-  last_heard_[static_cast<std::size_t>(it - members.begin())] = now();
+  if (it == members.end() || *it != p) return std::nullopt;
+  return static_cast<std::size_t>(it - members.begin());
+}
+
+void GroupEndpoint::note_heard(ProcessId p) {
+  if (!has_view_) return;
+  const std::optional<std::size_t> rank = rank_of(p);
+  if (!rank) return;
+  last_heard_[*rank] = now();
   // Rehabilitation: live shared-view traffic from a suspect restores trust.
   // Suspicion used to be sticky until a view change reset it, which is fine
   // when the suspecter ends up acting coordinator (it excludes the suspect)
@@ -224,15 +226,6 @@ void GroupEndpoint::update_suspicions() {
   if (changed && is_acting_coordinator()) schedule_view_change();
 }
 
-void GroupEndpoint::unicast(ProcessId to, MsgType type, const Encoder& body) {
-  host_.send_group_msg(gid_, to, type, body);
-}
-
-void GroupEndpoint::multicast(const MemberSet& to, MsgType type,
-                              const Encoder& body) {
-  host_.multicast_group_msg(gid_, to, type, body);
-}
-
 void GroupEndpoint::on_tick() {
   if (defunct()) return;
   const Time t = now();
@@ -261,12 +254,10 @@ void GroupEndpoint::on_tick() {
     const bool sequencer = view_.coordinator() == self();
     if (sequencer) update_stability_floor();
     const std::uint64_t high_water = sequencer ? next_order_seq_ - 1 : 0;
-    Encoder& body = scratch_body();
-    body.put(HeartbeatMsg{view_.id, self(), high_water, delivered_upto_,
-                          stable_upto_});
     MemberSet others = view_.members;
     others.erase(self());
-    multicast(others, MsgType::kHeartbeat, body);
+    multicast(others, HeartbeatMsg{view_.id, self(), high_water,
+                                   delivered_upto_, stable_upto_});
   }
   trim_stable_log();
 
@@ -276,9 +267,7 @@ void GroupEndpoint::on_tick() {
   if (leave_requested_ && !is_acting_coordinator() &&
       (last_leave_req_ < 0 || t - last_leave_req_ >= kJoinRetryUs)) {
     last_leave_req_ = t;
-    Encoder& body = scratch_body();
-    body.put(LeaveReqMsg{self()});
-    unicast(acting_coordinator(), MsgType::kLeaveReq, body);
+    unicast(acting_coordinator(), LeaveReqMsg{self()});
   }
 
   if (t - last_nack_check_ >= kNackCheckUs) {
@@ -363,9 +352,8 @@ void GroupEndpoint::on_tick() {
       (last_flush_done_resent_ < 0 ||
        t - last_flush_done_resent_ >= kFlushRetryUs)) {
     last_flush_done_resent_ = t;
-    Encoder& body = scratch_body();
-    body.put(FlushDoneMsg{part_flush_->old_view, part_flush_->epoch, self()});
-    unicast(part_flush_->initiator, MsgType::kFlushDone, body);
+    unicast(part_flush_->initiator,
+            FlushDoneMsg{part_flush_->old_view, part_flush_->epoch, self()});
   }
 }
 
@@ -377,18 +365,18 @@ void GroupEndpoint::on_message(ProcessId from, MsgType type, Decoder& dec) {
   // them, take over its own stale view, and meet them through the merge
   // path; hearing their probes must not keep its stale trust alive.
   switch (type) {
-    case MsgType::kSendReq:
-    case MsgType::kOrdered:
-    case MsgType::kNack:
-    case MsgType::kHeartbeat:
-    case MsgType::kFlushReq:
-    case MsgType::kFlushAck:
-    case MsgType::kFlushReject:
-    case MsgType::kFetch:
-    case MsgType::kFetchReply:
-    case MsgType::kFlushCut:
-    case MsgType::kFlushDone:
-    case MsgType::kNewView:
+    case SendReqMsg::kType:
+    case OrderedMsgWire::kType:
+    case NackMsg::kType:
+    case HeartbeatMsg::kType:
+    case FlushReqMsg::kType:
+    case FlushAckMsg::kType:
+    case FlushRejectMsg::kType:
+    case FetchMsg::kType:
+    case FetchReplyMsg::kType:
+    case FlushCutMsg::kType:
+    case FlushDoneMsg::kType:
+    case NewViewMsg::kType:
       note_heard(from);
       break;
     default:
@@ -397,14 +385,14 @@ void GroupEndpoint::on_message(ProcessId from, MsgType type, Decoder& dec) {
   // Membership-protocol messages carry a configurable CPU charge (see
   // VsyncConfig::membership_msg_cost_us).
   switch (type) {
-    case MsgType::kFlushReq:
-    case MsgType::kFlushAck:
-    case MsgType::kFlushReject:
-    case MsgType::kFetch:
-    case MsgType::kFetchReply:
-    case MsgType::kFlushCut:
-    case MsgType::kFlushDone:
-    case MsgType::kNewView:
+    case FlushReqMsg::kType:
+    case FlushAckMsg::kType:
+    case FlushRejectMsg::kType:
+    case FetchMsg::kType:
+    case FetchReplyMsg::kType:
+    case FlushCutMsg::kType:
+    case FlushDoneMsg::kType:
+    case NewViewMsg::kType:
       if (config().membership_msg_cost_us > 0) {
         host_.node().network().charge_cpu(host_.node().id(),
                                           config().membership_msg_cost_us);
@@ -414,61 +402,61 @@ void GroupEndpoint::on_message(ProcessId from, MsgType type, Decoder& dec) {
       break;
   }
   switch (type) {
-    case MsgType::kJoinReq:
+    case JoinReqMsg::kType:
       on_join_req(dec.get_exact<JoinReqMsg>());
       break;
-    case MsgType::kLeaveReq:
+    case LeaveReqMsg::kType:
       on_leave_req(dec.get_exact<LeaveReqMsg>());
       break;
-    case MsgType::kSendReq:
+    case SendReqMsg::kType:
       on_send_req(dec.get_exact<SendReqMsg>());
       break;
-    case MsgType::kOrdered:
+    case OrderedMsgWire::kType:
       on_ordered(dec.get_exact<OrderedMsgWire>());
       break;
-    case MsgType::kNack:
+    case NackMsg::kType:
       on_nack(from, dec.get_exact<NackMsg>());
       break;
-    case MsgType::kHeartbeat:
+    case HeartbeatMsg::kType:
       on_heartbeat(dec.get_exact<HeartbeatMsg>());
       break;
-    case MsgType::kFlushReq:
+    case FlushReqMsg::kType:
       on_flush_req(from, dec.get_exact<FlushReqMsg>());
       break;
-    case MsgType::kFlushAck:
+    case FlushAckMsg::kType:
       on_flush_ack(dec.get_exact<FlushAckMsg>());
       break;
-    case MsgType::kFlushReject:
+    case FlushRejectMsg::kType:
       on_flush_reject(dec.get_exact<FlushRejectMsg>());
       break;
-    case MsgType::kFetch:
+    case FetchMsg::kType:
       on_fetch(from, dec.get_exact<FetchMsg>());
       break;
-    case MsgType::kFetchReply:
+    case FetchReplyMsg::kType:
       on_fetch_reply(dec.get_exact<FetchReplyMsg>());
       break;
-    case MsgType::kFlushCut:
+    case FlushCutMsg::kType:
       on_flush_cut(dec.get_exact<FlushCutMsg>());
       break;
-    case MsgType::kFlushDone:
+    case FlushDoneMsg::kType:
       on_flush_done(dec.get_exact<FlushDoneMsg>());
       break;
-    case MsgType::kNewView:
+    case NewViewMsg::kType:
       on_new_view(dec.get_exact<NewViewMsg>());
       break;
-    case MsgType::kMergeProbe:
+    case MergeProbeMsg::kType:
       on_merge_probe(dec.get_exact<MergeProbeMsg>());
       break;
-    case MsgType::kMergeReply:
+    case MergeReplyMsg::kType:
       on_merge_reply(dec.get_exact<MergeReplyMsg>());
       break;
-    case MsgType::kMergeStart:
+    case MergeStartMsg::kType:
       on_merge_start(from, dec.get_exact<MergeStartMsg>());
       break;
-    case MsgType::kMergeFlushed:
+    case MergeFlushedMsg::kType:
       on_merge_flushed(dec.get_exact<MergeFlushedMsg>());
       break;
-    case MsgType::kMergeAbort:
+    case MergeAbortMsg::kType:
       on_merge_abort(dec.get_exact<MergeAbortMsg>());
       break;
   }
@@ -476,12 +464,12 @@ void GroupEndpoint::on_message(ProcessId from, MsgType type, Decoder& dec) {
 
 std::ostream& operator<<(std::ostream& os, GroupEndpoint::State s) {
   switch (s) {
-    case GroupEndpoint::State::kJoining: return os << "Joining";
-    case GroupEndpoint::State::kActive: return os << "Active";
-    case GroupEndpoint::State::kStopping: return os << "Stopping";
-    case GroupEndpoint::State::kFlushing: return os << "Flushing";
-    case GroupEndpoint::State::kStopped: return os << "Stopped";
-    case GroupEndpoint::State::kLeft: return os << "Left";
+    case GroupEndpoint::State::kJoining: return os << "joining";
+    case GroupEndpoint::State::kActive: return os << "active";
+    case GroupEndpoint::State::kStopping: return os << "stopping";
+    case GroupEndpoint::State::kFlushing: return os << "flushing";
+    case GroupEndpoint::State::kStopped: return os << "stopped";
+    case GroupEndpoint::State::kLeft: return os << "left";
   }
   return os << "?";
 }

@@ -151,16 +151,14 @@ class GroupEndpoint {
   [[nodiscard]] bool view_matches(const ViewId& id) const {
     return has_view_ && view_.id == id;
   }
-  void unicast(ProcessId to, MsgType type, const Encoder& body);
-  void multicast(const MemberSet& to, MsgType type, const Encoder& body);
-  /// Cleared-and-reused Encoder for message bodies: every send site
-  /// serializes into this one buffer, so the steady state allocates
-  /// nothing. Sends never nest (encode -> unicast/multicast completes
-  /// before the next body is built), which makes the single buffer safe.
-  Encoder& scratch_body() {
-    body_scratch_.clear();
-    return body_scratch_;
-  }
+  /// `p`'s rank in the view (its index into last_heard_ and
+  /// delivery_floor_), or nullopt if `p` is not a member.
+  [[nodiscard]] std::optional<std::size_t> rank_of(ProcessId p) const;
+  /// Send a vsync message of this group (defined in vsync_host.hpp).
+  template <class M>
+  void unicast(ProcessId to, const M& msg);
+  template <class M>
+  void multicast(const MemberSet& to, const M& msg);
   [[nodiscard]] Time now() const;
   [[nodiscard]] const VsyncConfig& config() const;
   /// Stable jitter salt for this endpoint's backoff paths (self ^ group).
@@ -236,7 +234,6 @@ class GroupEndpoint {
 
   // ---------------------------------------------------------------------
   VsyncHost& host_;
-  Encoder body_scratch_;
   const HwgId gid_;
   GroupUser& user_;
   State state_ = State::kJoining;
@@ -254,7 +251,9 @@ class GroupEndpoint {
   // Stability-floor log GC: the sequencer folds the delivered_upto bounds
   // piggybacked on heartbeats into a view-wide floor and advertises it on
   // every ORDERED and heartbeat; entries at or below the floor are trimmed.
-  std::map<ProcessId, std::uint64_t> delivery_floor_;  // sequencer's intake
+  // delivery_floor_[i] is the highest bound heard from view_.members rank i
+  // (the sequencer's intake); reset_view_state sizes it like last_heard_.
+  std::vector<std::uint64_t> delivery_floor_;
   std::uint64_t stable_upto_ = 0;                // delivered at every member
   std::uint64_t trimmed_upto_ = 0;               // log GC'd up to here
   std::uint64_t next_order_seq_ = 1;             // sequencer counter

@@ -29,10 +29,9 @@ void GroupEndpoint::submit_send(std::vector<std::uint8_t> payload) {
     order_and_multicast(self(), smid, std::move(payload), smid);
     return;
   }
-  Encoder& body = scratch_body();
-  body.put(SendReqMsg{view_.id, self(), smid, unacked_sends_.begin()->first,
-                      std::move(payload)});
-  unicast(view_.coordinator(), MsgType::kSendReq, body);
+  unicast(view_.coordinator(),
+          SendReqMsg{view_.id, self(), smid, unacked_sends_.begin()->first,
+                     std::move(payload)});
 }
 
 void GroupEndpoint::resend_unacked(bool force) {
@@ -59,10 +58,9 @@ void GroupEndpoint::resend_unacked(bool force) {
                           std::vector<std::uint8_t>(send.payload),
                           unacked_sends_.begin()->first);
     } else {
-      Encoder& body = scratch_body();
-      body.put(SendReqMsg{view_.id, self(), smid, unacked_sends_.begin()->first,
-                          std::vector<std::uint8_t>(send.payload)});
-      unicast(view_.coordinator(), MsgType::kSendReq, body);
+      unicast(view_.coordinator(),
+              SendReqMsg{view_.id, self(), smid, unacked_sends_.begin()->first,
+                         std::vector<std::uint8_t>(send.payload)});
     }
   }
 }
@@ -93,12 +91,9 @@ void GroupEndpoint::order_and_multicast(ProcessId origin,
   wire.msg.origin = origin;
   wire.msg.sender_msg_id = sender_msg_id;
   wire.msg.payload = std::move(payload);
-  Encoder& body = scratch_body();
-  body.reserve(encoded_size(wire));
-  body.put(wire);
   // Multicast includes self: the sequencer's own copy arrives through the
   // loopback path so delivery is uniform at every member.
-  multicast(view_.members, MsgType::kOrdered, body);
+  multicast(view_.members, wire);
   // ORDERED traffic feeds every member's failure detector (note_heard) and
   // carries the stability floor, so it IS a heartbeat: suppress the
   // dedicated one while data flows and it costs nothing extra.
@@ -209,9 +204,7 @@ void GroupEndpoint::check_nacks() {
   }
   if (missing.empty()) return;
   stats_.nacks_sent++;
-  Encoder& body = scratch_body();
-  body.put(NackMsg{view_.id, std::move(missing)});
-  unicast(view_.coordinator(), MsgType::kNack, body);
+  unicast(view_.coordinator(), NackMsg{view_.id, std::move(missing)});
 }
 
 void GroupEndpoint::on_nack(ProcessId from, const NackMsg& msg) {
@@ -224,16 +217,14 @@ void GroupEndpoint::on_nack(ProcessId from, const NackMsg& msg) {
     const OrderedMsg* logged = msg_log_.find(seq);
     if (logged == nullptr) continue;
     OrderedMsgWire wire{view_.id, stable_upto_, *logged};
-    Encoder& body = scratch_body();
-    body.put(wire);
-    unicast(from, MsgType::kOrdered, body);
+    unicast(from, wire);
   }
 }
 
 void GroupEndpoint::on_heartbeat(const HeartbeatMsg& hb) {
   if (!view_matches(hb.view)) return;
-  if (view_.members.contains(hb.sender)) {
-    std::uint64_t& floor = delivery_floor_[hb.sender];
+  if (const std::optional<std::size_t> rank = rank_of(hb.sender)) {
+    std::uint64_t& floor = delivery_floor_[*rank];
     floor = std::max(floor, hb.delivered_upto);
   }
   if (hb.sender == view_.coordinator()) {
@@ -248,10 +239,9 @@ void GroupEndpoint::on_heartbeat(const HeartbeatMsg& hb) {
 void GroupEndpoint::update_stability_floor() {
   if (!has_view_ || view_.coordinator() != self()) return;
   std::uint64_t floor = delivered_upto_;
-  for (ProcessId p : view_.members.members()) {
-    if (p == self()) continue;
-    auto it = delivery_floor_.find(p);
-    floor = std::min(floor, it == delivery_floor_.end() ? 0 : it->second);
+  const auto& members = view_.members.members();
+  for (std::size_t i = 0; i < members.size(); ++i) {
+    if (members[i] != self()) floor = std::min(floor, delivery_floor_[i]);
   }
   stable_upto_ = std::max(stable_upto_, floor);
 }

@@ -18,9 +18,7 @@ namespace plwg::vsync {
 void GroupEndpoint::send_join_req() {
   last_join_req_ = now();
   if (join_attempts_ < 32) join_attempts_++;  // backoff input (on_tick)
-  Encoder& body = scratch_body();
-  body.put(JoinReqMsg{self()});
-  multicast(join_contacts_, MsgType::kJoinReq, body);
+  multicast(join_contacts_, JoinReqMsg{self()});
 }
 
 void GroupEndpoint::on_join_req(const JoinReqMsg& msg) {
@@ -39,9 +37,7 @@ void GroupEndpoint::on_join_req(const JoinReqMsg& msg) {
     suspected_.insert(msg.joiner);
   }
   if (!is_acting_coordinator()) {
-    Encoder& body = scratch_body();
-    body.put(msg);
-    unicast(acting_coordinator(), MsgType::kJoinReq, body);
+    unicast(acting_coordinator(), msg);
     return;
   }
   if (pending_joiners_.insert(msg.joiner)) {
@@ -53,9 +49,7 @@ void GroupEndpoint::on_join_req(const JoinReqMsg& msg) {
 void GroupEndpoint::on_leave_req(const LeaveReqMsg& msg) {
   if (!has_view_ || !view_.members.contains(msg.leaver)) return;
   if (!is_acting_coordinator()) {
-    Encoder& body = scratch_body();
-    body.put(msg);
-    unicast(acting_coordinator(), MsgType::kLeaveReq, body);
+    unicast(acting_coordinator(), msg);
     return;
   }
   if (pending_leavers_.insert(msg.leaver)) schedule_view_change();
@@ -102,9 +96,8 @@ void GroupEndpoint::initiate_view_change(bool for_merge) {
   PLWG_DEBUG("vsync", "p", self(), " g", gid_, " flush ", view_.id,
              " epoch=", flush_op_->epoch, " proposal=", proposal);
 
-  Encoder& body = scratch_body();
-  body.put(FlushReqMsg{view_.id, flush_op_->epoch, self(), proposal});
-  multicast(flush_op_->targets, MsgType::kFlushReq, body);
+  multicast(flush_op_->targets,
+            FlushReqMsg{view_.id, flush_op_->epoch, self(), proposal});
 }
 
 void GroupEndpoint::on_flush_req(ProcessId from, const FlushReqMsg& msg) {
@@ -115,9 +108,8 @@ void GroupEndpoint::on_flush_req(ProcessId from, const FlushReqMsg& msg) {
   if (msg.initiator != self()) {
     if (suspected_.contains(msg.initiator) ||
         msg.initiator != acting_coordinator()) {
-      Encoder& body = scratch_body();
-      body.put(FlushRejectMsg{msg.old_view, msg.epoch, self(), suspected_});
-      unicast(msg.initiator, MsgType::kFlushReject, body);
+      unicast(msg.initiator,
+              FlushRejectMsg{msg.old_view, msg.epoch, self(), suspected_});
       return;
     }
   }
@@ -126,9 +118,8 @@ void GroupEndpoint::on_flush_req(ProcessId from, const FlushReqMsg& msg) {
     if (msg.initiator > part_flush_->initiator &&
         !suspected_.contains(part_flush_->initiator)) {
       // A larger-pid pretender lost the race; tell it who we believe in.
-      Encoder& body = scratch_body();
-      body.put(FlushRejectMsg{msg.old_view, msg.epoch, self(), suspected_});
-      unicast(msg.initiator, MsgType::kFlushReject, body);
+      unicast(msg.initiator,
+              FlushRejectMsg{msg.old_view, msg.epoch, self(), suspected_});
       return;
     }
     // Same or smaller initiator (or ours got suspected): adopt the request.
@@ -164,10 +155,9 @@ void GroupEndpoint::maybe_send_flush_ack() {
   std::vector<std::uint64_t> have;
   have.reserve(msg_log_.size());
   for (const OrderedMsg& m : msg_log_) have.push_back(m.seq);
-  Encoder& body = scratch_body();
-  body.put(FlushAckMsg{part_flush_->old_view, part_flush_->epoch, self(),
-                       std::move(have)});
-  unicast(part_flush_->initiator, MsgType::kFlushAck, body);
+  unicast(part_flush_->initiator,
+          FlushAckMsg{part_flush_->old_view, part_flush_->epoch, self(),
+                      std::move(have)});
 }
 
 void GroupEndpoint::on_flush_ack(const FlushAckMsg& msg) {
@@ -218,9 +208,8 @@ void GroupEndpoint::flush_acks_maybe_complete() {
     }
   }
   for (auto& [holder, seqs] : per_holder) {
-    Encoder& body = scratch_body();
-    body.put(FetchMsg{flush_op_->old_view, flush_op_->epoch, std::move(seqs)});
-    unicast(holder, MsgType::kFetch, body);
+    unicast(holder,
+            FetchMsg{flush_op_->old_view, flush_op_->epoch, std::move(seqs)});
   }
 }
 
@@ -232,9 +221,7 @@ void GroupEndpoint::on_fetch(ProcessId from, const FetchMsg& msg) {
   for (std::uint64_t s : msg.seqs) {
     if (const OrderedMsg* m = msg_log_.find(s)) reply.msgs.push_back(*m);
   }
-  Encoder& body = scratch_body();
-  body.put(reply);
-  unicast(from, MsgType::kFetchReply, body);
+  unicast(from, reply);
 }
 
 void GroupEndpoint::on_fetch_reply(const FetchReplyMsg& msg) {
@@ -272,9 +259,7 @@ void GroupEndpoint::send_flush_cut() {
   }
   flush_op_->cut_sent = true;
   flush_op_->started_at = now();  // restart the phase timer for DONE waits
-  Encoder& body = scratch_body();
-  body.put(cut);
-  multicast(flush_op_->targets, MsgType::kFlushCut, body);
+  multicast(flush_op_->targets, cut);
 }
 
 void GroupEndpoint::on_flush_cut(const FlushCutMsg& msg) {
@@ -293,9 +278,8 @@ void GroupEndpoint::on_flush_cut(const FlushCutMsg& msg) {
                                 /*initiator=*/false);
   }
   set_state(State::kStopped);
-  Encoder& body = scratch_body();
-  body.put(FlushDoneMsg{msg.old_view, msg.epoch, self()});
-  unicast(part_flush_->initiator, MsgType::kFlushDone, body);
+  unicast(part_flush_->initiator,
+          FlushDoneMsg{msg.old_view, msg.epoch, self()});
 }
 
 void GroupEndpoint::deliver_cut(const FlushCutMsg& msg) {
@@ -349,10 +333,6 @@ void GroupEndpoint::install_and_announce(const MemberSet& members,
   v.id = ViewId{self(), host_.mint_view_seq(gid_)};
   v.members = members;
   v.predecessors = std::move(predecessors);
-  NewViewMsg msg{v, departed};
-  Encoder& body = scratch_body();
-  body.reserve(encoded_size(msg));
-  body.put(msg);
   // Recipients: new members (including joiners), flush survivors (so leavers
   // learn the outcome), all via one multicast. Our own copy arrives by
   // loopback and installs the view locally.
@@ -360,7 +340,7 @@ void GroupEndpoint::install_and_announce(const MemberSet& members,
   for (ProcessId j : pending_joiners_.members()) {
     if (members.contains(j)) all.insert(j);
   }
-  multicast(all, MsgType::kNewView, body);
+  multicast(all, NewViewMsg{v, departed});
 }
 
 // A FLUSH_DONE for a flush we are not running comes from a straggler still
@@ -383,10 +363,7 @@ void GroupEndpoint::answer_stale_flush_done(const FlushDoneMsg& msg) {
       std::find(preds.begin(), preds.end(), msg.old_view) != preds.end();
   NewViewMsg reply{view_,
                    direct_successor ? departed_ : MemberSet{msg.sender}};
-  Encoder& body = scratch_body();
-  body.reserve(encoded_size(reply));
-  body.put(reply);
-  unicast(msg.sender, MsgType::kNewView, body);
+  unicast(msg.sender, reply);
 }
 
 void GroupEndpoint::on_new_view(const NewViewMsg& msg) {
@@ -448,10 +425,9 @@ void GroupEndpoint::flush_phase_timeout() {
     // First stall: benign loss — re-send the current phase message.
     flush_op_->retries++;
     if (!flush_op_->cut_sent) {
-      Encoder& body = scratch_body();
-      body.put(FlushReqMsg{flush_op_->old_view, flush_op_->epoch, self(),
-                           flush_op_->proposal});
-      multicast(flush_op_->targets, MsgType::kFlushReq, body);
+      multicast(flush_op_->targets,
+                FlushReqMsg{flush_op_->old_view, flush_op_->epoch, self(),
+                            flush_op_->proposal});
     } else {
       flush_op_->cut_sent = false;
       send_flush_cut();

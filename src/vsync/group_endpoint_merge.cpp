@@ -20,7 +20,6 @@ void GroupEndpoint::send_merge_probe() {
   const MemberSet targets =
       known_peers_.set_difference(view_.members).set_difference(departed_);
   if (targets.empty()) return;
-  Encoder& body = scratch_body();
   if (!is_acting_coordinator()) {
     // Only the coordinator can lead a merge, but it probes from its own
     // known_peers_ — and after a crash–restart the coordinator may be the
@@ -29,13 +28,12 @@ void GroupEndpoint::send_merge_probe() {
     // same-view probe: the coordinator learns the member set and drops the
     // message at the same-view check, and its next probe round reaches
     // peers only we remembered.
-    body.put(MergeProbeMsg{view_.id, self(),
-                           known_peers_.set_difference(departed_)});
-    unicast(acting_coordinator(), MsgType::kMergeProbe, body);
+    unicast(acting_coordinator(),
+            MergeProbeMsg{view_.id, self(),
+                          known_peers_.set_difference(departed_)});
     return;
   }
-  body.put(MergeProbeMsg{view_.id, self(), view_.members});
-  multicast(targets, MsgType::kMergeProbe, body);
+  multicast(targets, MergeProbeMsg{view_.id, self(), view_.members});
 }
 
 void GroupEndpoint::on_merge_probe(const MergeProbeMsg& msg) {
@@ -46,9 +44,7 @@ void GroupEndpoint::on_merge_probe(const MergeProbeMsg& msg) {
   known_peers_.insert(msg.sender);
   if (msg.view == view_.id) return;  // same view: nothing to merge
   if (!is_acting_coordinator()) {
-    Encoder& body = scratch_body();
-    body.put(msg);
-    unicast(acting_coordinator(), MsgType::kMergeProbe, body);
+    unicast(acting_coordinator(), msg);
     return;
   }
   if (flush_op_ || merge_leader_ || merge_follow_ ||
@@ -58,9 +54,7 @@ void GroupEndpoint::on_merge_probe(const MergeProbeMsg& msg) {
   if (self() < msg.sender) {
     begin_merge_as_leader(msg);
   } else {
-    Encoder& body = scratch_body();
-    body.put(MergeReplyMsg{view_.id, self(), view_.members});
-    unicast(msg.sender, MsgType::kMergeReply, body);
+    unicast(msg.sender, MergeReplyMsg{{view_.id, self(), view_.members}});
   }
 }
 
@@ -89,9 +83,8 @@ void GroupEndpoint::begin_merge_as_leader(const MergeProbeMsg& other) {
   PLWG_DEBUG("vsync", "p", self(), " g", gid_, " leads merge of ", view_.id,
              " + ", other.view);
 
-  Encoder& body = scratch_body();
-  body.put(MergeStartMsg{merge_leader_->epoch, self(), {view_.id, other.view}});
-  unicast(other.sender, MsgType::kMergeStart, body);
+  unicast(other.sender,
+          MergeStartMsg{merge_leader_->epoch, self(), {view_.id, other.view}});
   initiate_view_change(/*for_merge=*/true);
 }
 
@@ -115,10 +108,8 @@ void GroupEndpoint::merge_self_flush_complete(MemberSet survivors) {
     return;
   }
   if (merge_follow_) {
-    Encoder& body = scratch_body();
-    body.put(
-        MergeFlushedMsg{merge_follow_->epoch, view_.id, self(), survivors});
-    unicast(merge_follow_->leader, MsgType::kMergeFlushed, body);
+    unicast(merge_follow_->leader,
+            MergeFlushedMsg{merge_follow_->epoch, view_.id, self(), survivors});
     // Remain Stopped; the leader's NEW_VIEW (whose predecessors include our
     // view id) completes the merge. The watchdog re-forms the view if the
     // leader dies.
@@ -165,9 +156,7 @@ void GroupEndpoint::merge_timeout() {
   PLWG_DEBUG("vsync", "p", self(), " g", gid_, " merge timed out");
   for (const MergeParty& party : merge_leader_->parties) {
     if (party.flushed) continue;
-    Encoder& body = scratch_body();
-    body.put(MergeAbortMsg{merge_leader_->epoch});
-    unicast(party.coordinator, MsgType::kMergeAbort, body);
+    unicast(party.coordinator, MergeAbortMsg{merge_leader_->epoch});
   }
   const bool self_flushed = merge_leader_->self_flushed;
   const MemberSet survivors = merge_leader_->self_survivors;

@@ -1,9 +1,11 @@
 // Wire messages of the heavy-weight group (vsync) protocol.
 //
-// Every packet on Port::kVsync is framed as
-//   [HwgId gid][u8 MsgType][type-specific body]
-// and each body carries the ViewId it pertains to where relevant, so stale
-// traffic from superseded views is filtered deterministically.
+// Every packet on Port::kVsync is one message in its envelope (see
+// encode_envelope below):
+//   [HwgId gid][u8 M::kType][M's fields]
+// Each message declares its tag (kType) next to its field list, and each
+// body carries the ViewId it pertains to where relevant, so stale traffic
+// from superseded views is filtered deterministically.
 #pragma once
 
 #include <cstdint>
@@ -17,6 +19,7 @@
 
 namespace plwg::vsync {
 
+/// The wire values of the message tags; each message names its own in kType.
 enum class MsgType : std::uint8_t {
   kJoinReq = 1,
   kLeaveReq,
@@ -55,12 +58,14 @@ struct OrderedMsg {
 struct JoinReqMsg {
   ProcessId joiner;
 
+  static constexpr MsgType kType = MsgType::kJoinReq;
   static constexpr auto kFields = std::tuple{&JoinReqMsg::joiner};
 };
 
 struct LeaveReqMsg {
   ProcessId leaver;
 
+  static constexpr MsgType kType = MsgType::kLeaveReq;
   static constexpr auto kFields = std::tuple{&LeaveReqMsg::leaver};
 };
 
@@ -75,6 +80,7 @@ struct SendReqMsg {
   std::uint64_t first_unacked = 0;
   std::vector<std::uint8_t> payload;
 
+  static constexpr MsgType kType = MsgType::kSendReq;
   static constexpr auto kFields =
       std::tuple{&SendReqMsg::view, &SendReqMsg::origin,
                  &SendReqMsg::sender_msg_id, &SendReqMsg::first_unacked,
@@ -89,6 +95,7 @@ struct OrderedMsgWire {
   std::uint64_t stable_upto = 0;
   OrderedMsg msg;
 
+  static constexpr MsgType kType = MsgType::kOrdered;
   static constexpr auto kFields =
       std::tuple{&OrderedMsgWire::view, &OrderedMsgWire::stable_upto,
                  &OrderedMsgWire::msg};
@@ -98,6 +105,7 @@ struct NackMsg {
   ViewId view;
   std::vector<std::uint64_t> missing;
 
+  static constexpr MsgType kType = MsgType::kNack;
   static constexpr auto kFields = std::tuple{&NackMsg::view, &NackMsg::missing};
 };
 
@@ -117,6 +125,7 @@ struct HeartbeatMsg {
   /// every member and safe to trim from retransmission logs.
   std::uint64_t stable_upto = 0;
 
+  static constexpr MsgType kType = MsgType::kHeartbeat;
   static constexpr auto kFields =
       std::tuple{&HeartbeatMsg::view, &HeartbeatMsg::sender,
                  &HeartbeatMsg::max_seq, &HeartbeatMsg::delivered_upto,
@@ -129,6 +138,7 @@ struct FlushReqMsg {
   ProcessId initiator;
   MemberSet proposal;  // membership of the view being prepared
 
+  static constexpr MsgType kType = MsgType::kFlushReq;
   static constexpr auto kFields =
       std::tuple{&FlushReqMsg::old_view, &FlushReqMsg::epoch,
                  &FlushReqMsg::initiator, &FlushReqMsg::proposal};
@@ -140,6 +150,7 @@ struct FlushAckMsg {
   ProcessId sender;
   std::vector<std::uint64_t> have;  // every seq received in old_view
 
+  static constexpr MsgType kType = MsgType::kFlushAck;
   static constexpr auto kFields =
       std::tuple{&FlushAckMsg::old_view, &FlushAckMsg::epoch,
                  &FlushAckMsg::sender, &FlushAckMsg::have};
@@ -151,6 +162,7 @@ struct FlushRejectMsg {
   ProcessId sender;
   MemberSet suspected;  // rejector's suspicion set, to help convergence
 
+  static constexpr MsgType kType = MsgType::kFlushReject;
   static constexpr auto kFields =
       std::tuple{&FlushRejectMsg::old_view, &FlushRejectMsg::epoch,
                  &FlushRejectMsg::sender, &FlushRejectMsg::suspected};
@@ -161,6 +173,7 @@ struct FetchMsg {
   std::uint32_t epoch = 0;
   std::vector<std::uint64_t> seqs;
 
+  static constexpr MsgType kType = MsgType::kFetch;
   static constexpr auto kFields =
       std::tuple{&FetchMsg::old_view, &FetchMsg::epoch, &FetchMsg::seqs};
 };
@@ -170,6 +183,7 @@ struct FetchReplyMsg {
   std::uint32_t epoch = 0;
   std::vector<OrderedMsg> msgs;
 
+  static constexpr MsgType kType = MsgType::kFetchReply;
   static constexpr auto kFields =
       std::tuple{&FetchReplyMsg::old_view, &FetchReplyMsg::epoch,
                  &FetchReplyMsg::msgs};
@@ -181,6 +195,7 @@ struct FlushCutMsg {
   std::vector<std::uint64_t> cut;    // ordered seqs every survivor delivers
   std::vector<OrderedMsg> retrans;   // contents for anyone missing them
 
+  static constexpr MsgType kType = MsgType::kFlushCut;
   static constexpr auto kFields =
       std::tuple{&FlushCutMsg::old_view, &FlushCutMsg::epoch, &FlushCutMsg::cut,
                  &FlushCutMsg::retrans};
@@ -191,6 +206,7 @@ struct FlushDoneMsg {
   std::uint32_t epoch = 0;
   ProcessId sender;
 
+  static constexpr MsgType kType = MsgType::kFlushDone;
   static constexpr auto kFields =
       std::tuple{&FlushDoneMsg::old_view, &FlushDoneMsg::epoch,
                  &FlushDoneMsg::sender};
@@ -202,6 +218,7 @@ struct NewViewMsg {
   /// probe target set (crash/partition exclusions stay probeable).
   MemberSet departed;
 
+  static constexpr MsgType kType = MsgType::kNewView;
   static constexpr auto kFields =
       std::tuple{&NewViewMsg::view, &NewViewMsg::departed};
 };
@@ -211,18 +228,23 @@ struct MergeProbeMsg {
   ProcessId sender;  // acting coordinator of `view`
   MemberSet members;
 
+  static constexpr MsgType kType = MsgType::kMergeProbe;
   static constexpr auto kFields =
       std::tuple{&MergeProbeMsg::view, &MergeProbeMsg::sender,
                  &MergeProbeMsg::members};
 };
 
-using MergeReplyMsg = MergeProbeMsg;  // identical shape, opposite direction
+/// MERGE_PROBE's answer: the same fields, the opposite direction.
+struct MergeReplyMsg : MergeProbeMsg {
+  static constexpr MsgType kType = MsgType::kMergeReply;
+};
 
 struct MergeStartMsg {
   std::uint32_t merge_epoch = 0;
   ProcessId leader;
   std::vector<ViewId> parties;
 
+  static constexpr MsgType kType = MsgType::kMergeStart;
   static constexpr auto kFields =
       std::tuple{&MergeStartMsg::merge_epoch, &MergeStartMsg::leader,
                  &MergeStartMsg::parties};
@@ -234,6 +256,7 @@ struct MergeFlushedMsg {
   ProcessId sender;
   MemberSet members;        // its surviving members
 
+  static constexpr MsgType kType = MsgType::kMergeFlushed;
   static constexpr auto kFields =
       std::tuple{&MergeFlushedMsg::merge_epoch, &MergeFlushedMsg::view,
                  &MergeFlushedMsg::sender, &MergeFlushedMsg::members};
@@ -242,7 +265,19 @@ struct MergeFlushedMsg {
 struct MergeAbortMsg {
   std::uint32_t merge_epoch = 0;
 
+  static constexpr MsgType kType = MsgType::kMergeAbort;
   static constexpr auto kFields = std::tuple{&MergeAbortMsg::merge_epoch};
 };
+
+/// Writes `msg` into `out` (cleared first) as one Port::kVsync packet of
+/// group `gid`: [HwgId gid][u8 M::kType][M's fields].
+template <class M>
+const Encoder& encode_envelope(Encoder& out, HwgId gid, const M& msg) {
+  out.clear();
+  out.put(gid);
+  out.put_u8(static_cast<std::uint8_t>(M::kType));
+  out.put(msg);
+  return out;
+}
 
 }  // namespace plwg::vsync

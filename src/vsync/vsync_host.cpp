@@ -9,21 +9,6 @@ namespace {
 /// Host-level periodic driver period. Heartbeats, suspicion checks, batch
 /// expiry etc. are all expressed as deadlines evaluated on this tick.
 constexpr Duration kTickUs = 50'000;
-
-/// Stability traffic — liveness, acknowledgement bounds, and flush votes —
-/// is tagged so the transport can report how much of it piggybacked on
-/// frames it shared with data instead of costing frames of its own.
-transport::MsgClass class_of(MsgType type) {
-  switch (type) {
-    case MsgType::kNack:
-    case MsgType::kHeartbeat:
-    case MsgType::kFlushAck:
-    case MsgType::kFlushDone:
-      return transport::MsgClass::kAck;
-    default:
-      return transport::MsgClass::kData;
-  }
-}
 }  // namespace
 
 VsyncHost::VsyncHost(transport::NodeRuntime& node, VsyncConfig config,
@@ -130,28 +115,6 @@ std::vector<HwgId> VsyncHost::groups() const {
     if (!ep->defunct()) out.push_back(gid);
   }
   return out;
-}
-
-const Encoder& VsyncHost::frame(HwgId gid, MsgType type, const Encoder& body) {
-  frame_scratch_.clear();
-  frame_scratch_.reserve(9 + body.size());  // u64 gid + u8 type + body
-  frame_scratch_.put_id(gid);
-  frame_scratch_.put_u8(static_cast<std::uint8_t>(type));
-  frame_scratch_.put_raw(body.bytes());
-  return frame_scratch_;
-}
-
-void VsyncHost::send_group_msg(HwgId gid, ProcessId to, MsgType type,
-                               const Encoder& body) {
-  node_.send(transport::Port::kVsync, transport::node_of(to),
-             frame(gid, type, body), class_of(type));
-}
-
-void VsyncHost::multicast_group_msg(HwgId gid, const MemberSet& to,
-                                    MsgType type, const Encoder& body) {
-  node_.multicast(transport::Port::kVsync,
-                  std::span<const ProcessId>(to.members()),
-                  frame(gid, type, body), class_of(type));
 }
 
 void VsyncHost::on_message(NodeId from, Decoder& dec) {

@@ -67,10 +67,20 @@ class VsyncHost : public transport::PortHandler {
   [[nodiscard]] VsyncObserver* observer() const { return observer_; }
 
   // --- used by GroupEndpoint ----------------------------------------------
-  void send_group_msg(HwgId gid, ProcessId to, MsgType type,
-                      const Encoder& body);
-  void multicast_group_msg(HwgId gid, const MemberSet& to, MsgType type,
-                           const Encoder& body);
+  /// Send `msg` of group `gid` to `to`, in its envelope.
+  template <class M>
+  void send_group_msg(HwgId gid, ProcessId to, const M& msg) {
+    node_.send(transport::Port::kVsync, transport::node_of(to),
+               encode_envelope(frame_scratch_, gid, msg), class_of(M::kType));
+  }
+  /// Multicast `msg` of group `gid` to every process in `to`.
+  template <class M>
+  void multicast_group_msg(HwgId gid, const MemberSet& to, const M& msg) {
+    node_.multicast(transport::Port::kVsync,
+                    std::span<const ProcessId>(to.members()),
+                    encode_envelope(frame_scratch_, gid, msg),
+                    class_of(M::kType));
+  }
   /// Next view-sequence number this process mints for `gid`. Lives at host
   /// scope — not in the endpoint — so a process that leaves a group and
   /// later rejoins it never reuses a (coordinator, seq) view id it already
@@ -88,10 +98,22 @@ class VsyncHost : public transport::PortHandler {
   void on_message(NodeId from, Decoder& dec) override;
 
  private:
+  /// Stability traffic — liveness, acknowledgement bounds, and flush votes
+  /// — is tagged so the transport can report how much of it piggybacked on
+  /// frames it shared with data instead of costing frames of its own.
+  [[nodiscard]] static constexpr transport::MsgClass class_of(MsgType type) {
+    switch (type) {
+      case NackMsg::kType:
+      case HeartbeatMsg::kType:
+      case FlushAckMsg::kType:
+      case FlushDoneMsg::kType:
+        return transport::MsgClass::kAck;
+      default:
+        return transport::MsgClass::kData;
+    }
+  }
   void tick();
   void sweep_defunct();
-  [[nodiscard]] const Encoder& frame(HwgId gid, MsgType type,
-                                     const Encoder& body);
 
   transport::NodeRuntime& node_;
   VsyncConfig config_;
@@ -99,10 +121,21 @@ class VsyncHost : public transport::PortHandler {
   VsyncObserver* observer_ = nullptr;  // not owned
   std::unordered_map<HwgId, std::unique_ptr<GroupEndpoint>> endpoints_;
   bool dispatching_ = false;
-  // Reused for every outbound frame; safe because the transport copies the
-  // frame into the packet before returning and nothing sends re-entrantly
-  // while a frame is being built.
+  // Every outbound message is encoded here; safe because the transport
+  // copies it into the destination's batch before returning and nothing
+  // sends re-entrantly while a message is being encoded.
   Encoder frame_scratch_;
 };
+
+// GroupEndpoint's send helpers need the complete VsyncHost.
+template <class M>
+void GroupEndpoint::unicast(ProcessId to, const M& msg) {
+  host_.send_group_msg(gid_, to, msg);
+}
+
+template <class M>
+void GroupEndpoint::multicast(const MemberSet& to, const M& msg) {
+  host_.multicast_group_msg(gid_, to, msg);
+}
 
 }  // namespace plwg::vsync

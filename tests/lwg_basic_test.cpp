@@ -229,7 +229,7 @@ TEST_F(LwgBasicTest, MalformedLwgMessageIsDroppedAndCountedByTheLwgLayer) {
   const HwgId gid = *lwg(1).hwg_of(id);
   // A JOIN cut short after its type byte, ordered on the HWG like any
   // LWG message, then an ordinary DATA from the same sender.
-  world().vsync(1).send(gid, {static_cast<std::uint8_t>(LwgMsgType::kJoin), 1});
+  world().vsync(1).send(gid, {static_cast<std::uint8_t>(JoinMsg::kType), 1});
   lwg(1).send(id, payload(7));
   ASSERT_TRUE(run_until(
       [&] {

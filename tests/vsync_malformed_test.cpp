@@ -11,15 +11,11 @@ namespace {
 
 class VsyncMalformedTest : public VsyncFixture {
  protected:
-  /// Sends `body` as a vsync message of `type` for `gid` from `from`, a bare
-  /// runtime with no vsync stack of its own, to process `to`.
-  void inject(transport::NodeRuntime& from, std::size_t to, HwgId gid,
-              MsgType type, const Encoder& body) {
-    Encoder frame;
-    frame.put(gid);
-    frame.put(static_cast<std::uint8_t>(type));
-    frame.put_raw(body.bytes());
-    from.send(transport::Port::kVsync, node(to), frame);
+  /// Sends `packet`, a whole vsync packet, from `from`, a bare runtime with
+  /// no vsync stack of its own, to process `to`.
+  void inject(transport::NodeRuntime& from, std::size_t to,
+              const Encoder& packet) {
+    from.send(transport::Port::kVsync, node(to), packet);
     run_for(100'000);
   }
 };
@@ -37,17 +33,18 @@ TEST_F(VsyncMalformedTest, FlushDoneWithATrailingByteIsCountedAndIgnored) {
 
   transport::NodeRuntime stranger(*net_);
   Encoder done;
-  done.put(FlushDoneMsg{ViewId{stranger.process_id(), 1}, 1,
-                        stranger.process_id()});
+  encode_envelope(done, gid,
+                  FlushDoneMsg{ViewId{stranger.process_id(), 1}, 1,
+                               stranger.process_id()});
   Encoder padded = done;
   padded.put_u8(0);
 
-  inject(stranger, 0, gid, MsgType::kFlushDone, padded);
+  inject(stranger, 0, padded);
   EXPECT_EQ(nodes_[0]->stats().decode_errors, 1u);
   // A NEW_VIEW answer would reach the stranger's unbound vsync port.
   EXPECT_EQ(stranger.stats().unbound_port_drops, 0u);
 
-  inject(stranger, 0, gid, MsgType::kFlushDone, done);
+  inject(stranger, 0, done);
   EXPECT_EQ(nodes_[0]->stats().decode_errors, 1u);
   EXPECT_EQ(stranger.stats().unbound_port_drops, 1u);
 }
@@ -62,8 +59,10 @@ TEST_F(VsyncMalformedTest, DecodeFailureDoesNotStallTheDefunctSweep) {
 
   transport::NodeRuntime stranger(*net_);
   Encoder truncated;
+  truncated.put(gid);
+  truncated.put_u8(static_cast<std::uint8_t>(HeartbeatMsg::kType));
   truncated.put_u8(0);  // a HEARTBEAT needs far more than one byte
-  inject(stranger, 0, gid, MsgType::kHeartbeat, truncated);
+  inject(stranger, 0, truncated);
   ASSERT_EQ(nodes_[0]->stats().decode_errors, 1u);
 
   host(0).leave_group(gid);  // sole member: the endpoint goes defunct

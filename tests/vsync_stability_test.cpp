@@ -134,7 +134,7 @@ class VsyncLogTest : public VsyncFixture {
     Encoder enc;
     enc.put(wire);
     Decoder dec(enc.bytes());
-    ep_->on_message(pid(0), MsgType::kOrdered, dec);
+    ep_->on_message(pid(0), OrderedMsgWire::kType, dec);
   }
 
   std::vector<std::uint8_t> delivered_tags() {

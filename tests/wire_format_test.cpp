@@ -8,11 +8,14 @@
 // Every type also round-trips exactly (encode(decode(bytes)) == bytes),
 // reports its encoded length as its derived size, has the empty encoding
 // as its count floor, rejects every truncation and a trailing byte, and
-// survives random garbage (decode or CodecError, nothing else).
+// survives random garbage (decode or CodecError, nothing else). Every
+// message also carries its tag's literal wire value in kType, and its
+// layer's envelope is the tag then the pinned fields.
 #include <gtest/gtest.h>
 
 #include <span>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "lwg/messages.hpp"
@@ -174,6 +177,10 @@ WIRE_CASE(MergeProbeMsg,
           "010000000200000000000000010000000200000001000000"
           "02000000",
           MergeProbeMsg{vid(1, 2), ProcessId{1}, members({1, 2})});
+WIRE_CASE(MergeReplyMsg,
+          "010000000200000000000000010000000200000001000000"
+          "02000000",
+          MergeReplyMsg{{vid(1, 2), ProcessId{1}, members({1, 2})}});
 WIRE_CASE(MergeStartMsg,
           "050000000100000002000000010000000200000000000000"
           "040000000300000000000000",
@@ -319,8 +326,8 @@ using WireTypes = ::testing::Types<
     ViewId, View, MemberSet, OrderedMsg, JoinReqMsg, LeaveReqMsg, SendReqMsg,
     OrderedMsgWire, NackMsg, HeartbeatMsg, FlushReqMsg, FlushAckMsg,
     FlushRejectMsg, FetchMsg, FetchReplyMsg, FlushCutMsg, FlushDoneMsg,
-    NewViewMsg, MergeProbeMsg, MergeStartMsg, MergeFlushedMsg, MergeAbortMsg,
-    lwg::LwgView, lwg::LwgViewInfo, lwg::DataMsg, lwg::JoinMsg, lwg::LeaveMsg,
+    NewViewMsg, MergeProbeMsg, MergeReplyMsg, MergeStartMsg, MergeFlushedMsg,
+    MergeAbortMsg, lwg::LwgView, lwg::LwgViewInfo, lwg::DataMsg, lwg::JoinMsg, lwg::LeaveMsg,
     lwg::ViewMsg, lwg::SwitchMsg, lwg::SwitchReadyMsg, lwg::SwitchedMsg,
     lwg::RedirectMsg, lwg::MergeViewsMsg, lwg::AnnounceMsg, names::MappingEntry,
     names::LwgRecord, names::Database, names::SetReqMsg, names::ReadReqMsg,
@@ -413,6 +420,91 @@ TYPED_TEST(WireFormat, SurvivesGarbage) {
       // expected for malformed input
     }
   }
+}
+
+// --- message tags and envelopes ---------------------------------------------
+
+// The tag every message is sent under, as literal wire values. A message
+// declaring the wrong kType fails here even if no golden run sends it.
+template <class M>
+constexpr std::uint8_t kWireTag = 0;
+template <> constexpr std::uint8_t kWireTag<JoinReqMsg> = 1;
+template <> constexpr std::uint8_t kWireTag<LeaveReqMsg> = 2;
+template <> constexpr std::uint8_t kWireTag<SendReqMsg> = 3;
+template <> constexpr std::uint8_t kWireTag<OrderedMsgWire> = 4;
+template <> constexpr std::uint8_t kWireTag<NackMsg> = 5;
+template <> constexpr std::uint8_t kWireTag<HeartbeatMsg> = 6;
+template <> constexpr std::uint8_t kWireTag<FlushReqMsg> = 7;
+template <> constexpr std::uint8_t kWireTag<FlushAckMsg> = 8;
+template <> constexpr std::uint8_t kWireTag<FlushRejectMsg> = 9;
+template <> constexpr std::uint8_t kWireTag<FetchMsg> = 10;
+template <> constexpr std::uint8_t kWireTag<FetchReplyMsg> = 11;
+template <> constexpr std::uint8_t kWireTag<FlushCutMsg> = 12;
+template <> constexpr std::uint8_t kWireTag<FlushDoneMsg> = 13;
+template <> constexpr std::uint8_t kWireTag<NewViewMsg> = 14;
+template <> constexpr std::uint8_t kWireTag<MergeProbeMsg> = 15;
+template <> constexpr std::uint8_t kWireTag<MergeReplyMsg> = 16;
+template <> constexpr std::uint8_t kWireTag<MergeStartMsg> = 17;
+template <> constexpr std::uint8_t kWireTag<MergeFlushedMsg> = 18;
+template <> constexpr std::uint8_t kWireTag<MergeAbortMsg> = 19;
+template <> constexpr std::uint8_t kWireTag<lwg::DataMsg> = 1;
+template <> constexpr std::uint8_t kWireTag<lwg::JoinMsg> = 2;
+template <> constexpr std::uint8_t kWireTag<lwg::LeaveMsg> = 3;
+template <> constexpr std::uint8_t kWireTag<lwg::ViewMsg> = 4;
+template <> constexpr std::uint8_t kWireTag<lwg::SwitchMsg> = 5;
+template <> constexpr std::uint8_t kWireTag<lwg::SwitchReadyMsg> = 6;
+template <> constexpr std::uint8_t kWireTag<lwg::SwitchedMsg> = 7;
+template <> constexpr std::uint8_t kWireTag<lwg::RedirectMsg> = 8;
+template <> constexpr std::uint8_t kWireTag<lwg::MergeViewsMsg> = 9;
+template <> constexpr std::uint8_t kWireTag<lwg::AnnounceMsg> = 11;
+template <> constexpr std::uint8_t kWireTag<names::SetReqMsg> = 1;
+template <> constexpr std::uint8_t kWireTag<names::ReadReqMsg> = 2;
+template <> constexpr std::uint8_t kWireTag<names::TestSetReqMsg> = 3;
+template <> constexpr std::uint8_t kWireTag<names::AckMsg> = 4;
+template <> constexpr std::uint8_t kWireTag<names::MappingsMsg> = 5;
+template <> constexpr std::uint8_t kWireTag<names::MultipleMappingsMsg> = 6;
+template <> constexpr std::uint8_t kWireTag<names::SyncMsg> = 7;
+
+using MessageTypes = ::testing::Types<
+    JoinReqMsg, LeaveReqMsg, SendReqMsg, OrderedMsgWire, NackMsg, HeartbeatMsg,
+    FlushReqMsg, FlushAckMsg, FlushRejectMsg, FetchMsg, FetchReplyMsg,
+    FlushCutMsg, FlushDoneMsg, NewViewMsg, MergeProbeMsg, MergeReplyMsg,
+    MergeStartMsg, MergeFlushedMsg, MergeAbortMsg, lwg::DataMsg, lwg::JoinMsg,
+    lwg::LeaveMsg, lwg::ViewMsg, lwg::SwitchMsg, lwg::SwitchReadyMsg,
+    lwg::SwitchedMsg, lwg::RedirectMsg, lwg::MergeViewsMsg, lwg::AnnounceMsg,
+    names::SetReqMsg, names::ReadReqMsg, names::TestSetReqMsg, names::AckMsg,
+    names::MappingsMsg, names::MultipleMappingsMsg, names::SyncMsg>;
+
+/// `msg` in its layer's envelope; a vsync message is sent in group 0xAB.
+template <class M>
+std::vector<std::uint8_t> envelope_bytes(const M& msg) {
+  using Tag = std::remove_const_t<decltype(M::kType)>;
+  if constexpr (std::is_same_v<Tag, MsgType>) {
+    Encoder enc;
+    return encode_envelope(enc, HwgId{0xAB}, msg).bytes();
+  } else if constexpr (std::is_same_v<Tag, lwg::LwgMsgType>) {
+    return lwg::encode_envelope(msg);
+  } else {
+    return names::encode_envelope(msg).take();
+  }
+}
+
+template <class M>
+class WireTag : public ::testing::Test {};
+TYPED_TEST_SUITE(WireTag, MessageTypes, WireTypeName);
+
+TYPED_TEST(WireTag, KTypeIsTheWireValue) {
+  EXPECT_EQ(static_cast<std::uint8_t>(TypeParam::kType), kWireTag<TypeParam>);
+}
+
+// vsync: [u64 gid][u8 tag][fields]; LWG and naming: [u8 tag][fields].
+TYPED_TEST(WireTag, EnvelopeIsTheTagThenTheFields) {
+  const bool vsync = std::is_same_v<
+      std::remove_const_t<decltype(TypeParam::kType)>, MsgType>;
+  const std::vector<std::uint8_t> tag{kWireTag<TypeParam>};
+  EXPECT_EQ(to_hex(envelope_bytes(Case<TypeParam>::value())),
+            (vsync ? "ab00000000000000" : "") + to_hex(tag) +
+                Case<TypeParam>::kHex);
 }
 
 }  // namespace
