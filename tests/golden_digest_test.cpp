@@ -7,6 +7,9 @@
 //
 // Cases:
 //   scenario:<file>:seed=<n>  every scenarios/*.json through run_scenario
+//   chaos:seed=<n>            ChaosMonkey's random injector (partitions,
+//                             crashes, restarts) on a 3-segment world with
+//                             traffic, then quiesce and convergence
 //   fig2:oracle=<on|off>      the single-LAN Fig. 2 world (dynamic mapping)
 //                             with closed-loop traffic; the oracle only
 //                             observes, so both digests are equal
@@ -33,6 +36,7 @@
 #include <vector>
 
 #include "fig2_common.hpp"
+#include "harness/chaos.hpp"
 #include "harness/scenario.hpp"
 #include "harness/world.hpp"
 #include "lwg/lwg_user.hpp"
@@ -111,6 +115,57 @@ TEST(GoldenDigestTest, TableCoversTheScenarioCorpus) {
     if (key.rfind("scenario:", 0) == 0) have.insert(key);
   }
   EXPECT_EQ(want, have);
+}
+
+/// The random injector's schedule: 3 segments x 2 processes, one LWG over
+/// all six, 10 sim-s of random partitions, crashes and restarts with one
+/// send per alive process every 100 ms, then quiesce and convergence. The
+/// run must inject every fault kind, so its row cannot pin a quiet run.
+std::uint64_t chaos_digest(std::uint64_t seed) {
+  WorldConfig cfg;
+  cfg.num_processes = 6;
+  cfg.num_name_servers = 2;
+  cfg.segments = {{0, 1}, {2, 3}, {4, 5}};
+  cfg.net.seed = seed;
+  cfg.net.digest_payloads = true;
+  SimWorld world(cfg);
+  lwg::NoopUser user;
+  const LwgId id{1};
+  EXPECT_TRUE(world.form_lwg(id, process_range(0, cfg.num_processes), user));
+
+  ChaosConfig chaos_cfg;
+  chaos_cfg.seed = seed;
+  chaos_cfg.mean_interval_us = 1'000'000;
+  chaos_cfg.mean_partition_us = 1'000'000;
+  chaos_cfg.crash_probability = 0.4;
+  chaos_cfg.max_crashes = 2;
+  chaos_cfg.restart_probability = 0.8;
+  chaos_cfg.mean_downtime_us = 1'000'000;
+  ChaosMonkey chaos(world, chaos_cfg);
+  for (std::uint64_t slice = 0; slice < 100; ++slice) {
+    chaos.run_for(100'000);
+    for (std::size_t i = 0; i < cfg.num_processes; ++i) {
+      if (world.crashed(i)) continue;
+      Encoder enc;
+      enc.put_u64(slice * 100 + i);
+      world.lwg(i).send(id, enc.take());
+    }
+  }
+  chaos.quiesce();
+  EXPECT_GT(chaos.partitions_injected(), 0u) << "seed " << seed;
+  EXPECT_GT(chaos.crashes_injected(), 0u) << "seed " << seed;
+  EXPECT_GT(chaos.restarts_fired(), 0u) << "seed " << seed;
+  EXPECT_TRUE(world.run_until(
+      [&] { return world.convergence_failure().empty(); }, 200'000'000))
+      << "seed " << seed << ": " << world.convergence_failure();
+  EXPECT_TRUE(world.oracle().clean()) << world.oracle().report_json();
+  return world.trace_digest();
+}
+
+TEST(GoldenDigestTest, ChaosRandomInjector) {
+  for (std::uint64_t seed : {1, 2, 3}) {
+    expect_golden("chaos:seed=" + std::to_string(seed), chaos_digest(seed));
+  }
 }
 
 std::uint64_t fig2_digest(bool oracle) {
