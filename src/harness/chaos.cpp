@@ -44,67 +44,92 @@ ChaosMonkey::ChaosMonkey(SimWorld& world, ChaosConfig config)
                     : kTimeMax;
 }
 
-void ChaosMonkey::push(Time at, FaultAction action) {
-  // std::multimap keeps equal keys in insertion order, so a rolling
-  // partition's end(k) / start(k+1) pair at the same instant applies in the
-  // order load() emitted it.
-  schedule_.emplace(at, std::move(action));
+void ChaosMonkey::window(Time t, Duration duration, Action start,
+                         Action end) {
+  at(t, std::move(start));
+  if (duration > 0) at(t + duration, std::move(end));
+}
+
+void ChaosMonkey::link_window(Time t, Duration duration, std::size_t from,
+                              std::size_t to, bool symmetric,
+                              const sim::LinkFault& fault) {
+  for (const auto& [a, b] : {std::pair{from, to}, std::pair{to, from}}) {
+    window(
+        t, duration,
+        [this, a, b, fault] {
+          world_.network().set_link_fault(world_.node(a), world_.node(b),
+                                          fault);
+          link_faults_injected_++;
+        },
+        [this, a, b] {
+          world_.network().clear_link_fault(world_.node(a), world_.node(b));
+        });
+    if (!symmetric) break;
+  }
+}
+
+void ChaosMonkey::gray_window(Time t, Duration duration, std::size_t index,
+                              void (sim::Network::*set)(NodeId, double),
+                              double value) {
+  window(
+      t, duration,
+      [this, index, set, value] {
+        (world_.network().*set)(world_.node(index), value);
+        gray_faults_injected_++;
+      },
+      [this, index, set] {
+        (world_.network().*set)(world_.node(index), 1.0);
+      });
+}
+
+void ChaosMonkey::open_partition(
+    std::uint64_t id, std::vector<std::vector<std::size_t>> islands,
+    std::vector<std::size_t> server_islands) {
+  active_partitions_.emplace(
+      id, ActivePartition{std::move(islands), std::move(server_islands)});
+  partitions_injected_++;
+  apply_partitions();
+}
+
+void ChaosMonkey::close_partition(std::uint64_t id) {
+  if (active_partitions_.erase(id) > 0) apply_partitions();
 }
 
 void ChaosMonkey::load(const Scenario& scenario) {
-  const std::size_t n = world_.num_processes();
-  PLWG_ASSERT_MSG(scenario.processes <= n,
+  PLWG_ASSERT_MSG(scenario.processes <= world_.num_processes(),
                   "scenario names more processes than the world has");
+  const auto partition = [this](Time t, Duration duration,
+                                std::vector<std::vector<std::size_t>> islands,
+                                std::vector<std::size_t> server_islands) {
+    const std::uint64_t id = next_interval_id_++;
+    window(
+        t, duration,
+        [this, id, islands = std::move(islands),
+         server_islands = std::move(server_islands)] {
+          open_partition(id, islands, server_islands);
+        },
+        [this, id] { close_partition(id); });
+  };
+  const auto crash = [this](Time t, std::size_t victim, Duration down_us) {
+    at(t, [this, victim, down_us] { crash_now(victim, down_us); });
+  };
   const Time base = world_.simulator().now();
   for (const ScenarioEvent& ev : scenario.events) {
-    const Time at = base + ev.at_us;
+    const Time t0 = base + ev.at_us;
     switch (ev.kind) {
-      case ScenarioEvent::Kind::kPartition: {
-        FaultAction start;
-        start.kind = FaultAction::Kind::kPartitionStart;
-        start.interval = next_interval_id_++;
-        start.islands = ev.islands;
-        start.server_islands = ev.server_islands;
-        const std::uint64_t id = start.interval;
-        push(at, std::move(start));
-        if (ev.duration_us > 0) {
-          FaultAction end;
-          end.kind = FaultAction::Kind::kPartitionEnd;
-          end.interval = id;
-          push(at + ev.duration_us, std::move(end));
-        }
+      case ScenarioEvent::Kind::kPartition:
+        partition(t0, ev.duration_us, ev.islands, ev.server_islands);
         break;
-      }
       case ScenarioEvent::Kind::kRollingPartition: {
         // steps shifts with no fully-connected instant in between: at each
         // shift boundary the previous interval ends and the rotated one
         // starts at the same timestamp, applied back-to-back while idle.
         auto islands = ev.islands;
-        Time t = at;
-        std::uint64_t id = next_interval_id_++;
-        FaultAction first;
-        first.kind = FaultAction::Kind::kPartitionStart;
-        first.interval = id;
-        first.islands = islands;
-        push(t, std::move(first));
-        for (std::size_t k = 0; k < ev.steps; ++k) {
-          t += ev.step_us;
-          FaultAction end;
-          end.kind = FaultAction::Kind::kPartitionEnd;
-          end.interval = id;
-          push(t, std::move(end));
-          islands = rotated(islands, ev.rotate_by);
-          id = next_interval_id_++;
-          FaultAction start;
-          start.kind = FaultAction::Kind::kPartitionStart;
-          start.interval = id;
-          start.islands = islands;
-          push(t, std::move(start));
+        for (std::size_t k = 0; k <= ev.steps; ++k) {
+          if (k > 0) islands = rotated(islands, ev.rotate_by);
+          partition(t0 + static_cast<Duration>(k) * ev.step_us, ev.step_us,
+                    islands, {});
         }
-        FaultAction last;
-        last.kind = FaultAction::Kind::kPartitionEnd;
-        last.interval = id;
-        push(t + ev.step_us, std::move(last));
         break;
       }
       case ScenarioEvent::Kind::kLinkDown:
@@ -116,111 +141,51 @@ void ChaosMonkey::load(const Scenario& scenario) {
           fault.drop_probability = ev.drop_probability;
           fault.jitter_us = ev.jitter_us;
         }
-        const auto emit = [&](std::size_t from, std::size_t to) {
-          FaultAction set;
-          set.kind = FaultAction::Kind::kLinkFaultSet;
-          set.from = from;
-          set.to = to;
-          set.fault = fault;
-          push(at, std::move(set));
-          if (ev.duration_us > 0) {
-            FaultAction clear;
-            clear.kind = FaultAction::Kind::kLinkFaultClear;
-            clear.from = from;
-            clear.to = to;
-            push(at + ev.duration_us, std::move(clear));
-          }
-        };
-        emit(ev.from, ev.to);
-        if (ev.symmetric) emit(ev.to, ev.from);
+        link_window(t0, ev.duration_us, ev.from, ev.to, ev.symmetric, fault);
         break;
       }
       case ScenarioEvent::Kind::kFlap: {
         sim::LinkFault fault;
         fault.blocked = true;
         for (std::size_t c = 0; c < ev.count; ++c) {
-          const Time t0 = at + static_cast<Duration>(c) * ev.period_us;
-          const auto emit = [&](std::size_t from, std::size_t to) {
-            FaultAction set;
-            set.kind = FaultAction::Kind::kLinkFaultSet;
-            set.from = from;
-            set.to = to;
-            set.fault = fault;
-            push(t0, std::move(set));
-            FaultAction clear;
-            clear.kind = FaultAction::Kind::kLinkFaultClear;
-            clear.from = from;
-            clear.to = to;
-            push(t0 + ev.down_us, std::move(clear));
-          };
-          emit(ev.from, ev.to);
-          if (ev.symmetric) emit(ev.to, ev.from);
+          link_window(t0 + static_cast<Duration>(c) * ev.period_us,
+                      ev.down_us, ev.from, ev.to, ev.symmetric, fault);
         }
         break;
       }
-      case ScenarioEvent::Kind::kCrash: {
-        FaultAction crash;
-        crash.kind = FaultAction::Kind::kCrash;
-        crash.victim = ev.node;
-        crash.down_us = ev.down_us;
-        push(at, std::move(crash));
+      case ScenarioEvent::Kind::kCrash:
+        crash(t0, ev.node, ev.down_us);
         break;
-      }
       case ScenarioEvent::Kind::kChurnStorm: {
-        Time t = at;
+        Time t = t0;
         for (std::size_t c = 0; c < ev.cycles; ++c) {
           for (const std::size_t victim : ev.nodes) {
-            FaultAction crash;
-            crash.kind = FaultAction::Kind::kCrash;
-            crash.victim = victim;
-            crash.down_us = ev.down_us;
-            push(t, std::move(crash));
+            crash(t, victim, ev.down_us);
             t += ev.gap_us;
           }
         }
         break;
       }
-      case ScenarioEvent::Kind::kStall: {
+      case ScenarioEvent::Kind::kStall:
         // A pause train: count stalls of duration_us, one per period_us.
-        const std::size_t count = std::max<std::size_t>(ev.count, 1);
-        for (std::size_t c = 0; c < count; ++c) {
-          FaultAction stall;
-          stall.kind = FaultAction::Kind::kStall;
-          stall.victim = ev.node;
-          stall.down_us = ev.duration_us;
-          push(at + static_cast<Duration>(c) * ev.period_us,
-               std::move(stall));
+        for (std::size_t c = 0; c < std::max<std::size_t>(ev.count, 1); ++c) {
+          at(t0 + static_cast<Duration>(c) * ev.period_us,
+             [this, node = ev.node, duration = ev.duration_us] {
+               // Stalling a crashed process is meaningless (nothing runs).
+               if (world_.crashed(node)) return;
+               world_.network().stall_node(world_.node(node), duration);
+               stalls_injected_++;
+             });
         }
         break;
-      }
-      case ScenarioEvent::Kind::kSlowNode: {
-        FaultAction set;
-        set.kind = FaultAction::Kind::kCpuFactorSet;
-        set.victim = ev.node;
-        set.factor = ev.factor;
-        push(at, std::move(set));
-        if (ev.duration_us > 0) {
-          FaultAction clear;
-          clear.kind = FaultAction::Kind::kCpuFactorClear;
-          clear.victim = ev.node;
-          push(at + ev.duration_us, std::move(clear));
-        }
+      case ScenarioEvent::Kind::kSlowNode:
+        gray_window(t0, ev.duration_us, ev.node,
+                    &sim::Network::set_cpu_factor, ev.factor);
         break;
-      }
-      case ScenarioEvent::Kind::kClockDrift: {
-        FaultAction set;
-        set.kind = FaultAction::Kind::kClockRateSet;
-        set.victim = ev.node;
-        set.factor = ev.rate;
-        push(at, std::move(set));
-        if (ev.duration_us > 0) {
-          FaultAction clear;
-          clear.kind = FaultAction::Kind::kClockRateClear;
-          clear.victim = ev.node;
-          push(at + ev.duration_us, std::move(clear));
-        }
+      case ScenarioEvent::Kind::kClockDrift:
+        gray_window(t0, ev.duration_us, ev.node,
+                    &sim::Network::set_clock_rate, ev.rate);
         break;
-      }
     }
   }
 }
@@ -281,10 +246,6 @@ Time ChaosMonkey::next_action_time() const {
   return schedule_.empty() ? kTimeMax : schedule_.begin()->first;
 }
 
-bool ChaosMonkey::is_crashed(std::size_t index) const {
-  return std::find(crashed_.begin(), crashed_.end(), index) != crashed_.end();
-}
-
 void ChaosMonkey::fire_due_restarts() {
   const Time now = world_.simulator().now();
   for (std::size_t i = 0; i < pending_restarts_.size();) {
@@ -295,7 +256,6 @@ void ChaosMonkey::fire_due_restarts() {
     const PendingRestart pr = pending_restarts_[i];
     pending_restarts_.erase(pending_restarts_.begin() + i);
     world_.restart(pr.index);
-    std::erase(crashed_, pr.index);
     restarts_fired_++;
     restart_log_.push_back(RestartEvent{pr.index, pr.crashed_at, now});
   }
@@ -304,60 +264,9 @@ void ChaosMonkey::fire_due_restarts() {
 void ChaosMonkey::apply_due_actions() {
   while (!schedule_.empty() &&
          schedule_.begin()->first <= world_.simulator().now()) {
-    FaultAction action = std::move(schedule_.begin()->second);
+    const Action action = std::move(schedule_.begin()->second);
     schedule_.erase(schedule_.begin());
-    apply(action);
-  }
-}
-
-void ChaosMonkey::apply(const FaultAction& action) {
-  switch (action.kind) {
-    case FaultAction::Kind::kPartitionStart:
-      active_partitions_.emplace(
-          action.interval,
-          ActivePartition{action.islands, action.server_islands});
-      partitions_injected_++;
-      apply_partitions();
-      break;
-    case FaultAction::Kind::kPartitionEnd:
-      if (active_partitions_.erase(action.interval) > 0) apply_partitions();
-      break;
-    case FaultAction::Kind::kLinkFaultSet:
-      world_.network().set_link_fault(world_.node(action.from),
-                                      world_.node(action.to), action.fault);
-      link_faults_injected_++;
-      break;
-    case FaultAction::Kind::kLinkFaultClear:
-      world_.network().clear_link_fault(world_.node(action.from),
-                                        world_.node(action.to));
-      break;
-    case FaultAction::Kind::kCrash:
-      crash_now(action.victim, action.down_us);
-      break;
-    case FaultAction::Kind::kStall:
-      // Stalling a crashed process is meaningless (nothing is running).
-      if (!world_.crashed(action.victim)) {
-        world_.network().stall_node(world_.node(action.victim),
-                                    action.down_us);
-        stalls_injected_++;
-      }
-      break;
-    case FaultAction::Kind::kCpuFactorSet:
-      world_.network().set_cpu_factor(world_.node(action.victim),
-                                      action.factor);
-      gray_faults_injected_++;
-      break;
-    case FaultAction::Kind::kCpuFactorClear:
-      world_.network().set_cpu_factor(world_.node(action.victim), 1.0);
-      break;
-    case FaultAction::Kind::kClockRateSet:
-      world_.network().set_clock_rate(world_.node(action.victim),
-                                      action.factor);
-      gray_faults_injected_++;
-      break;
-    case FaultAction::Kind::kClockRateClear:
-      world_.network().set_clock_rate(world_.node(action.victim), 1.0);
-      break;
+    action();
   }
 }
 
@@ -412,12 +321,8 @@ void ChaosMonkey::apply_partitions() {
 void ChaosMonkey::crash_now(std::size_t victim, Duration down_us) {
   // Overlapping schedules (churn storms, crash-during-partition) may aim at
   // a process that is already down; the later crash is a no-op.
-  if (victim >= world_.num_processes() || world_.crashed(victim) ||
-      is_crashed(victim)) {
-    return;
-  }
+  if (victim >= world_.num_processes() || world_.crashed(victim)) return;
   world_.crash(victim);
-  crashed_.push_back(victim);
   crashes_injected_++;
   if (down_us > 0) {
     const Time now = world_.simulator().now();
@@ -428,14 +333,14 @@ void ChaosMonkey::crash_now(std::size_t victim, Duration down_us) {
 
 void ChaosMonkey::inject() {
   const Time now = world_.simulator().now();
+  std::vector<std::size_t> alive;
+  for (std::size_t i = 0; i < world_.num_processes(); ++i) {
+    if (!world_.crashed(i)) alive.push_back(i);
+  }
   if (config_.crash_probability > 0 &&
-      crashed_.size() < config_.max_crashes &&
+      world_.num_processes() - alive.size() < config_.max_crashes &&
       rng_.next_bool(config_.crash_probability)) {
     // Crash a random not-yet-crashed process — possibly mid-partition.
-    std::vector<std::size_t> alive;
-    for (std::size_t i = 0; i < world_.num_processes(); ++i) {
-      if (!is_crashed(i)) alive.push_back(i);
-    }
     if (alive.size() > 1) {
       const std::size_t victim = alive[rng_.next_below(alive.size())];
       Duration down_us = 0;
@@ -455,29 +360,25 @@ void ChaosMonkey::inject() {
     // from the RNG.
     std::vector<std::size_t> left, right;
     for (std::size_t i = 0; i < world_.num_processes(); ++i) {
-      if (is_crashed(i)) {
+      if (world_.crashed(i)) {
         right.push_back(i);
         continue;
       }
       (rng_.next_bool(0.5) ? left : right).push_back(i);
     }
     if (!left.empty() && !right.empty()) {
-      FaultAction start;
-      start.kind = FaultAction::Kind::kPartitionStart;
-      start.interval = next_interval_id_++;
-      start.islands = {std::move(left), std::move(right)};
+      std::vector<std::size_t> server_islands;
       for (std::size_t j = 0; j < world_.num_servers(); ++j) {
-        start.server_islands.push_back(j % 2);
+        server_islands.push_back(j % 2);
       }
-      FaultAction end;
-      end.kind = FaultAction::Kind::kPartitionEnd;
-      end.interval = start.interval;
-      apply(start);
-      push(now + std::max<Duration>(
-                     static_cast<Duration>(rng_.next_exponential(
-                         static_cast<double>(config_.mean_partition_us))),
-                     100'000),
-           std::move(end));
+      const std::uint64_t id = next_interval_id_++;
+      open_partition(id, {std::move(left), std::move(right)},
+                     std::move(server_islands));
+      at(now + std::max<Duration>(
+                   static_cast<Duration>(rng_.next_exponential(
+                       static_cast<double>(config_.mean_partition_us))),
+                   100'000),
+         [this, id] { close_partition(id); });
     }
   }
   next_event_ = now + std::max<Duration>(
@@ -493,7 +394,7 @@ void RejoinTracker::poll() {
   }
   const Time now = world_.simulator().now();
   for (auto it = awaiting_.begin(); it != awaiting_.end();) {
-    if (chaos_.is_crashed(it->first)) {
+    if (world_.crashed(it->first)) {
       it = awaiting_.erase(it);  // crashed again before rejoining
     } else if (world_.lwg(it->first).view_of(id_) != nullptr) {
       rejoin_sum_us_ += static_cast<double>(now - it->second);

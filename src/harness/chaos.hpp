@@ -1,13 +1,17 @@
 // ChaosMonkey: fault injection against a SimWorld, driven step by step so
 // tests and benches stay in control of time.
 //
-// Two sources feed one timed-action schedule:
+// Two sources feed one schedule of timed actions:
 //   * the randomized injector (ChaosConfig probabilities — partitions,
 //     crashes, crash–restart cycles), and
-//   * declarative scenarios (harness::Scenario via load()), expanded into
-//     primitive actions: partition intervals, directed-link faults, flap
-//     trains, crashes with scheduled restarts, and gray faults (process
-//     stalls, CPU slow-down intervals, clock-rate skew).
+//   * declarative scenarios (harness::Scenario via load()).
+// An action is a closure that does its whole effect when it runs. load()
+// writes each scenario kind's effect once, as windows (a start and, for a
+// non-zero duration, an end) over the same helpers the injector uses:
+// partition intervals, directed-link faults, flap trains, crashes with
+// scheduled restarts, and gray faults (process stalls, CPU slow-down
+// intervals, clock-rate skew). Who is down is the world's record
+// (SimWorld::crashed); the monkey keeps no copy.
 //
 // Faults are *intervals*, not a single toggle: any number of partitions,
 // link faults and crashes may overlap — a crash can land mid-partition, a
@@ -21,6 +25,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <vector>
 
@@ -64,6 +69,9 @@ struct RestartEvent {
 class ChaosMonkey {
  public:
   ChaosMonkey(SimWorld& world, ChaosConfig config);
+  // Scheduled actions capture `this`.
+  ChaosMonkey(const ChaosMonkey&) = delete;
+  ChaosMonkey& operator=(const ChaosMonkey&) = delete;
 
   /// Expand `scenario`'s fault events into the schedule, with event time 0
   /// anchored at the current sim time. May be called more than once (the
@@ -99,12 +107,6 @@ class ChaosMonkey {
   [[nodiscard]] std::size_t gray_faults_injected() const {
     return gray_faults_injected_;
   }
-  /// Processes currently down.
-  [[nodiscard]] const std::vector<std::size_t>& crashed() const {
-    return crashed_;
-  }
-  /// True while process `index` is down.
-  [[nodiscard]] bool is_crashed(std::size_t index) const;
   /// Completed crash–restart cycles, in restart order.
   [[nodiscard]] const std::vector<RestartEvent>& restart_log() const {
     return restart_log_;
@@ -121,36 +123,7 @@ class ChaosMonkey {
   }
 
  private:
-  /// A primitive timed fault action. Scenario events expand into these;
-  /// the random injector mints them too, so both paths share the interval
-  /// machinery.
-  struct FaultAction {
-    enum class Kind {
-      kPartitionStart,
-      kPartitionEnd,
-      kLinkFaultSet,
-      kLinkFaultClear,
-      kCrash,
-      kStall,           // gray: freeze victim for down_us
-      kCpuFactorSet,    // gray: victim's per-packet cost *= factor
-      kCpuFactorClear,
-      kClockRateSet,    // gray: victim's local clock runs at factor
-      kClockRateClear,
-    };
-    Kind kind = Kind::kPartitionStart;
-    std::uint64_t interval = 0;  // pairs a start with its end
-    // kPartitionStart
-    std::vector<std::vector<std::size_t>> islands;
-    std::vector<std::size_t> server_islands;
-    // kLinkFaultSet / kLinkFaultClear (process indexes, directed)
-    std::size_t from = 0;
-    std::size_t to = 0;
-    sim::LinkFault fault;
-    // kCrash / gray kinds
-    std::size_t victim = 0;
-    Duration down_us = 0;  // 0 = permanent (no scheduled restart)
-    double factor = 1.0;   // kCpuFactorSet multiplier / kClockRateSet rate
-  };
+  using Action = std::function<void()>;
 
   struct ActivePartition {
     std::vector<std::vector<std::size_t>> islands;
@@ -163,14 +136,25 @@ class ChaosMonkey {
     Time crashed_at;
   };
 
-  void push(Time at, FaultAction action);
+  void at(Time t, Action action) { schedule_.emplace(t, std::move(action)); }
+  /// Schedule `start` at `t` and, for a non-zero `duration`, `end` at
+  /// `t + duration` (a zero duration stays open until quiesce()).
+  void window(Time t, Duration duration, Action start, Action end);
+  /// A link fault from -> to (and to -> from when `symmetric`) as a window.
+  void link_window(Time t, Duration duration, std::size_t from,
+                   std::size_t to, bool symmetric, const sim::LinkFault& fault);
+  /// A gray fault as a window: `set` the process's node to `value`, then
+  /// back to 1.
+  void gray_window(Time t, Duration duration, std::size_t index,
+                   void (sim::Network::*set)(NodeId, double), double value);
+  void open_partition(std::uint64_t id,
+                      std::vector<std::vector<std::size_t>> islands,
+                      std::vector<std::size_t> server_islands);
+  void close_partition(std::uint64_t id);
   void apply_due_actions();
-  void apply(const FaultAction& action);
   /// Recompute the effective reachability classes as the refinement product
   /// of every open partition interval and push them into the world.
   void apply_partitions();
-  void set_link(std::size_t from, std::size_t to, bool symmetric,
-                const sim::LinkFault* fault);
   void crash_now(std::size_t victim, Duration down_us);
   void inject();
   void fire_due_restarts();
@@ -182,7 +166,8 @@ class ChaosMonkey {
   Rng rng_;
   Time next_event_ = 0;  // next random injection (kTimeMax when disabled)
   std::uint64_t next_interval_id_ = 1;
-  std::multimap<Time, FaultAction> schedule_;
+  /// Timed actions; equal times run in insertion order (std::multimap).
+  std::multimap<Time, Action> schedule_;
   std::map<std::uint64_t, ActivePartition> active_partitions_;
   std::size_t partitions_injected_ = 0;
   std::size_t crashes_injected_ = 0;
@@ -190,7 +175,6 @@ class ChaosMonkey {
   std::size_t link_faults_injected_ = 0;
   std::size_t stalls_injected_ = 0;
   std::size_t gray_faults_injected_ = 0;
-  std::vector<std::size_t> crashed_;
   std::vector<PendingRestart> pending_restarts_;
   std::vector<RestartEvent> restart_log_;
 };

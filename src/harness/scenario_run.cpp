@@ -57,13 +57,13 @@ ScenarioResult run_scenario(const Scenario& scenario, std::uint64_t seed) {
                                      fault_end - world.simulator().now()));
     rejoins.poll();
     for (std::size_t i = 0; i < n; ++i) {
-      if (chaos.is_crashed(i)) continue;
+      if (world.crashed(i)) continue;
       ++samples;
       if (world.lwg(i).view_of(id) != nullptr) ++available;
     }
     for (std::size_t tries = 0; tries < n; ++tries) {
       const std::size_t s = sender++ % n;
-      if (chaos.is_crashed(s)) continue;
+      if (world.crashed(s)) continue;
       if (world.lwg(s).view_of(id) != nullptr) {
         world.lwg(s).send(id, {0xAD, static_cast<std::uint8_t>(s)});
       }

@@ -96,9 +96,6 @@ SimWorld::SimWorld(WorldConfig config)
 
   for (std::size_t j = 0; j < servers_.size(); ++j) build_server(j);
   for (std::size_t i = 0; i < processes_.size(); ++i) build_process(i);
-
-  crashed_.assign(processes_.size(), false);
-  server_crashed_.assign(servers_.size(), false);
 }
 
 void SimWorld::build_process(std::size_t i, names::Database server_disk) {
@@ -162,7 +159,7 @@ oracle::ProtocolOracle& SimWorld::oracle() {
 oracle::ConvergenceSnapshot SimWorld::convergence_snapshot() const {
   oracle::ConvergenceSnapshot snap;
   for (std::size_t i = 0; i < processes_.size(); ++i) {
-    if (crashed_[i]) continue;
+    if (crashed(i)) continue;
     snap.alive.insert(processes_[i].runtime->process_id());
     const lwg::LwgService& svc = *processes_[i].lwg;
     for (LwgId lwg : svc.local_groups()) {
@@ -175,13 +172,13 @@ oracle::ConvergenceSnapshot SimWorld::convergence_snapshot() const {
     }
   }
   for (std::size_t j = 0; j < servers_.size(); ++j) {
-    if (server_crashed_[j]) continue;
+    if (server_crashed(j)) continue;
     snap.databases.emplace_back(servers_[j].runtime->id(),
                                 &servers_[j].naming->database());
   }
   if (config_.naming_mode == NamingMode::kReplicatedEverywhere) {
     for (std::size_t i = 0; i < processes_.size(); ++i) {
-      if (crashed_[i] || !processes_[i].naming->is_server()) continue;
+      if (crashed(i) || !processes_[i].naming->is_server()) continue;
       snap.databases.emplace_back(processes_[i].runtime->id(),
                                   &processes_[i].naming->database());
     }
@@ -201,7 +198,7 @@ bool SimWorld::verify_convergence() {
 std::string SimWorld::liveness_report() const {
   std::ostringstream out;
   for (std::size_t i = 0; i < processes_.size(); ++i) {
-    if (crashed_[i]) {
+    if (crashed(i)) {
       out << "  process " << i << ": crashed\n";
       continue;
     }
@@ -345,12 +342,13 @@ void SimWorld::heal() { net_->heal(); }
 
 void SimWorld::crash(std::size_t i) {
   net_->crash(node(i));
-  crashed_[i] = true;
 }
+
+bool SimWorld::crashed(std::size_t i) const { return net_->crashed(node(i)); }
 
 void SimWorld::restart(std::size_t i) {
   PLWG_ASSERT(i < processes_.size());
-  PLWG_ASSERT_MSG(crashed_[i], "restart of a process that is not crashed");
+  PLWG_ASSERT_MSG(crashed(i), "restart of a process that is not crashed");
   ProcessNode& p = processes_[i];
   const ProcessId self = p.runtime->process_id();
   // The dead incarnation's delivery epochs end here. A graceful teardown
@@ -377,7 +375,6 @@ void SimWorld::restart(std::size_t i) {
   stores_[i].incarnation++;
   p.runtime = std::make_unique<transport::NodeRuntime>(
       *net_, nid, stores_[i].incarnation);
-  crashed_[i] = false;
   build_process(i, std::move(disk));
   // Recovery: replay the restart script. Each join re-resolves the LWG
   // through the naming service and rejoins (or re-creates) it. Iterate a
@@ -396,12 +393,11 @@ std::uint32_t SimWorld::incarnation(std::size_t i) const {
 void SimWorld::crash_server(std::size_t j) {
   PLWG_ASSERT(j < servers_.size());
   net_->crash(servers_[j].runtime->id());
-  server_crashed_[j] = true;
 }
 
 void SimWorld::restart_server(std::size_t j) {
   PLWG_ASSERT(j < servers_.size());
-  PLWG_ASSERT_MSG(server_crashed_[j], "restart of a server that is not crashed");
+  PLWG_ASSERT_MSG(server_crashed(j), "restart of a server that is not crashed");
   ServerNode& s = servers_[j];
   // The replica's database is disk-backed: reload what the dead incarnation
   // had acked. Volatile state (pending requests, callback de-dup, peer
@@ -412,7 +408,6 @@ void SimWorld::restart_server(std::size_t j) {
   server_stores_[j].incarnation++;
   s.runtime = std::make_unique<transport::NodeRuntime>(
       *net_, nid, server_stores_[j].incarnation);
-  server_crashed_[j] = false;
   build_server(j, std::move(disk));
   PLWG_INFO("world", "name server ", j, " restarted as incarnation ",
             server_stores_[j].incarnation);
@@ -420,7 +415,7 @@ void SimWorld::restart_server(std::size_t j) {
 
 bool SimWorld::server_crashed(std::size_t j) const {
   PLWG_ASSERT(j < servers_.size());
-  return server_crashed_[j];
+  return net_->crashed(servers_[j].runtime->id());
 }
 
 void SimWorld::cut_wan() {

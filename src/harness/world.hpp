@@ -149,7 +149,8 @@ class SimWorld {
   /// (config.oracle).
   [[nodiscard]] bool oracle_enabled() const { return oracle_ != nullptr; }
   [[nodiscard]] oracle::ProtocolOracle& oracle();
-  [[nodiscard]] bool crashed(std::size_t i) const { return crashed_[i]; }
+  /// True while process `i` is down (the network's record).
+  [[nodiscard]] bool crashed(std::size_t i) const;
   /// Invariants #4/#5 on the current state of all alive nodes: empty string
   /// when mappings/views have converged, else the first failure found.
   /// Usable as a run_until predicate after heal + quiescence.
@@ -201,8 +202,6 @@ class SimWorld {
   /// All name-server nodes in creation order (client fail-over lists are
   /// rotations of this); stable across restarts.
   std::vector<NodeId> server_nodes_;
-  std::vector<bool> crashed_;
-  std::vector<bool> server_crashed_;
 };
 
 }  // namespace plwg::harness

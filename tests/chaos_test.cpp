@@ -66,8 +66,7 @@ TEST_P(ChaosSoakTest, CrashAndPartitionChaosConvergesToSurvivors) {
   std::vector<std::size_t> alive;
   MemberSet survivors;
   for (std::size_t i = 0; i < 5; ++i) {
-    const auto& crashed = chaos.crashed();
-    if (std::find(crashed.begin(), crashed.end(), i) == crashed.end()) {
+    if (!world().crashed(i)) {
       alive.push_back(i);
       survivors.insert(pid(i));
     }
@@ -99,7 +98,7 @@ TEST_P(ChaosSoakTest, CrashRestartCyclesConvergeAfterQuiesce) {
   chaos.run_for(90'000'000);
   chaos.quiesce();
   EXPECT_EQ(chaos.restarts_fired(), chaos.crashes_injected());
-  EXPECT_TRUE(chaos.crashed().empty());
+  for (std::size_t i = 0; i < 5; ++i) EXPECT_FALSE(world().crashed(i)) << i;
   for (const harness::RestartEvent& ev : chaos.restart_log()) {
     EXPECT_GT(ev.restarted_at, ev.crashed_at);
   }
@@ -221,7 +220,7 @@ TEST_F(OverlappingFaultTest, CrashLandsMidPartitionAndQuiesceDrainsAll) {
   EXPECT_FALSE(chaos.partitioned());
   EXPECT_EQ(chaos.open_partitions(), 0u);
   EXPECT_EQ(chaos.pending_actions(), 0u);
-  EXPECT_TRUE(chaos.crashed().empty());
+  for (std::size_t i = 0; i < 6; ++i) EXPECT_FALSE(world().crashed(i)) << i;
 
   ASSERT_TRUE(run_until(
       [&] {
@@ -233,6 +232,52 @@ TEST_F(OverlappingFaultTest, CrashLandsMidPartitionAndQuiesceDrainsAll) {
   lwg(0).send(id, payload(3));
   EXPECT_TRUE(run_until(
       [&] { return user(5).total_delivered(id) > before; }, 30'000'000));
+}
+
+// Who is down is the world's record: a process crashed through
+// SimWorld::crash, outside the monkey, is down for the monkey too. A
+// scripted crash of it is a no-op, and with max_crashes = 1 the random
+// injector crashes no one else.
+using ChaosCrashRecordTest = LwgFixture;
+
+TEST_F(ChaosCrashRecordTest, CrashOutsideTheMonkeyCountsAsDown) {
+  harness::WorldConfig cfg;
+  cfg.num_processes = 5;
+  cfg.num_name_servers = 2;
+  cfg.net.seed = 11;
+  build(cfg);
+  const LwgId id{1};
+  form_lwg(id, {0, 1, 2, 3, 4});
+  world().crash(4);
+
+  harness::ChaosConfig scripted_cfg;
+  scripted_cfg.random_faults = false;
+  harness::ChaosMonkey scripted(world(), scripted_cfg);
+  scripted.load(harness::parse_scenario(R"json({
+    "name": "crash-the-crashed",
+    "processes": 5,
+    "events": [ { "kind": "crash", "at_ms": 100, "node": 4 } ]
+  })json"));
+  scripted.run_for(1'000'000);
+  EXPECT_EQ(scripted.crashes_injected(), 0u);
+  EXPECT_EQ(scripted.pending_actions(), 0u);
+  EXPECT_TRUE(world().crashed(4));
+
+  harness::ChaosConfig random_cfg;
+  random_cfg.seed = 11;
+  random_cfg.mean_interval_us = 500'000;
+  random_cfg.crash_probability = 1.0;
+  random_cfg.max_crashes = 1;
+  harness::ChaosMonkey random(world(), random_cfg);
+  random.run_for(20'000'000);
+  random.quiesce();
+  EXPECT_EQ(random.crashes_injected(), 0u);
+  for (std::size_t i = 0; i < 4; ++i) EXPECT_FALSE(world().crashed(i)) << i;
+  ASSERT_TRUE(run_until(
+      [&] {
+        return lwg_converged(id, {0, 1, 2, 3}, members_of({0, 1, 2, 3}));
+      },
+      300'000'000));
 }
 
 }  // namespace
