@@ -192,9 +192,9 @@ int main() {
   }
   churn.print(std::cout);
   std::printf("\nshape check: alive processes keep their views while reborn "
-              "incarnations re-resolve and rejoin sub-second (MTTR tracks "
-              "the failure-detector and naming-service round-trips, not the "
-              "downtime).\n");
+              "incarnations re-resolve and rejoin in about a second (MTTR "
+              "tracks the failure-detector and naming-service round-trips, "
+              "not the downtime).\n");
 
   // Experiment 3: the adversarial scenario corpus, one row per fault
   // family. Each corpus file replays through the same run_scenario() path

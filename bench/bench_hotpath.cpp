@@ -1,12 +1,15 @@
-// Hot-path microbenchmarks: simulator event loop, codec encode/decode, the
-// member-set / policy / RNG / byte-hash building blocks, and an end-to-end
-// Fig. 2-style throughput run.
+// Hot-path microbenchmarks, one row set per layer of the data path: the
+// simulator event loop, codec encode/decode (BM_OrderedDecode decodes an
+// ORDERED envelope the way a receiver does, its payload a slice of the
+// frame), the vsync receive log's lookup (BM_OrderedLogFind, with and
+// without a hole), the member-set / policy / RNG / byte-hash building
+// blocks, and an end-to-end Fig. 2-style throughput run.
 //
-// These are the two layers every experiment funnels through (millions of
-// events, one codec pass per message), so this file is the regression gate
+// Every experiment funnels millions of events and one codec pass and log
+// lookup per message through these, so this file is the regression gate
 // for hot-path work. `scripts/bench_smoke.sh` builds and runs it; compare
-// interleaved runs of both trees before merging changes that touch src/sim
-// or src/util/codec.
+// interleaved runs of both trees before merging changes that touch src/sim,
+// src/util/codec or the vsync data path.
 #include <benchmark/benchmark.h>
 
 #include <memory>
@@ -21,6 +24,7 @@
 #include "util/member_set.hpp"
 #include "util/rng.hpp"
 #include "vsync/messages.hpp"
+#include "vsync/ordered_log.hpp"
 
 namespace plwg {
 namespace {
@@ -30,7 +34,7 @@ namespace {
 // Callbacks sized like the network's delivery closures (this + shared
 // buffer + ids): large enough that std::function would heap-allocate.
 void BM_SimulatorScheduleFire(benchmark::State& state) {
-  const auto data = std::make_shared<const std::vector<std::uint8_t>>(64, 0xCD);
+  const SharedBytes data = std::vector<std::uint8_t>(64, 0xCD);
   std::uint64_t sink = 0;
   // Queue depth sized to what the end-to-end Fig. 2 run actually holds
   // pending at steady state (measured: ~60-80 events), scheduled and
@@ -47,7 +51,7 @@ void BM_SimulatorScheduleFire(benchmark::State& state) {
     for (int b = 0; b < kBatches; ++b) {
       for (int i = 0; i < kDepth; ++i) {
         sim.schedule_after(i, [&sink, data, i, extra = static_cast<std::uint64_t>(i)] {
-          sink += data->size() + extra + static_cast<std::uint64_t>(i);
+          sink += data.size() + extra + static_cast<std::uint64_t>(i);
         });
       }
       sim.run();
@@ -87,7 +91,7 @@ vsync::OrderedMsgWire make_wire(std::size_t payload_bytes) {
   wire.msg.seq = 42;
   wire.msg.origin = ProcessId{5};
   wire.msg.sender_msg_id = 9;
-  wire.msg.payload.assign(payload_bytes, 0xAB);
+  wire.msg.payload = std::vector<std::uint8_t>(payload_bytes, 0xAB);
   return wire;
 }
 
@@ -130,6 +134,48 @@ void BM_CodecDecodeOrderedWire(benchmark::State& state) {
                           static_cast<std::int64_t>(enc.size()));
 }
 BENCHMARK(BM_CodecDecodeOrderedWire)->Arg(64)->Arg(1024);
+
+// One ORDERED envelope as a receiver decodes it: [gid][tag][fields] from a
+// refcounted frame, the payload a slice of that frame rather than a copy.
+void BM_OrderedDecode(benchmark::State& state) {
+  const auto wire = make_wire(static_cast<std::size_t>(state.range(0)));
+  Encoder enc;
+  vsync::encode_envelope(enc, HwgId{11}, wire);
+  const SharedBytes frame = SharedBytes::copy_of(enc.bytes());
+  for (auto _ : state) {
+    Decoder dec(frame.span(), frame.owner());
+    benchmark::DoNotOptimize(dec.get_id<HwgId>());
+    benchmark::DoNotOptimize(dec.get_u8());
+    auto decoded = dec.get_exact<vsync::OrderedMsgWire>();
+    benchmark::DoNotOptimize(decoded.msg.payload.data());
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(frame.size()));
+}
+BENCHMARK(BM_OrderedDecode)->Arg(64)->Arg(1024);
+
+// --- vsync receive log -----------------------------------------------------------
+
+// Looks up every seq of a 2,000-entry log, as delivery and NACK repair do.
+// hole:0 is a dense log (each lookup indexes straight in); hole:1 lacks
+// seq 3, so every later seq falls back to the binary search.
+void BM_OrderedLogFind(benchmark::State& state) {
+  constexpr std::uint64_t kEntries = 2'000;
+  const bool hole = state.range(0) != 0;
+  vsync::OrderedLog log;
+  for (std::uint64_t seq = 1; seq <= kEntries + (hole ? 1 : 0); ++seq) {
+    if (hole && seq == 3) continue;
+    log.insert(vsync::OrderedMsg{seq, ProcessId{1}, seq, {}});
+  }
+  for (auto _ : state) {
+    for (const vsync::OrderedMsg& m : log) {
+      benchmark::DoNotOptimize(log.find(m.seq));
+    }
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(kEntries));
+}
+BENCHMARK(BM_OrderedLogFind)->ArgName("hole")->Arg(0)->Arg(1);
 
 // LWG data-path decode as the receive path performs it before the user
 // upcall: the payload stays a view of the packet buffer.

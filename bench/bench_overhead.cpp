@@ -36,7 +36,7 @@ std::size_t lwg_data_size(std::size_t payload) {
 std::size_t vsync_ordered_size(std::size_t inner) {
   vsync::OrderedMsgWire wire;
   wire.view = vsync::ViewId{ProcessId{0}, 1};
-  wire.msg.payload.assign(inner, 0);
+  wire.msg.payload = std::vector<std::uint8_t>(inner, 0);
   return framed_size(wire);
 }
 

@@ -87,7 +87,7 @@ Time Network::occupy_bus(std::int64_t key, Time earliest, Duration tx_time) {
 }
 
 void Network::multicast(NodeId from, std::span<const NodeId> dests,
-                        std::vector<std::uint8_t> data) {
+                        SharedBytes data) {
   PLWG_ASSERT(from.valid() && from.value() < nodes_.size());
   NodeState& sender = nodes_[from.value()];
   if (sender.crashed) return;
@@ -130,9 +130,6 @@ void Network::multicast(NodeId from, std::span<const NodeId> dests,
   const Time tx_end =
       occupy_bus(bus_key(sender.partition, sender.segment), sim.now(), lan_tx);
 
-  auto shared = std::make_shared<const std::vector<std::uint8_t>>(
-      std::move(data));
-
   // Local deliveries (and loopback). A packet that must leave the LAN is
   // forwarded once over the backbone and re-transmitted on each destination
   // segment's bus (store-and-forward). Each queue is occupied by an event
@@ -144,7 +141,7 @@ void Network::multicast(NodeId from, std::span<const NodeId> dests,
     PLWG_ASSERT(to.valid() && to.value() < nodes_.size());
     if (to == from) {
       // Loopback: no bus, just local processing cost.
-      deliver(from, to, shared, sim.now());
+      deliver(from, to, data, sim.now());
       continue;
     }
     const NodeState& receiver = nodes_[to.value()];
@@ -163,7 +160,7 @@ void Network::multicast(NodeId from, std::span<const NodeId> dests,
       continue;
     }
     if (receiver.segment == sender.segment) {
-      deliver_from_bus(ctx, from, to, lf, shared, tx_end);
+      deliver_from_bus(ctx, from, to, lf, data, tx_end);
     } else {
       remote_dests[receiver.segment].push_back(to);
     }
@@ -178,11 +175,10 @@ void Network::multicast(NodeId from, std::span<const NodeId> dests,
   // inside the engine's lookahead sub-window. Every cross-site hop goes
   // through the engine's outbox, which injects it at the sub-window's end
   // in fixed (source site, post order) order.
-  const std::size_t bytes = shared->size();
   const int partition = sender.partition;
   const int src_segment = sender.segment;
-  sim.schedule_at(tx_end, [this, from, shared, bytes, partition, src_segment,
-                           lan_tx,
+  sim.schedule_at(tx_end, [this, from, data = std::move(data), partition,
+                           src_segment, lan_tx,
                            remote_dests = std::move(remote_dests)]() mutable {
     // Re-check reachability at the backbone edge: topology changes land
     // between engine windows, but bus backlog can hold a frame across them.
@@ -193,7 +189,7 @@ void Network::multicast(NodeId from, std::span<const NodeId> dests,
     const Time wan_start =
         std::max(sites_[nodes_[from.value()].site].sim->now(), uplink_free);
     const Time wan_end =
-        wan_start + transmission_time(bytes, wan_.bandwidth_bps);
+        wan_start + transmission_time(data.size(), wan_.bandwidth_bps);
     uplink_free = wan_end;
     const Time backbone_out = wan_end + wan_.propagation_delay_us;
     for (auto& [segment, nodes] : remote_dests) {
@@ -202,9 +198,9 @@ void Network::multicast(NodeId from, std::span<const NodeId> dests,
       });
       if (nodes.empty()) continue;
       const std::size_t dst_site = site_of_segment(segment);
-      auto hop = [this, from, shared, partition, segment, lan_tx,
+      auto hop = [this, from, data, partition, segment, lan_tx,
                   nodes = std::move(nodes)] {
-        segment_arrival(from, partition, segment, lan_tx, shared, nodes);
+        segment_arrival(from, partition, segment, lan_tx, data, nodes);
       };
       if (dst_site != nodes_[from.value()].site) {
         engine_.post(dst_site, backbone_out, std::move(hop));
@@ -215,10 +211,9 @@ void Network::multicast(NodeId from, std::span<const NodeId> dests,
   });
 }
 
-void Network::segment_arrival(
-    NodeId from, int partition, int segment, Duration lan_tx,
-    const std::shared_ptr<const std::vector<std::uint8_t>>& shared,
-    const std::vector<NodeId>& nodes) {
+void Network::segment_arrival(NodeId from, int partition, int segment,
+                              Duration lan_tx, const SharedBytes& shared,
+                              const std::vector<NodeId>& nodes) {
   // Runs in the destination segment's site, whose fault RNG it draws.
   SiteCtx& ctx = sites_[site_of_segment(segment)];
   const Time seg_done =
@@ -233,10 +228,9 @@ void Network::segment_arrival(
   }
 }
 
-void Network::deliver_from_bus(
-    SiteCtx& ctx, NodeId from, NodeId to, const LinkFault* lf,
-    const std::shared_ptr<const std::vector<std::uint8_t>>& shared,
-    Time bus_done) {
+void Network::deliver_from_bus(SiteCtx& ctx, NodeId from, NodeId to,
+                               const LinkFault* lf, const SharedBytes& shared,
+                               Time bus_done) {
   Time arrival = bus_done + kLanPropagationUs;
   const Duration jitter =
       (lf != nullptr && lf->jitter_us >= 0) ? lf->jitter_us : config_.jitter_us;
@@ -284,13 +278,12 @@ int Network::segment_of(NodeId n) const {
   return nodes_[n.value()].segment;
 }
 
-void Network::unicast(NodeId from, NodeId to, std::vector<std::uint8_t> data) {
+void Network::unicast(NodeId from, NodeId to, SharedBytes data) {
   const NodeId dests[] = {to};
   multicast(from, dests, std::move(data));
 }
 
-void Network::deliver(NodeId from, NodeId to,
-                      std::shared_ptr<const std::vector<std::uint8_t>> data,
+void Network::deliver(NodeId from, NodeId to, SharedBytes data,
                       Time arrival) {
   // Always called from the destination node's site (local traffic stays in
   // the sender's == receiver's site; backbone traffic lands here via
@@ -336,11 +329,9 @@ void Network::deliver(NodeId from, NodeId to,
       }
       if (r.crashed) return;
       stats_.deliveries++;
-      c.digest.record_delivery(c.sim->now(), from, to, data->size());
-      if (config_.digest_payloads) {
-        c.digest.fold_bytes(std::span<const std::uint8_t>(*data));
-      }
-      r.handler->on_packet(from, std::span<const std::uint8_t>(*data));
+      c.digest.record_delivery(c.sim->now(), from, to, data.size());
+      if (config_.digest_payloads) c.digest.fold_bytes(data.span());
+      r.handler->on_packet(from, data.span(), data.owner());
     });
   });
 }

@@ -40,6 +40,7 @@
 #include "sim/engine.hpp"
 #include "sim/simulator.hpp"
 #include "sim/trace_digest.hpp"
+#include "util/codec.hpp"
 #include "util/rng.hpp"
 #include "util/types.hpp"
 
@@ -90,7 +91,11 @@ struct LinkFault {
 class NetHandler {
  public:
   virtual ~NetHandler() = default;
-  virtual void on_packet(NodeId from, std::span<const std::uint8_t> data) = 0;
+  /// A frame arrived. `data` lies in the buffer `owner` keeps alive; a host
+  /// that keeps part of the frame past the call shares `owner` instead of
+  /// copying the bytes.
+  virtual void on_packet(NodeId from, std::span<const std::uint8_t> data,
+                         const BytesOwner& owner) = 0;
 };
 
 struct NetworkStats {
@@ -133,13 +138,13 @@ class Network {
   [[nodiscard]] std::size_t node_count() const { return nodes_.size(); }
 
   /// Transmit `data` to every destination in `dests` that is reachable from
-  /// `from` and alive. One bus occupancy regardless of destination count.
+  /// `from` and alive. One bus occupancy regardless of destination count;
+  /// every destination receives the same shared buffer.
   /// Must be called from the sending node's site (its own event handlers)
   /// or from the driver while the engine is idle.
-  void multicast(NodeId from, std::span<const NodeId> dests,
-                 std::vector<std::uint8_t> data);
+  void multicast(NodeId from, std::span<const NodeId> dests, SharedBytes data);
 
-  void unicast(NodeId from, NodeId to, std::vector<std::uint8_t> data);
+  void unicast(NodeId from, NodeId to, SharedBytes data);
 
   // --- topology -----------------------------------------------------------
   /// Split the nodes into LAN segments connected by a store-and-forward
@@ -289,24 +294,18 @@ class Network {
 
   [[nodiscard]] Duration transmission_time(std::size_t payload_bytes,
                                            double bandwidth_bps) const;
-  void deliver(NodeId from, NodeId to,
-               std::shared_ptr<const std::vector<std::uint8_t>> data,
-               Time arrival);
+  void deliver(NodeId from, NodeId to, SharedBytes data, Time arrival);
   /// Last hop of every delivery that survived the reachability and drop
   /// checks: the frame leaves `to`'s LAN bus at `bus_done`, pays LAN
   /// propagation plus link jitter (drawn from `ctx`'s fault RNG), and is
   /// delivered.
   void deliver_from_bus(SiteCtx& ctx, NodeId from, NodeId to,
-                        const LinkFault* lf,
-                        const std::shared_ptr<const std::vector<std::uint8_t>>&
-                            shared,
+                        const LinkFault* lf, const SharedBytes& shared,
                         Time bus_done);
   /// Deliveries coming off the backbone onto `segment`'s bus — runs in the
   /// segment's site.
   void segment_arrival(NodeId from, int partition, int segment,
-                       Duration lan_tx,
-                       const std::shared_ptr<const std::vector<std::uint8_t>>&
-                           shared,
+                       Duration lan_tx, const SharedBytes& shared,
                        const std::vector<NodeId>& nodes);
   /// Queue key: partition class x LAN segment.
   [[nodiscard]] static std::int64_t bus_key(int partition, int segment) {

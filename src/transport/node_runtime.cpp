@@ -1,6 +1,7 @@
 #include "transport/node_runtime.hpp"
 
 #include <algorithm>
+#include <memory>
 
 #include "util/assert.hpp"
 #include "util/hash.hpp"
@@ -19,15 +20,13 @@ std::uint32_t frame_checksum(std::uint32_t incarnation,
   return static_cast<std::uint32_t>(hash_bytes(protected_bytes, incarnation));
 }
 
-void put_u16_le(std::vector<std::uint8_t>& out, std::uint16_t v) {
-  out.push_back(static_cast<std::uint8_t>(v));
-  out.push_back(static_cast<std::uint8_t>(v >> 8));
+void put_u16_le(std::uint8_t* out, std::uint16_t v) {
+  out[0] = static_cast<std::uint8_t>(v);
+  out[1] = static_cast<std::uint8_t>(v >> 8);
 }
 
-void put_u32_le(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
+void put_u32_le(std::uint8_t* out, std::uint32_t v) {
+  for (int i = 0; i < 4; ++i) out[i] = static_cast<std::uint8_t>(v >> (8 * i));
 }
 
 std::uint16_t get_u16_le(std::span<const std::uint8_t> in) {
@@ -140,19 +139,18 @@ void NodeRuntime::clear_batch(Batch& batch) {
 
 void NodeRuntime::emit_frame(std::span<const NodeId> group,
                              const Batch& batch) {
+  // The frame is written once, into the buffer every destination shares:
+  // one allocation per frame.
   const std::span<const std::uint8_t> entries = batch.entries.bytes();
-  std::vector<std::uint8_t> frame;
-  frame.reserve(kFrameHeaderBytes + entries.size());
+  const std::size_t size = kFrameHeaderBytes + entries.size();
+  std::shared_ptr<std::uint8_t[]> buf =
+      std::make_shared_for_overwrite<std::uint8_t[]>(size);
+  std::uint8_t* const frame = buf.get();
   put_u32_le(frame, incarnation_);
-  put_u32_le(frame, 0);  // checksum backfilled below
-  put_u16_le(frame, batch.count);
-  frame.insert(frame.end(), entries.begin(), entries.end());
-  const std::uint32_t checksum = frame_checksum(
-      incarnation_, std::span<const std::uint8_t>(frame).subspan(8));
-  frame[4] = static_cast<std::uint8_t>(checksum);
-  frame[5] = static_cast<std::uint8_t>(checksum >> 8);
-  frame[6] = static_cast<std::uint8_t>(checksum >> 16);
-  frame[7] = static_cast<std::uint8_t>(checksum >> 24);
+  put_u16_le(frame + 8, batch.count);
+  std::ranges::copy(entries, frame + kFrameHeaderBytes);
+  put_u32_le(frame + 4,
+             frame_checksum(incarnation_, {frame + 8, size - 8}));
 
   stats_.frames_sent++;
   stats_.messages_sent += batch.count;
@@ -161,7 +159,8 @@ void NodeRuntime::emit_frame(std::span<const NodeId> group,
   const std::uint64_t piggybacked = batch.count > 1 ? batch.acks : 0;
   stats_.piggybacked_acks += piggybacked;
   net_.note_frame(batch.count, piggybacked);
-  net_.multicast(id_, group, std::move(frame));
+  net_.multicast(id_, group,
+                 SharedBytes(BytesOwner(std::move(buf), frame), {frame, size}));
 }
 
 void NodeRuntime::flush_now() {
@@ -237,7 +236,8 @@ void NodeRuntime::multicast(Port port, std::span<const ProcessId> dests,
   if (!dests.empty()) schedule_flush();
 }
 
-void NodeRuntime::on_packet(NodeId from, std::span<const std::uint8_t> data) {
+void NodeRuntime::on_packet(NodeId from, std::span<const std::uint8_t> data,
+                            const BytesOwner& owner) {
   if (data.size() < kFrameHeaderBytes) {
     stats_.malformed_frames++;
     PLWG_WARN("transport", "short frame (", data.size(), "B) from node ",
@@ -295,7 +295,7 @@ void NodeRuntime::on_packet(NodeId from, std::span<const std::uint8_t> data) {
                 from);
       continue;  // the rest of the batch is still good
     }
-    Decoder dec(payload);
+    Decoder dec(payload, owner);
     try {
       handlers_[idx]->on_message(from, dec);
     } catch (const CodecError& e) {

@@ -64,7 +64,8 @@ inline constexpr std::size_t kMaxBatchBytes = 16 * 1024;
 class PortHandler {
  public:
   virtual ~PortHandler() = default;
-  /// `dec` is positioned at the start of this service's payload.
+  /// `dec` is positioned at the start of this service's payload, and is
+  /// built with the frame's owner: SharedBytes it decodes share the frame.
   virtual void on_message(NodeId from, Decoder& dec) = 0;
 };
 
@@ -171,8 +172,10 @@ class NodeRuntime : public sim::NetHandler {
   }
   void cancel(sim::TimerId timer) { simulator().cancel(timer); }
 
-  // sim::NetHandler
-  void on_packet(NodeId from, std::span<const std::uint8_t> data) override;
+  // sim::NetHandler. A frame handed in without an owner (raw test input)
+  // is decoded the same way, its kept payloads copied instead of shared.
+  void on_packet(NodeId from, std::span<const std::uint8_t> data,
+                 const BytesOwner& owner = nullptr) override;
 
  private:
   /// One destination's pending frame: staged entry bytes plus accounting.

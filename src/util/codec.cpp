@@ -20,6 +20,21 @@ std::span<const std::uint8_t> Decoder::get_bytes_view() {
   return out;
 }
 
+SharedBytes SharedBytes::copy_of(std::span<const std::uint8_t> bytes) {
+  if (bytes.empty()) return {};
+  std::shared_ptr<std::uint8_t[]> buf =
+      std::make_shared_for_overwrite<std::uint8_t[]>(bytes.size());
+  std::uint8_t* const first = buf.get();
+  std::ranges::copy(bytes, first);
+  return SharedBytes(BytesOwner(std::move(buf), first), {first, bytes.size()});
+}
+
+SharedBytes Decoder::get_shared_bytes() {
+  const auto view = get_bytes_view();
+  if (owner_ == nullptr) return SharedBytes::copy_of(view);
+  return SharedBytes(*owner_, view);
+}
+
 void Decoder::get_u64_span(std::span<std::uint64_t> out) {
   if (out.empty()) return;  // data() may be null: memcpy would be UB
   require(out.size_bytes());

@@ -19,19 +19,22 @@
 // (encoded_size, for Encoder::reserve) and the smallest encoding
 // (min_encoded_size, the per-element floor Decoder::get_count checks).
 // A field is a bool, an integer, a StrongId, another wire type, a byte
-// string (std::vector<std::uint8_t> or a zero-copy
-// std::span<const std::uint8_t>), or a std::vector, std::set or std::map of
-// fields; collections are a u32 count followed by the elements (map: key,
-// value). A type whose wire form is not its field list writes the four
-// pieces itself: encode(Encoder&), static decode(Decoder&),
-// encoded_size() and kMinEncodedSize.
+// string (std::vector<std::uint8_t>, a zero-copy
+// std::span<const std::uint8_t>, or a refcounted SharedBytes), or a
+// std::vector, std::set or std::map of fields; collections are a u32 count
+// followed by the elements (map: key, value). A type whose wire form is not
+// its field list writes the four pieces itself: encode(Encoder&), static
+// decode(Decoder&), encoded_size() and kMinEncodedSize.
 #pragma once
 
+#include <algorithm>
 #include <bit>
 #include <concepts>
 #include <cstdint>
 #include <cstring>
+#include <initializer_list>
 #include <map>
+#include <memory>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -48,6 +51,56 @@ namespace plwg {
 class CodecError : public std::runtime_error {
  public:
   explicit CodecError(const std::string& what) : std::runtime_error(what) {}
+};
+
+/// Shares ownership of a byte buffer. It may point anywhere into the
+/// buffer: every pointer made from it keeps the whole buffer alive.
+using BytesOwner = std::shared_ptr<const std::uint8_t>;
+
+/// A read-only byte string that shares ownership of the buffer holding it,
+/// so copying one bumps a refcount and never copies bytes. A decoded
+/// payload is a slice of the frame it arrived in (see Decoder), and keeps
+/// that whole frame alive. Encodes exactly like std::vector<std::uint8_t>:
+/// a u32 length, then the bytes.
+class SharedBytes {
+ public:
+  SharedBytes() = default;
+  /// The bytes `bytes`, inside the buffer `owner` keeps alive.
+  SharedBytes(BytesOwner owner, std::span<const std::uint8_t> bytes)
+      : data_(std::move(owner), bytes.data()), size_(bytes.size()) {}
+  /// Takes `bytes` over without copying them (one allocation: the block
+  /// that holds the vector and its refcount).
+  SharedBytes(std::vector<std::uint8_t> bytes)  // NOLINT(google-explicit-constructor)
+      : SharedBytes(std::make_shared<const std::vector<std::uint8_t>>(
+            std::move(bytes))) {}
+  SharedBytes(std::initializer_list<std::uint8_t> bytes)
+      : SharedBytes(std::vector<std::uint8_t>(bytes)) {}
+  /// A fresh buffer holding a copy of `bytes`.
+  [[nodiscard]] static SharedBytes copy_of(std::span<const std::uint8_t> bytes);
+
+  [[nodiscard]] const std::uint8_t* data() const { return data_.get(); }
+  [[nodiscard]] std::size_t size() const { return size_; }
+  [[nodiscard]] bool empty() const { return size_ == 0; }
+  [[nodiscard]] std::span<const std::uint8_t> span() const {
+    return {data(), size_};
+  }
+  operator std::span<const std::uint8_t>() const {  // NOLINT(google-explicit-constructor)
+    return span();
+  }
+  /// Keeps the whole underlying buffer alive; slices made from it share it.
+  [[nodiscard]] const BytesOwner& owner() const { return data_; }
+
+  /// Byte-wise equality.
+  friend bool operator==(const SharedBytes& a, const SharedBytes& b) {
+    return std::ranges::equal(a.span(), b.span());
+  }
+
+ private:
+  explicit SharedBytes(std::shared_ptr<const std::vector<std::uint8_t>> v)
+      : data_(v, v->data()), size_(v->size()) {}
+
+  BytesOwner data_;  // points at the first byte; owns the whole buffer
+  std::size_t size_ = 0;
 };
 
 class Encoder;
@@ -84,7 +137,8 @@ concept HandWritten = requires(const T& v, Encoder& enc, Decoder& dec) {
 };
 template <class T>
 concept Bytes = std::same_as<T, std::vector<std::uint8_t>> ||
-                std::same_as<T, std::span<const std::uint8_t>>;
+                std::same_as<T, std::span<const std::uint8_t>> ||
+                std::same_as<T, SharedBytes>;
 template <class T>
 concept Scalar = std::integral<T> || kIsStrongId<T>;
 
@@ -271,6 +325,12 @@ class Encoder {
 class Decoder {
  public:
   explicit Decoder(std::span<const std::uint8_t> data) : data_(data) {}
+  /// Decodes `data`, which lies in the buffer `owner` keeps alive: a
+  /// SharedBytes field is then a slice of that buffer, not a copy. A null
+  /// `owner` makes every SharedBytes a copy. `owner` is held by reference
+  /// and must outlive the Decoder, like `data`.
+  Decoder(std::span<const std::uint8_t> data, const BytesOwner& owner)
+      : data_(data), owner_(owner ? &owner : nullptr) {}
 
   [[nodiscard]] std::uint8_t get_u8() { return get_le<std::uint8_t>(); }
   [[nodiscard]] std::uint16_t get_u16() { return get_le<std::uint16_t>(); }
@@ -302,6 +362,9 @@ class Decoder {
   /// Payload passthrough paths (e.g. LWG DATA) use this to hand the user
   /// the bytes without an intermediate copy.
   [[nodiscard]] std::span<const std::uint8_t> get_bytes_view();
+  /// get_bytes() as a SharedBytes: a slice of the input when the Decoder
+  /// was built with its owner, else a copy.
+  [[nodiscard]] SharedBytes get_shared_bytes();
   [[nodiscard]] std::string get_string();
 
   /// Reads a u32 element count and validates it against the remaining
@@ -335,6 +398,8 @@ class Decoder {
       return get_bytes();
     } else if constexpr (std::same_as<T, std::span<const std::uint8_t>>) {
       return get_bytes_view();
+    } else if constexpr (std::same_as<T, SharedBytes>) {
+      return get_shared_bytes();
     } else if constexpr (std::same_as<T, std::vector<std::uint64_t>>) {
       std::vector<std::uint64_t> out(get_count(sizeof(std::uint64_t)));
       get_u64_span(out);
@@ -400,6 +465,7 @@ class Decoder {
 
   std::span<const std::uint8_t> data_;
   std::size_t pos_ = 0;
+  const BytesOwner* owner_ = nullptr;  // null: SharedBytes fields copy
 };
 
 }  // namespace plwg

@@ -85,7 +85,7 @@ void GroupEndpoint::leave() {
   }
 }
 
-void GroupEndpoint::send(std::vector<std::uint8_t> payload) {
+void GroupEndpoint::send(SharedBytes payload) {
   if (defunct()) return;
   stats_.msgs_sent++;
   submit_send(std::move(payload));

@@ -86,7 +86,7 @@ class GroupEndpoint {
   void leave();
   /// Virtually synchronous totally-ordered multicast. Queued for the next
   /// view while a view change is in progress.
-  void send(std::vector<std::uint8_t> payload);
+  void send(SharedBytes payload);
   /// Confirm a Stop upcall (paper's StopOk).
   void stop_ok();
   /// Force a flush + view re-installation with unchanged membership. Used
@@ -108,6 +108,9 @@ class GroupEndpoint {
   [[nodiscard]] const MemberSet& known_peers() const { return known_peers_; }
   [[nodiscard]] const MemberSet& suspected() const { return suspected_; }
   [[nodiscard]] const Stats& stats() const { return stats_; }
+  /// SEND_REQs the sequencer holds back until their predecessors are
+  /// ordered (tests).
+  [[nodiscard]] std::size_t held_send_reqs() const;
 
   // --- wire entry (called by VsyncHost) ----------------------------------
   void on_message(ProcessId from, MsgType type, Decoder& dec);
@@ -165,7 +168,7 @@ class GroupEndpoint {
   [[nodiscard]] std::uint64_t backoff_salt() const;
 
   // -- data path (group_endpoint_data.cpp) --
-  void on_send_req(const SendReqMsg& msg);
+  void on_send_req(SendReqMsg msg);
   void drain_order_buffer(ProcessId origin);
   void on_ordered(OrderedMsgWire wire);
   void on_nack(ProcessId from, const NackMsg& msg);
@@ -180,9 +183,10 @@ class GroupEndpoint {
   /// preserved when the message is deferred to the next view so the
   /// hold-back reasoning stays sound across the view change.
   void order_and_multicast(ProcessId origin, std::uint64_t sender_msg_id,
-                           std::vector<std::uint8_t> payload,
-                           std::uint64_t first_unacked);
-  void submit_send(std::vector<std::uint8_t> payload);
+                           SharedBytes payload, std::uint64_t first_unacked);
+  void submit_send(SharedBytes payload);
+  /// This process delivered its own send `smid`: stop re-sending it.
+  void ack_own_send(std::uint64_t smid);
   void deliver_contiguous();
   void deliver_one(const OrderedMsg& msg);
   void flush_pending_sends();
@@ -258,17 +262,22 @@ class GroupEndpoint {
   std::uint64_t trimmed_upto_ = 0;               // log GC'd up to here
   std::uint64_t next_order_seq_ = 1;             // sequencer counter
   std::uint64_t next_sender_msg_id_ = 1;
-  std::deque<std::vector<std::uint8_t>> pending_sends_;
+  std::deque<SharedBytes> pending_sends_;
   // Sender-driven reliability: a send stays here until this process delivers
   // its own copy; re-sent to the sequencer periodically within the view and
   // re-submitted into the next view after a view change. The sequencer
-  // de-duplicates via ordered_.
+  // de-duplicates via ordered_. The queue holds consecutive smids in order,
+  // so smid s sits at index s - front().smid. A send delivered ahead of an
+  // older one is marked `delivered` and dropped once it reaches the front,
+  // so the front is always the first unacked send.
   struct UnackedSend {
-    std::vector<std::uint8_t> payload;
+    std::uint64_t smid = 0;
+    SharedBytes payload;
     Time last_sent = 0;
     std::uint32_t attempts = 0;  // repair resends so far (backoff input)
+    bool delivered = false;
   };
-  std::map<std::uint64_t, UnackedSend> unacked_sends_;
+  std::deque<UnackedSend> unacked_sends_;
   // Sequencer-side record of what this view ordered, per origin. A sender
   // never re-sends below the first_unacked it reports (everything below it
   // was delivered back to it), so each SEND_REQ raises the watermark `next`

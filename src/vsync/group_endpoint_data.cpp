@@ -17,21 +17,33 @@
 
 namespace plwg::vsync {
 
-void GroupEndpoint::submit_send(std::vector<std::uint8_t> payload) {
+void GroupEndpoint::submit_send(SharedBytes payload) {
   if (!has_view_ || state_ != State::kActive ||
       suspected_.contains(view_.coordinator())) {
     pending_sends_.push_back(std::move(payload));
     return;
   }
   const std::uint64_t smid = next_sender_msg_id_++;
-  unacked_sends_[smid] = UnackedSend{payload, now()};
+  unacked_sends_.push_back(UnackedSend{smid, payload, now()});
   if (view_.coordinator() == self()) {
     order_and_multicast(self(), smid, std::move(payload), smid);
     return;
   }
   unicast(view_.coordinator(),
-          SendReqMsg{view_.id, self(), smid, unacked_sends_.begin()->first,
+          SendReqMsg{view_.id, self(), smid, unacked_sends_.front().smid,
                      std::move(payload)});
+}
+
+void GroupEndpoint::ack_own_send(std::uint64_t smid) {
+  if (unacked_sends_.empty() || smid < unacked_sends_.front().smid) return;
+  const std::uint64_t index = smid - unacked_sends_.front().smid;
+  if (index >= unacked_sends_.size()) return;
+  UnackedSend& send = unacked_sends_[index];
+  send.delivered = true;
+  send.payload = {};
+  while (!unacked_sends_.empty() && unacked_sends_.front().delivered) {
+    unacked_sends_.pop_front();
+  }
 }
 
 void GroupEndpoint::resend_unacked(bool force) {
@@ -41,7 +53,9 @@ void GroupEndpoint::resend_unacked(bool force) {
   }
   const Time t = now();
   const Duration base = 3 * kNackCheckUs;
-  for (auto& [smid, send] : unacked_sends_) {
+  for (UnackedSend& send : unacked_sends_) {
+    if (send.delivered) continue;
+    const std::uint64_t smid = send.smid;
     // Per-send capped backoff: a message the sequencer keeps not acking is
     // evidence the sequencer (or the path to it) is degraded — repair
     // retries slow down instead of piling on. A view change re-submits
@@ -54,20 +68,19 @@ void GroupEndpoint::resend_unacked(bool force) {
     send.attempts = force ? 1 : std::min<std::uint32_t>(send.attempts + 1, 32);
     if (view_.coordinator() == self()) {
       // ordered_ de-duplicates if the original made it through.
-      order_and_multicast(self(), smid,
-                          std::vector<std::uint8_t>(send.payload),
-                          unacked_sends_.begin()->first);
+      order_and_multicast(self(), smid, send.payload,
+                          unacked_sends_.front().smid);
     } else {
       unicast(view_.coordinator(),
-              SendReqMsg{view_.id, self(), smid, unacked_sends_.begin()->first,
-                         std::vector<std::uint8_t>(send.payload)});
+              SendReqMsg{view_.id, self(), smid, unacked_sends_.front().smid,
+                         send.payload});
     }
   }
 }
 
 void GroupEndpoint::order_and_multicast(ProcessId origin,
                                         std::uint64_t sender_msg_id,
-                                        std::vector<std::uint8_t> payload,
+                                        SharedBytes payload,
                                         std::uint64_t first_unacked) {
   PLWG_ASSERT(view_.coordinator() == self());
   if (state_ != State::kActive) {
@@ -79,7 +92,7 @@ void GroupEndpoint::order_and_multicast(ProcessId origin,
   }
   OriginOrder& order = ordered_[origin];
   if (origin == self() && !unacked_sends_.empty()) {
-    order.raise(unacked_sends_.begin()->first);
+    order.raise(unacked_sends_.front().smid);
   }
   if (!order.insert(sender_msg_id)) {
     return;  // duplicate of a retransmitted send already in the order
@@ -100,12 +113,20 @@ void GroupEndpoint::order_and_multicast(ProcessId origin,
   last_heartbeat_sent_ = now();
 }
 
-void GroupEndpoint::on_send_req(const SendReqMsg& msg) {
+void GroupEndpoint::on_send_req(SendReqMsg msg) {
   if (!view_matches(msg.view)) return;
   if (view_.coordinator() != self()) return;  // stale routing
   OriginOrder& order = ordered_[msg.origin];
   order.raise(msg.first_unacked);
   if (order.ordered(msg.sender_msg_id)) return;
+  if (order.ordered(msg.sender_msg_id - 1) &&
+      !order_buffer_.contains(msg.origin)) {
+    // In FIFO order with nothing of this origin held back: what the hold-back
+    // buffer would do at once, without passing through it.
+    order_and_multicast(msg.origin, msg.sender_msg_id, std::move(msg.payload),
+                        msg.first_unacked);
+    return;
+  }
   auto [it, inserted] =
       order_buffer_[msg.origin].try_emplace(msg.sender_msg_id, msg);
   if (!inserted && msg.first_unacked > it->second.first_unacked) {
@@ -114,6 +135,12 @@ void GroupEndpoint::on_send_req(const SendReqMsg& msg) {
     it->second = msg;
   }
   drain_order_buffer(msg.origin);
+}
+
+std::size_t GroupEndpoint::held_send_reqs() const {
+  std::size_t n = 0;
+  for (const auto& [origin, pending] : order_buffer_) n += pending.size();
+  return n;
 }
 
 void GroupEndpoint::drain_order_buffer(ProcessId origin) {
@@ -183,7 +210,7 @@ void GroupEndpoint::deliver_contiguous() {
 }
 
 void GroupEndpoint::deliver_one(const OrderedMsg& msg) {
-  if (msg.origin == self()) unacked_sends_.erase(msg.sender_msg_id);
+  if (msg.origin == self()) ack_own_send(msg.sender_msg_id);
   stats_.msgs_delivered++;
   // During a cut delivery view_.id is still the closing view — exactly the
   // view this delivery belongs to under virtual synchrony.
@@ -262,7 +289,7 @@ void GroupEndpoint::trim_stable_log() {
 void GroupEndpoint::flush_pending_sends() {
   while (!pending_sends_.empty() && has_view_ && state_ == State::kActive &&
          !suspected_.contains(view_.coordinator())) {
-    std::vector<std::uint8_t> payload = std::move(pending_sends_.front());
+    SharedBytes payload = std::move(pending_sends_.front());
     pending_sends_.pop_front();
     submit_send(std::move(payload));
   }

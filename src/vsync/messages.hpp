@@ -43,12 +43,13 @@ enum class MsgType : std::uint8_t {
 };
 
 /// One totally-ordered message as stored in the per-view log and carried by
-/// kOrdered / retransmissions.
+/// kOrdered / retransmissions. A received payload is a slice of the frame it
+/// arrived in, so logging, re-sending and delivering it copy no bytes.
 struct OrderedMsg {
   std::uint64_t seq = 0;       // position in the view's total order
   ProcessId origin;            // original sender
   std::uint64_t sender_msg_id = 0;
-  std::vector<std::uint8_t> payload;
+  SharedBytes payload;
 
   static constexpr auto kFields =
       std::tuple{&OrderedMsg::seq, &OrderedMsg::origin,
@@ -78,7 +79,7 @@ struct SendReqMsg {
   /// `sender_msg_id` is ordered, which preserves per-sender FIFO even when
   /// an earlier SEND_REQ was lost and retransmitted late.
   std::uint64_t first_unacked = 0;
-  std::vector<std::uint8_t> payload;
+  SharedBytes payload;
 
   static constexpr MsgType kType = MsgType::kSendReq;
   static constexpr auto kFields =

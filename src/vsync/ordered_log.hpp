@@ -4,7 +4,9 @@
 // trims from the front, so the log behaves as a queue: an append at the back
 // and a pop at the front per message, with no per-entry node allocation.
 // NACK repair, FETCH replies and flush-cut retransmissions insert below the
-// back, in seq order.
+// back, in seq order. Seqs are distinct and increasing, so a log without
+// holes holds `seq` at index seq - front().seq: find() looks there first and
+// searches only when a hole below `seq` moved it.
 #pragma once
 
 #include <algorithm>
@@ -32,8 +34,14 @@ class OrderedLog {
 
   /// The logged message with `seq`, or nullptr.
   [[nodiscard]] const OrderedMsg* find(std::uint64_t seq) const {
+    if (msgs_.empty() || seq < msgs_.front().seq || seq > msgs_.back().seq) {
+      return nullptr;
+    }
+    // Each hole below `seq` moves it one index lower, never higher.
+    const std::uint64_t index = seq - msgs_.front().seq;
+    if (index < msgs_.size() && msgs_[index].seq == seq) return &msgs_[index];
     const auto it = lower_bound(seq);
-    return it != msgs_.end() && it->seq == seq ? &*it : nullptr;
+    return it->seq == seq ? &*it : nullptr;  // not end(): back().seq >= seq
   }
   [[nodiscard]] bool contains(std::uint64_t seq) const {
     return find(seq) != nullptr;

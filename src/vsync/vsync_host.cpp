@@ -72,7 +72,7 @@ void VsyncHost::leave_group(HwgId gid) {
   sweep_defunct();
 }
 
-void VsyncHost::send(HwgId gid, std::vector<std::uint8_t> data) {
+void VsyncHost::send(HwgId gid, SharedBytes data) {
   auto it = endpoints_.find(gid);
   PLWG_ASSERT_MSG(it != endpoints_.end(), "send on a group we are not in");
   it->second->send(std::move(data));

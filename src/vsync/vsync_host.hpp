@@ -46,7 +46,7 @@ class VsyncHost : public transport::PortHandler {
   /// naming service). The View upcall signals completion.
   void join_group(HwgId gid, const MemberSet& contacts, GroupUser& user);
   void leave_group(HwgId gid);
-  void send(HwgId gid, std::vector<std::uint8_t> data);
+  void send(HwgId gid, SharedBytes data);
   void stop_ok(HwgId gid);
   /// Force a flush + view re-installation with unchanged membership (no-op
   /// unless this process is the group's acting coordinator and idle).

@@ -16,7 +16,8 @@ namespace plwg::transport::testing {
 
 /// A network host that records every frame delivered to it, in order.
 struct FrameTap : sim::NetHandler {
-  void on_packet(NodeId, std::span<const std::uint8_t> data) override {
+  void on_packet(NodeId, std::span<const std::uint8_t> data,
+                 const BytesOwner&) override {
     frames.emplace_back(data.begin(), data.end());
   }
   std::vector<std::vector<std::uint8_t>> frames;

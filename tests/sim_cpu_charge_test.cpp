@@ -9,7 +9,8 @@ namespace {
 
 struct Recorder : NetHandler {
   explicit Recorder(Simulator& sim) : sim_(sim) {}
-  void on_packet(NodeId, std::span<const std::uint8_t>) override {
+  void on_packet(NodeId, std::span<const std::uint8_t>,
+                 const BytesOwner&) override {
     arrivals.push_back(sim_.now());
   }
   Simulator& sim_;

@@ -15,7 +15,8 @@ struct Recorder : NetHandler {
     Time at;
   };
   explicit Recorder(Simulator& sim) : sim_(sim) {}
-  void on_packet(NodeId from, std::span<const std::uint8_t> data) override {
+  void on_packet(NodeId from, std::span<const std::uint8_t> data,
+                 const BytesOwner&) override {
     packets.push_back(Packet{from, {data.begin(), data.end()}, sim_.now()});
   }
   Simulator& sim_;

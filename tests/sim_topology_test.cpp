@@ -13,7 +13,8 @@ namespace {
 
 struct Recorder : sim::NetHandler {
   explicit Recorder(sim::Simulator& sim) : sim_(sim) {}
-  void on_packet(NodeId, std::span<const std::uint8_t>) override {
+  void on_packet(NodeId, std::span<const std::uint8_t>,
+                 const BytesOwner&) override {
     arrivals.push_back(sim_.now());
   }
   sim::Simulator& sim_;

@@ -1,6 +1,7 @@
 // Ordering robustness of the totally ordered multicast: reordering jitter,
 // NACK repair of single drops, tail-loss repair via the sequencer's
-// heartbeat high-water mark, and retransmission dedup.
+// heartbeat high-water mark, retransmission dedup, and the sequencer's
+// per-sender FIFO hold-back.
 #include <gtest/gtest.h>
 
 #include "util/codec.hpp"
@@ -192,6 +193,39 @@ TEST_F(VsyncOrderTest, InterleavedBurstsKeepPerSenderFifo) {
       }
     }
   }
+}
+
+// The sequencer orders a SEND_REQ on arrival only when its predecessor is
+// ordered and nothing of its origin is held back. Smid 2 arriving first
+// waits; smid 1 then releases both, in sender order, and leaves nothing held.
+TEST_F(VsyncOrderTest, SendReqAheadOfItsPredecessorWaitsForIt) {
+  const HwgId gid = form_group(2, {});
+  GroupEndpoint* sequencer = host(0).endpoint(gid);
+  ASSERT_EQ(sequencer->view().coordinator(), pid(0));
+  const auto send_req = [&](std::uint64_t smid) {
+    Encoder enc;
+    enc.put(SendReqMsg{sequencer->view().id, pid(1), smid,
+                       /*first_unacked=*/1,
+                       payload(static_cast<std::uint8_t>(smid))});
+    Decoder dec(enc.bytes());
+    sequencer->on_message(pid(1), SendReqMsg::kType, dec);
+  };
+
+  send_req(2);
+  EXPECT_EQ(sequencer->held_send_reqs(), 1u);
+  run_for(50'000);
+  EXPECT_EQ(user(0).total_delivered(gid), 0u);
+
+  send_req(1);
+  EXPECT_EQ(sequencer->held_send_reqs(), 0u);
+  ASSERT_TRUE(run_until(
+      [&] {
+        return user(0).total_delivered(gid) == 2 &&
+               user(1).total_delivered(gid) == 2;
+      },
+      1'000'000));
+  EXPECT_EQ(flatten(0, gid), (std::vector<std::uint8_t>{1, 2}));
+  EXPECT_EQ(flatten(1, gid), (std::vector<std::uint8_t>{1, 2}));
 }
 
 }  // namespace

@@ -3,9 +3,13 @@
 // ORDERED traffic and heartbeats, and everyone trims the seqs below it from
 // the retransmission log — without breaking NACK repair or flush cuts. The
 // log keeps seq order and the first copy of each seq, whatever the arrival
-// order.
+// order; its lookups index by seq, and a logged payload shares (and keeps
+// alive) the frame it arrived in.
 #include <gtest/gtest.h>
 
+#include <memory>
+
+#include "vsync/ordered_log.hpp"
 #include "vsync_fixture.hpp"
 
 namespace plwg::vsync::testing {
@@ -190,6 +194,138 @@ TEST_F(VsyncLogTest, LogTrimmedCountsExactlyThePoppedEntries) {
   EXPECT_EQ(ep_->stats().log_trimmed - trimmed_before, 5u);
   ep_->on_tick();  // nothing left to trim
   EXPECT_EQ(ep_->stats().log_trimmed - trimmed_before, 5u);
+}
+
+// --- OrderedLog lookups --------------------------------------------------------
+
+OrderedMsg logged(std::uint64_t seq) {
+  return OrderedMsg{seq, ProcessId{0}, seq, {static_cast<std::uint8_t>(seq)}};
+}
+
+OrderedLog log_of(std::initializer_list<std::uint64_t> seqs) {
+  OrderedLog log;
+  for (std::uint64_t seq : seqs) log.insert(logged(seq));
+  return log;
+}
+
+/// The seq `log.find(seq)` returns, or 0 for nullptr.
+std::uint64_t found(const OrderedLog& log, std::uint64_t seq) {
+  const OrderedMsg* m = log.find(seq);
+  return m == nullptr ? 0 : m->seq;
+}
+
+TEST(OrderedLogTest, DenseLogFindsEverySeqAndNothingPastTheEnds) {
+  const OrderedLog log = log_of({3, 4, 5, 6, 7});
+  for (std::uint64_t seq = 3; seq <= 7; ++seq) {
+    EXPECT_EQ(found(log, seq), seq);
+    EXPECT_EQ(log.find(seq)->payload.span()[0], seq);
+  }
+  EXPECT_EQ(log.find(2), nullptr);   // below the front
+  EXPECT_EQ(log.find(8), nullptr);   // past the back
+  EXPECT_EQ(log.find(0), nullptr);
+  EXPECT_EQ(OrderedLog{}.find(1), nullptr);
+}
+
+TEST(OrderedLogTest, HoleBelowTheSeqFallsBackToTheSearch) {
+  // 7 and 9 sit one index below seq - front().seq, 10 two below.
+  const OrderedLog log = log_of({4, 5, 7, 9, 10});
+  for (std::uint64_t seq : {4, 5, 7, 9, 10}) EXPECT_EQ(found(log, seq), seq);
+  EXPECT_EQ(log.find(6), nullptr);  // the holes themselves
+  EXPECT_EQ(log.find(8), nullptr);
+  EXPECT_EQ(log.find(11), nullptr);
+}
+
+TEST(OrderedLogTest, SeqsBelowTheFrontAfterTrimAreGone) {
+  OrderedLog log = log_of({1, 2, 3, 4, 5});
+  EXPECT_EQ(log.trim_upto(3), 3u);
+  for (std::uint64_t seq : {1, 2, 3}) EXPECT_EQ(log.find(seq), nullptr);
+  EXPECT_EQ(found(log, 4), 4u);
+  EXPECT_EQ(found(log, 5), 5u);
+  EXPECT_EQ(log.find(6), nullptr);
+}
+
+TEST(OrderedLogTest, RepairFillingTheHoleMakesTheLogDenseAgain) {
+  OrderedLog log = log_of({1, 2, 4, 5});
+  EXPECT_EQ(log.find(3), nullptr);
+  log.insert(logged(3));
+  ASSERT_EQ(log.size(), 5u);
+  for (std::uint64_t seq = 1; seq <= 5; ++seq) {
+    EXPECT_EQ(found(log, seq), seq);
+  }
+  log.insert(logged(6));  // appends behind the repaired hole
+  EXPECT_EQ(found(log, 6), 6u);
+}
+
+// --- payload lifetime -----------------------------------------------------------
+
+/// A two-member group whose sequencer (process 0) logs an ORDERED that
+/// process 1 never received. The ORDERED arrives in a frame that SetUp
+/// drops once it is handled, so the log is the payload's last holder.
+class VsyncPayloadLifetimeTest : public VsyncFixture {
+ protected:
+  static constexpr std::uint8_t kTag = 42;
+
+  void SetUp() override {
+    build(2);
+    gid_ = host(0).allocate_group_id();
+    host(0).create_group(gid_, user(0));
+    host(1).join_group(gid_, MemberSet{pid(0)}, user(1));
+    ASSERT_TRUE(run_until(
+        [&] { return converged(gid_, {0, 1}, members_of({0, 1})); },
+        5'000'000));
+
+    OrderedMsgWire wire;
+    wire.view = host(0).view_of(gid_)->id;
+    wire.msg = OrderedMsg{1, pid(0), 1'000, payload(kTag, 64)};
+    Encoder enc;
+    enc.put(wire);
+    auto frame = std::make_shared<const std::vector<std::uint8_t>>(enc.take());
+    const BytesOwner owner(frame, frame->data());
+    frame_ = owner;
+    Decoder dec(*frame, owner);
+    host(0).endpoint(gid_)->on_message(pid(0), OrderedMsgWire::kType, dec);
+    // The logged payload shares the frame rather than copying it.
+    EXPECT_GT(owner.use_count(), 2);
+  }  // drops `frame` and `owner`
+
+  /// Process 1's deliveries, as payload tags.
+  std::vector<std::uint8_t> delivered_at_1() {
+    std::vector<std::uint8_t> tags;
+    for (const auto& epoch : user(1).log(gid_).epochs) {
+      for (const auto& [origin, data] : epoch.delivered) {
+        EXPECT_EQ(data, payload(kTag, 64));
+        tags.push_back(data[0]);
+      }
+    }
+    return tags;
+  }
+
+  HwgId gid_;
+  std::weak_ptr<const std::uint8_t> frame_;
+};
+
+TEST_F(VsyncPayloadLifetimeTest, NackReplyReadsTheLoggedPayload) {
+  ASSERT_FALSE(frame_.expired()) << "the log must keep the frame alive";
+  Encoder enc;
+  enc.put(NackMsg{host(0).view_of(gid_)->id, {1}});
+  Decoder dec(enc.bytes());
+  host(0).endpoint(gid_)->on_message(pid(1), NackMsg::kType, dec);
+  ASSERT_TRUE(run_until([&] { return !delivered_at_1().empty(); }, 1'000'000));
+  EXPECT_EQ(delivered_at_1(), std::vector<std::uint8_t>{kTag});
+}
+
+TEST_F(VsyncPayloadLifetimeTest, FlushCutRetransmitsTheLoggedPayload) {
+  ASSERT_FALSE(frame_.expired()) << "the log must keep the frame alive";
+  // A flush with unchanged membership: process 1's have-list lacks seq 1,
+  // so the cut retransmits it from the sequencer's log.
+  host(0).force_flush(gid_);
+  ASSERT_TRUE(run_until([&] { return !delivered_at_1().empty(); }, 5'000'000));
+  EXPECT_EQ(delivered_at_1(), std::vector<std::uint8_t>{kTag});
+  ASSERT_TRUE(run_until(
+      [&] { return converged(gid_, {0, 1}, members_of({0, 1})); },
+      5'000'000));
+  // The new view cleared the log, its last holder: the frame is freed.
+  EXPECT_TRUE(frame_.expired());
 }
 
 }  // namespace
